@@ -9,6 +9,7 @@ failures, 4 when an optimization hits its cycle cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,8 +20,8 @@ from . import __version__
 from .csvio import write_csv
 from .grid import ActionSet, GridError, ParameterGrid, make_neighborhood
 from .metropolis import hitting_time_experiment
-from .objectives import CountingObjective, Fictitious1DObjective, StokesObjective, SyntheticValleyObjective
-from .reduction import OptimizationTrace, OptimizerConfig, run_optimization
+from .objectives import BACKENDS, CountingObjective, StokesObjective
+from .reduction import OptimizationTrace, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
 from .stokes import FlowError
 from .value import fixed_point_iterates
@@ -42,15 +43,14 @@ def dim_names(d: int) -> list[str]:
 
 
 def build_backend(cfg: RunConfig) -> CountingObjective:
-    if cfg.backend == "stokes":
+    backend = BACKENDS[cfg.backend]
+    if backend is StokesObjective:
         return StokesObjective(cfg.channel, e=cfg.airfoil_e, n_shape_samples=cfg.n_shape_samples)
-    if cfg.backend == "synthetic-valley":
-        return SyntheticValleyObjective()
-    return Fictitious1DObjective()
+    return backend()
 
 
 def _require_backend_dim(cfg: RunConfig) -> None:
-    backend_d = 1 if cfg.backend == "fictitious-1d" else 2
+    backend_d = BACKENDS[cfg.backend].d
     if cfg.grid.d != backend_d:
         raise ConfigError("grid", f"backend {cfg.backend!r} needs a {backend_d}-d grid")
 
@@ -222,8 +222,6 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
             seed=cfg.seed,
             max_steps=cfg.walk.max_steps,
             t0=cfg.walk.t0,
-            phase_steps=cfg.walk.phase_steps,
-            first_frozen_dim=cfg.walk.first_frozen_dim,
         )
     write_csv(
         out / "walks.csv",
@@ -244,36 +242,18 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
         ),
         comment=f"mesopt {__version__} walk summary",
     )
-    # One sample path per mode for plotting the walk trajectories.
-    path_rows = []
-    for mode in ("fixed", "free"):
-        path = _sample_path(values, grid, start, mode, cfg)
-        for step, p in enumerate(path):
-            path_rows.append([mode, step, *grid.theta(p), values[p]])
+    # Walk 0's path per mode, for plotting the walk trajectories.
     write_csv(
         out / "walk_paths.csv",
         ["mode", "step"] + names + ["value"],
-        path_rows,
+        (
+            [mode, step, *grid.theta(p), values[p]]
+            for mode in ("fixed", "free")
+            for step, p in enumerate(stats[mode].path)
+        ),
         comment=f"mesopt {__version__} walk sample paths",
     )
     return EXIT_OK
-
-
-def _sample_path(values, grid, start, mode, cfg: RunConfig):
-    stats = hitting_time_experiment(
-        values,
-        grid,
-        start,
-        mode,
-        n_walks=1,
-        seed=cfg.seed,
-        max_steps=cfg.walk.max_steps,
-        t0=cfg.walk.t0,
-        phase_steps=cfg.walk.phase_steps,
-        first_frozen_dim=cfg.walk.first_frozen_dim,
-        record_path=True,
-    )
-    return stats.paths[0]
 
 
 # --- fixedpoint ----------------------------------------------------------------
@@ -360,18 +340,7 @@ def cmd_exp1(cfg: RunConfig, out: Path) -> int:
             adaptive_mode = "alternating"
         for variant, mode in (("fixed", "off"), ("adaptive", adaptive_mode)):
             backend = build_backend(cfg)
-            opt = OptimizerConfig(
-                gamma=cfg.optimizer.gamma,
-                epsilon=cfg.optimizer.epsilon,
-                schedule=cfg.optimizer.schedule,
-                initial_radii=cfg.optimizer.initial_radii,
-                tol_v=cfg.optimizer.tol_v,
-                max_cycles=cfg.optimizer.max_cycles,
-                max_j=cfg.optimizer.max_j,
-                freeze_mode=mode,
-                surrogate_samples=cfg.optimizer.surrogate_samples,
-                seed=cfg.seed,
-            )
+            opt = dataclasses.replace(cfg.optimizer, freeze_mode=mode)
             trace = run_optimization(grid, start, backend, opt)
             rows.append(
                 [
@@ -407,17 +376,11 @@ def cmd_exp2(cfg: RunConfig, out: Path) -> int:
     for radius in cfg.exp2.radii:
         for variant, mode in (("quadratic", "off"), ("rectangle", "alternating")):
             backend = build_backend(cfg)
-            opt = OptimizerConfig(
-                gamma=cfg.optimizer.gamma,
-                epsilon=cfg.optimizer.epsilon,
-                schedule=cfg.optimizer.schedule,
+            opt = dataclasses.replace(
+                cfg.optimizer,
                 initial_radii=tuple(radius for _ in range(grid.d)),
-                tol_v=cfg.optimizer.tol_v,
                 max_cycles=cfg.exp2.max_cycles,
-                max_j=cfg.optimizer.max_j,
                 freeze_mode=mode,
-                surrogate_samples=cfg.optimizer.surrogate_samples,
-                seed=cfg.seed,
             )
             trace = run_optimization(grid, start, backend, opt)
             rows.append(
@@ -474,7 +437,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed", "must be non-negative")
             cfg.seed = args.seed
         if args.backend is not None:
-            if args.backend not in ("stokes", "synthetic-valley", "fictitious-1d"):
+            if args.backend not in BACKENDS:
                 raise ConfigError("--backend", f"unknown backend {args.backend!r}")
             cfg.backend = args.backend
     except ConfigError as exc:

@@ -140,11 +140,6 @@ class AirfoilShape:
     def interp_lower(self, x):
         return np.interp(x, self.x_samples, self.z_lower)
 
-    def to_csv_rows(self):
-        """Rows (x, z_upper, z_lower) for the plotting/export CSV."""
-        for x, zu, zl in zip(self.x_samples, self.z_upper, self.z_lower):
-            yield float(x), float(zu), float(zl)
-
     def write_csv(self, upper_path, lower_path) -> None:
         """Two-column (x, z) CSV per surface, for plotting."""
         from .csvio import write_csv

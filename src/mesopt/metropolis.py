@@ -87,35 +87,48 @@ def transition_matrix(
     return TransitionModel(states=states, matrix=matrix)
 
 
-def sample_walk(models, start: GridPoint, n_steps: int, seed: int) -> list[GridPoint]:
-    """Sample a walk of n_steps transitions from a kernel schedule.
+def _compressed_rows(model: TransitionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (targets, cumulative weights) over the row's nonzero columns.
 
-    ``models`` is a single TransitionModel or a sequence of them, one per
-    step; a short schedule is extended by repeating its last kernel.  Returns
-    the n_steps + 1 visited points.  Deterministic for a fixed seed.
+    Rows have at most 2d+1 nonzeros.  Targets stay in column order; short
+    rows are padded with their last target, and the last cumulative weight
+    of every row is set to 1.0 so a uniform draw u < 1 never overruns it.
     """
-    if isinstance(models, TransitionModel):
-        models = [models]
-    models = list(models)
-    if not models:
-        raise ValueError("empty kernel schedule")
-    if start not in models[0].index:
+    m = len(model.states)
+    width = max(int((row > 0).sum()) for row in model.matrix)
+    targets = np.zeros((m, width), dtype=np.intp)
+    cumw = np.ones((m, width))
+    for k, row in enumerate(model.matrix):
+        idx = np.flatnonzero(row)
+        targets[k, : idx.size] = idx
+        targets[k, idx.size :] = idx[-1]
+        cumw[k, : idx.size] = np.cumsum(row[idx])
+        cumw[k, idx.size - 1 :] = 1.0
+    return targets, cumw
+
+
+def _sample_step(targets: np.ndarray, cumw: np.ndarray, pos: np.ndarray, rng) -> np.ndarray:
+    """Advance every walk (state indices ``pos``) by one inverse-CDF draw."""
+    u = rng.random(pos.shape[0])
+    choice = (cumw[pos] < u[:, None]).sum(axis=1)
+    return targets[pos, choice]
+
+
+def sample_walk(model: TransitionModel, start: GridPoint, n_steps: int, seed: int) -> list[GridPoint]:
+    """Sample a walk of n_steps transitions under one kernel.
+
+    Returns the n_steps + 1 visited points.  Deterministic for a fixed seed.
+    """
+    if start not in model.index:
         raise GridError(f"walk start {start} outside the kernel's state set")
+    targets, cumw = _compressed_rows(model)
     rng = np.random.default_rng(seed)
+    pos = np.array([model.index[start]])
     path = [start]
-    state = start
-    for t in range(n_steps):
-        model = models[min(t, len(models) - 1)]
-        probs = model.row(state)
-        state = model.states[_pick(probs, rng)]
-        path.append(state)
+    for _ in range(n_steps):
+        pos = _sample_step(targets, cumw, pos, rng)
+        path.append(model.states[pos[0]])
     return path
-
-
-def _pick(probs: np.ndarray, rng) -> int:
-    # Inverse-CDF draw; cheaper and more explicit than rng.choice.
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
 
 
 def _lazy_step(values, grid, state, actions, beta, rng):
@@ -139,7 +152,7 @@ class WalkStatistics:
     steps: list[int]
     hits: list[bool]
     target: GridPoint
-    paths: list[list[GridPoint]] = field(default_factory=list)
+    path: list[GridPoint]  # the points walk 0 visited, start included
 
     @property
     def mean_steps(self) -> float:
@@ -163,18 +176,14 @@ def hitting_time_experiment(
     seed: int,
     max_steps: int = 5000,
     t0: float = 1.0,
-    phase_steps: int | None = None,
-    first_frozen_dim: int = 0,
-    record_path: bool = False,
 ) -> WalkStatistics:
     """First-passage times to the unique grid argmin under log cooling.
 
     mode "free" walks with every dimension changeable; mode "fixed" freezes
-    one dimension at a time (the most significant one first), switching the
-    frozen dimension every ``phase_steps`` steps.  For 1-d grids both modes
+    one dimension at a time, dimension 0 first, switching the frozen
+    dimension every max(grid.shape) steps.  For 1-d grids both modes
     coincide.  Walks that never hit within max_steps are censored at
-    max_steps with hit=False.  ``record_path`` keeps the visited points of
-    every walk (for path exports).
+    max_steps with hit=False.  The path of walk 0 is kept for path exports.
     """
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown walk mode {mode!r}")
@@ -185,34 +194,26 @@ def hitting_time_experiment(
         raise ValueError("objective has no unique global argmin on the grid")
 
     d = grid.d
-    if phase_steps is None:
-        phase_steps = max(grid.shape)
-    free_actions = ActionSet(d)
+    switch_every = max(grid.shape)  # the longest grid side
     if mode == "fixed" and d >= 2:
-        phases = [
-            ActionSet(d, frozenset(range(d)) - {(first_frozen_dim + k) % d})
-            for k in range(d)
-        ]
+        phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
     else:
-        phases = [free_actions]
+        phases = [ActionSet(d)]
 
-    steps_out, hits, paths = [], [], []
+    steps_out, hits, path = [], [], [start]
     for walk_id in range(n_walks):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
         state = start
-        path = [state]
         hit = state == target
         t = 0
         while not hit and t < max_steps:
-            actions = phases[(t // phase_steps) % len(phases)]
+            actions = phases[(t // switch_every) % len(phases)]
             beta = math.log(2.0 + t) / t0
             state = _lazy_step(values, grid, state, actions, beta, rng)
             t += 1
             hit = state == target
-            if record_path:
+            if walk_id == 0:
                 path.append(state)
         steps_out.append(t)
         hits.append(hit)
-        if record_path:
-            paths.append(path)
-    return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=target, paths=paths)
+    return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=target, path=path)

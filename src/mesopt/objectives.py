@@ -21,7 +21,7 @@ import threading
 import numpy as np
 
 from .geometry import AirfoilSpec, build_airfoil
-from .stokes import ChannelConfig, EvaluationProfile, sample_line, solve_stokes
+from .stokes import ChannelConfig, EvaluationProfile, FlowError, sample_line, solve_stokes
 
 __all__ = [
     "reward_R1",
@@ -32,7 +32,7 @@ __all__ = [
     "StokesObjective",
     "SyntheticValleyObjective",
     "Fictitious1DObjective",
-    "make_backend",
+    "BACKENDS",
 ]
 
 
@@ -107,7 +107,11 @@ class CountingObjective:
 
 
 class StokesObjective(CountingObjective):
-    """R1 + R2 behind a fresh channel solve at theta = (f, b)."""
+    """R1 + R2 behind a fresh channel solve at theta = (f, b).
+
+    A solve that misses ``solver_tol``, or a non-finite field or profile,
+    raises FlowError instead of yielding a reward.
+    """
 
     d = 2
 
@@ -121,7 +125,15 @@ class StokesObjective(CountingObjective):
         f, b = theta
         shape = build_airfoil(AirfoilSpec(f=f, b=b, e=self.e), self.n_shape_samples)
         field = solve_stokes(shape, self.channel)
+        if not field.converged:
+            raise FlowError(
+                f"solve missed solver_tol {self.channel.solver_tol:g} after "
+                f"{self.channel.max_iters} refinements (residual {field.residual:.3e})"
+            )
         profile = sample_line(field, self.channel)
+        arrays = (field.u1, field.u2, field.p, profile.u1, profile.u2)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FlowError("non-finite flow field or evaluation profile")
         r1 = reward_R1(profile, variant=self.channel.reward_variant)
         r2 = reward_R2(profile)
         return r1, r2, r1 + r2
@@ -143,12 +155,9 @@ class Fictitious1DObjective(CountingObjective):
         return r, 0.0, r
 
 
-def make_backend(name: str, channel: ChannelConfig | None = None) -> CountingObjective:
-    """Backend registry used by the CLI: stokes, synthetic-valley, fictitious-1d."""
-    if name == "stokes":
-        return StokesObjective(channel or ChannelConfig())
-    if name == "synthetic-valley":
-        return SyntheticValleyObjective()
-    if name == "fictitious-1d":
-        return Fictitious1DObjective()
-    raise ValueError(f"unknown backend {name!r}")
+#: The one backend registry: config name -> objective class (each declares d).
+BACKENDS: dict[str, type[CountingObjective]] = {
+    "stokes": StokesObjective,
+    "synthetic-valley": SyntheticValleyObjective,
+    "fictitious-1d": Fictitious1DObjective,
+}

@@ -50,8 +50,6 @@ class OptimizerConfig:
     max_cycles: int = 40
     max_j: int = 60
     freeze_mode: str = "alternating"  # "alternating" | "permanent" | "off"
-    surrogate_samples: str = "corners"  # box corners (+ midpoint on width-1 rectangles)
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -60,8 +58,6 @@ class OptimizerConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.freeze_mode not in ("alternating", "permanent", "off"):
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
-        if self.surrogate_samples != "corners":
-            raise ValueError(f"unknown sample placement {self.surrogate_samples!r}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if any(r < 0 for r in self.initial_radii):

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import GridError, ParameterGrid
+from .objectives import BACKENDS
 from .reduction import OptimizerConfig
 from .stokes import ChannelConfig
 from .value import CoolingSchedule
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
-
-BACKENDS = ("stokes", "synthetic-valley", "fictitious-1d")
 
 
 class ConfigError(ValueError):
@@ -36,8 +35,6 @@ class WalkSettings:
     n_walks: int = 100
     max_steps: int = 5000
     t0: float = 1.0
-    phase_steps: int | None = None
-    first_frozen_dim: int = 0
 
 
 @dataclass
@@ -191,14 +188,13 @@ def parse_config(raw: dict) -> RunConfig:
             max_cycles=osec.get("max_cycles", int, 40),
             max_j=osec.get("max_j", int, 60),
             freeze_mode=osec.get("freeze_mode", str, "alternating"),
-            surrogate_samples=osec.get("surrogate_samples", str, "corners"),
             schedule=_parse_cooling(osec.section("cooling"), 1.0),
         )
         osec.finish()
     else:
         opt_kwargs = dict(initial_radii=tuple(3 for _ in range(grid.d)))
     try:
-        optimizer = OptimizerConfig(seed=seed, **opt_kwargs)
+        optimizer = OptimizerConfig(**opt_kwargs)
     except ValueError as exc:
         raise ConfigError("optimizer", str(exc)) from None
     if len(start) != grid.d:
@@ -243,8 +239,6 @@ def parse_config(raw: dict) -> RunConfig:
             n_walks=wsec.get("n_walks", int, 100),
             max_steps=wsec.get("max_steps", int, 5000),
             t0=wsec.get("t0", float, 1.0),
-            phase_steps=wsec.get("phase_steps", int, None, allow_none=True),
-            first_frozen_dim=wsec.get("first_frozen_dim", int, 0),
         )
         wsec.finish()
         if walk.n_walks < 1 or walk.max_steps < 1:

@@ -148,10 +148,15 @@ def solid_mask(shape: AirfoilShape, config: ChannelConfig, x: np.ndarray, z: np.
 
 
 def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
-    thickness = float(shape.thickness().max())
-    if thickness >= config.Lz:
+    thickness = shape.thickness()
+    if thickness.min() < 0.0:
         raise FlowError(
-            f"airfoil thickness {thickness:.3f} leaves no open passage in a "
+            f"airfoil thickness {float(thickness.min()):.3g} is negative: the "
+            "upper surface dips below the lower one"
+        )
+    if thickness.max() >= config.Lz:
+        raise FlowError(
+            f"airfoil thickness {float(thickness.max()):.3f} leaves no open passage in a "
             f"channel of period {config.Lz} (geometry does not fit)"
         )
     if config.leading_edge_x + 1.0 >= config.Lx:
@@ -187,6 +192,11 @@ def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
         chi_u = solid_mask(shape, config, xu[:, None], zc[None, :]).astype(float)
         xw = (np.arange(nx) + 0.5) * dx
         chi_w = solid_mask(shape, config, xw[:, None], zf[None, :]).astype(float)
+        if not (chi_u.any() or chi_w.any()):
+            raise FlowError(
+                f"the solid mask selects no face: the blade is invisible to a "
+                f"{nx}x{nz} grid"
+            )
     else:
         chi_u = np.zeros((nx, nz))
         chi_w = np.zeros((nx, nz))

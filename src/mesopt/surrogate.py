@@ -37,10 +37,6 @@ def monomial_row(disp: np.ndarray) -> np.ndarray:
     return np.concatenate([squares, disp], axis=-1)
 
 
-def n_coeffs(d: int) -> int:
-    return d + d * (d - 1) // 2 + d
-
-
 @dataclass(frozen=True)
 class SurrogateModel:
     """Fitted quadratic around a center point (physical coordinates)."""

@@ -14,13 +14,14 @@ sizes, so they are the primary evaluator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import TransitionModel, transition_matrix
+from .metropolis import TransitionModel, _compressed_rows, _sample_step, transition_matrix
 
 __all__ = [
     "CoolingSchedule",
@@ -105,6 +106,36 @@ def discounted_power_sum(
     return acc
 
 
+def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v):
+    """The fixed-point map shared by both entry points, validated up front.
+
+    Returns (members, V_0 = Rhat, steps), where steps yields
+    (beta_j, V_{j+1}, sup delta_j) for j = 0, 1, ...: each step rebuilds the
+    kernel from V_j at inverse temperature beta_j and applies the
+    tolerance-truncated discounted sum.
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
+    if tol_v <= 0.0:
+        raise ValueError("tol_v must be positive")
+    states = neighborhood.members
+    if not states:
+        raise ValueError("empty neighborhood")
+    rhat = np.array([surrogate_values[s] for s in states], dtype=float)
+    horizon = horizon_for(gamma, tol_v, float(np.max(np.abs(rhat))))
+
+    def steps():
+        v = rhat
+        for j in itertools.count():
+            beta = schedule.beta(j)
+            model = transition_matrix(dict(zip(states, v)), neighborhood, actions, beta)
+            v_next = discounted_power_sum(model, rhat, gamma, horizon)
+            yield beta, v_next, float(np.max(np.abs(v_next - v)))
+            v = v_next
+
+    return states, rhat, steps()
+
+
 def value_fixed_point(
     surrogate_values: dict[GridPoint, float],
     neighborhood: Neighborhood,
@@ -120,39 +151,16 @@ def value_fixed_point(
     each step's inverse temperature, and stops when the sup-norm change
     drops below tol_v or max_j iterations have run (converged=False then).
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
-    if tol_v <= 0.0:
-        raise ValueError("tol_v must be positive")
-    states = neighborhood.members
-    if not states:
-        raise ValueError("empty neighborhood")
-    rhat = np.array([surrogate_values[s] for s in states], dtype=float)
-
-    if gamma == 0.0:
-        values = {s: float(r) for s, r in zip(states, rhat)}
-        return ValueTable(values=values, gamma=gamma, iterations=1, converged=True, history=[0.0])
-
-    horizon = horizon_for(gamma, tol_v, float(np.max(np.abs(rhat))))
-    v = rhat.copy()
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for j in range(max_j):
-        model = transition_matrix(
-            dict(zip(states, v)), neighborhood, actions, schedule.beta(j)
-        )
-        v_next = discounted_power_sum(model, rhat, gamma, horizon)
-        delta = float(np.max(np.abs(v_next - v)))
+    states, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v)
+    v, history, converged = rhat, [], False
+    for _, v, delta in itertools.islice(steps, max_j):
         history.append(delta)
-        v = v_next
-        iterations = j + 1
         if delta < tol_v:
             converged = True
             break
     values = dict(zip(states, (float(x) for x in v)))
     return ValueTable(
-        values=values, gamma=gamma, iterations=iterations, converged=converged, history=history
+        values=values, gamma=gamma, iterations=len(history), converged=converged, history=history
     )
 
 
@@ -170,23 +178,11 @@ def fixed_point_iterates(
     Same map as value_fixed_point but runs a fixed number of iterations and
     keeps every iterate, for the 1-d demonstration exports.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
-    states = neighborhood.members
-    rhat = np.array([surrogate_values[s] for s in states], dtype=float)
-    horizon = horizon_for(gamma, tol_v, float(np.max(np.abs(rhat))))
-    iterates = [rhat.copy()]
-    deltas: list[float] = []
-    betas: list[float] = []
-    v = rhat.copy()
-    for j in range(n_iters):
-        beta = schedule.beta(j)
-        model = transition_matrix(dict(zip(states, v)), neighborhood, actions, beta)
-        v_next = discounted_power_sum(model, rhat, gamma, horizon)
-        deltas.append(float(np.max(np.abs(v_next - v))))
-        betas.append(beta)
-        v = v_next
-        iterates.append(v.copy())
+    _, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v)
+    steps = list(itertools.islice(steps, n_iters))
+    iterates = [rhat] + [v for _, v, _ in steps]
+    deltas = [delta for _, _, delta in steps]
+    betas = [beta for beta, _, _ in steps]
     return iterates, deltas, betas
 
 
@@ -221,17 +217,8 @@ def mc_value_estimate(
         return values
 
     model = transition_matrix(surrogate_values, neighborhood, actions, beta)
+    targets, cumw = _compressed_rows(model)
     m = len(states)
-    # Rows have at most 2d+1 nonzeros: sample over compressed targets.
-    width = max(int((row > 0).sum()) for row in model.matrix)
-    targets = np.zeros((m, width), dtype=np.intp)
-    cumw = np.ones((m, width))
-    for k, row in enumerate(model.matrix):
-        idx = np.flatnonzero(row)
-        targets[k, : idx.size] = idx
-        targets[k, idx.size :] = idx[-1]
-        cumw[k, : idx.size] = np.cumsum(row[idx])
-        cumw[k, idx.size - 1 :] = 1.0  # guard roundoff so u < 1 never overruns
     rng = np.random.default_rng(seed)
 
     # All walks for all start states advance in lockstep.
@@ -239,9 +226,7 @@ def mc_value_estimate(
     totals = rhat[pos].copy()
     g = 1.0
     for _ in range(horizon):
-        u = rng.random(pos.shape[0])
-        choice = (cumw[pos] < u[:, None]).sum(axis=1)
-        pos = targets[pos, choice]
+        pos = _sample_step(targets, cumw, pos, rng)
         g *= gamma
         totals += g * rhat[pos]
 

@@ -226,3 +226,44 @@ def test_backend_override(tmp_path):
     assert main(["landscape", "--config", cfg, "--backend", "synthetic-valley", "--out", str(out)]) == 0
     rows = read_rows(out / "landscape.csv")
     assert float(min(rows, key=lambda r: float(r["R"]))["f"]) == 2.0
+
+
+def test_walk_paths_are_walk_zero(tmp_path):
+    # walk_paths.csv holds walk 0 of each mode: steps + 1 points, ending on
+    # the valley minimum (2.0, 2.5) exactly when that walk hit.  A 3-step cap
+    # censors walk 0; a 2000-step cap lets it hit.
+    seen_hits = set()
+    for max_steps in (3, 2000):
+        walk = {"start": [3.5, 3.5], "n_walks": 4, "max_steps": max_steps}
+        cfg = write_cfg(tmp_path, dict(VALLEY, walk=walk), f"walk{max_steps}.json")
+        out = tmp_path / f"o{max_steps}"
+        assert main(["walk", "--config", cfg, "--out", str(out)]) == 0
+        walks = read_rows(out / "walks.csv")
+        paths = read_rows(out / "walk_paths.csv")
+        for mode in ("fixed", "free"):
+            walk0 = next(r for r in walks if r["mode"] == mode and r["walk_id"] == "0")
+            path = [r for r in paths if r["mode"] == mode]
+            assert [int(r["step"]) for r in path] == list(range(int(walk0["steps"]) + 1))
+            assert (float(path[0]["f"]), float(path[0]["b"])) == (3.5, 3.5)
+            ends_on_target = (float(path[-1]["f"]), float(path[-1]["b"])) == (2.0, 2.5)
+            assert ends_on_target == (walk0["hit"] == "true")
+            seen_hits.add(walk0["hit"])
+    assert seen_hits == {"true", "false"}
+
+
+def test_unconverged_solve_is_a_backend_failure(tmp_path):
+    doc = {
+        "backend": "stokes",
+        "grid": {"mins": [2.0, 2.0], "maxs": [2.1, 2.1], "steps": [0.1, 0.1]},
+        "optimizer": {"start": [2.0, 2.0]},
+        "channel": {"nx": 24, "nz": 12, "solver_tol": 1e-300, "max_iters": 1},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["landscape", "--config", cfg, "--out", str(tmp_path / "l")]) == 3
+    rows = read_rows(tmp_path / "l" / "landscape.csv")
+    assert len(rows) == 4
+    assert all(r["error"].startswith("FlowError: solve missed solver_tol") and r["R"] == "" for r in rows)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    trace = json.loads((tmp_path / "o" / "trace.json").read_text())
+    assert trace["terminated_reason"] == "error"
+    assert trace["error"].startswith("FlowError: solve missed solver_tol")

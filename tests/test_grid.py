@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, GridError, ParameterGrid, make_neighborhood
 
@@ -87,3 +89,15 @@ def test_action_set_without():
     assert reduced.changeable == frozenset({1})
     with pytest.raises(GridError):
         ActionSet(d=2, changeable={5})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_property_index_of_inverts_theta(data):
+    d = data.draw(st.integers(1, 3))
+    mins = [data.draw(st.floats(-50.0, 50.0)) for _ in range(d)]
+    steps = [data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.3, 1.0, 2.5])) for _ in range(d)]
+    counts = [data.draw(st.integers(1, 60)) for _ in range(d)]
+    grid = ParameterGrid(mins, [lo + k * s for lo, k, s in zip(mins, counts, steps)], steps)
+    point = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
+    assert grid.index_of(grid.theta(point)) == point

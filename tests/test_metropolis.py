@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import hitting_time_experiment, sample_walk, transition_matrix
@@ -148,3 +150,37 @@ def test_non_unique_argmin_rejected():
     values = {(0,): 0.0, (1,): 0.0, (2,): 1.0}
     with pytest.raises(ValueError):
         hitting_time_experiment(values, grid, (2,), "free", n_walks=1, seed=0)
+
+
+@st.composite
+def box_kernels(draw):
+    """Kernel on a random clipped box, value table, action set and beta."""
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(1.0, 1.0), steps=(0.1, 0.1))
+    center = (draw(st.integers(0, 10)), draw(st.integers(0, 10)))
+    radii = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    n = make_neighborhood(grid, center=center, radii=radii)
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=n.size, max_size=n.size))
+    actions = ActionSet(2, draw(st.sets(st.integers(0, 1))))
+    beta = draw(st.floats(0.0, 20.0))
+    return transition_matrix(dict(zip(n.members, values)), n, actions, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_kernels())
+def test_property_rows_stochastic_and_stay_heaviest(model):
+    m = model.matrix
+    np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(m >= 0.0)
+    # Stay carries weight 1, every move at most 1: its share is the largest.
+    stay = np.diag(m)
+    assert np.all(stay[:, None] >= m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_kernels(), st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
+def test_property_walk_visits_only_positive_weight_targets(model, n_steps, seed, data):
+    start = data.draw(st.sampled_from(model.states))
+    path = sample_walk(model, start=start, n_steps=n_steps, seed=seed)
+    assert len(path) == n_steps + 1 and path[0] == start
+    for here, there in zip(path, path[1:]):
+        assert model.row(here)[model.index[there]] > 0.0

@@ -3,11 +3,11 @@ import pytest
 
 from mesopt.stokes import EvaluationProfile
 from mesopt.objectives import (
+    BACKENDS,
     Fictitious1DObjective,
     StokesObjective,
     SyntheticValleyObjective,
     fictitious_1d,
-    make_backend,
     reward_R1,
     reward_R2,
     synthetic_valley_2d,
@@ -103,8 +103,43 @@ def test_stokes_objective_deterministic_and_counted():
 
 
 def test_backend_registry():
-    assert isinstance(make_backend("synthetic-valley"), SyntheticValleyObjective)
-    assert isinstance(make_backend("fictitious-1d"), Fictitious1DObjective)
-    assert isinstance(make_backend("stokes"), StokesObjective)
-    with pytest.raises(ValueError):
-        make_backend("nope")
+    # One map from config name to objective class; each class declares d,
+    # and parse_config, --backend and cli.build_backend all read this map.
+    from mesopt.cli import build_backend
+    from mesopt.runconfig import ConfigError, parse_config
+
+    assert BACKENDS == {
+        "stokes": StokesObjective,
+        "synthetic-valley": SyntheticValleyObjective,
+        "fictitious-1d": Fictitious1DObjective,
+    }
+    assert {name: cls.d for name, cls in BACKENDS.items()} == {
+        "stokes": 2,
+        "synthetic-valley": 2,
+        "fictitious-1d": 1,
+    }
+    for name, cls in BACKENDS.items():
+        grid = {"mins": [0.0] * cls.d, "maxs": [1.0] * cls.d, "steps": [0.5] * cls.d}
+        assert type(build_backend(parse_config({"backend": name, "grid": grid}))) is cls
+    with pytest.raises(ConfigError, match="backend"):
+        parse_config({"backend": "nope", "grid": {"mins": [0.0], "maxs": [1.0], "steps": [0.5]}})
+
+
+def test_unconverged_or_non_finite_solve_raises(monkeypatch):
+    from mesopt import objectives
+    from mesopt.stokes import ChannelConfig, FlowError, FlowField
+
+    # No refinement can meet this tolerance, so the solve reports converged=False.
+    strict = StokesObjective(ChannelConfig(nx=48, nz=24, solver_tol=1e-300, max_iters=1))
+    with pytest.raises(FlowError, match="solver_tol"):
+        strict((2.0, 2.0))
+
+    def nan_solve(shape, channel):
+        u1 = np.ones((channel.nx + 1, channel.nz))
+        u1[-1, 0] = np.nan
+        rest = np.ones((channel.nx, channel.nz))
+        return FlowField(u1=u1, u2=rest, p=rest, converged=True, residual=0.0)
+
+    monkeypatch.setattr(objectives, "solve_stokes", nan_solve)
+    with pytest.raises(FlowError, match="non-finite"):
+        StokesObjective(ChannelConfig(nx=48, nz=24))((2.0, 2.0))

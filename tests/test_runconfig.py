@@ -80,12 +80,12 @@ def test_channel_validation_propagates():
 
 
 def test_surrogate_samples_rule():
+    # Box corners are the only sample placement, so the key is gone.
     raw = minimal()
-    raw["optimizer"] = {"surrogate_samples": "corners"}
-    assert parse_config(raw).optimizer.surrogate_samples == "corners"
-    raw["optimizer"] = {"surrogate_samples": "sobol"}
-    with pytest.raises(ConfigError, match="optimizer"):
-        parse_config(raw)
+    for placement in ("corners", "sobol"):
+        raw["optimizer"] = {"surrogate_samples": placement}
+        with pytest.raises(ConfigError, match=r"optimizer\.surrogate_samples: unknown field"):
+            parse_config(raw)
 
 
 def test_cooling_section():

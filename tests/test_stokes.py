@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mesopt.geometry import AirfoilSpec, build_airfoil
+from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
 from mesopt.stokes import (
     ChannelConfig,
     FlowError,
@@ -124,3 +124,21 @@ def test_solve_determinism(small_airfoil_field):
     np.testing.assert_array_equal(field.u1, again.u1)
     np.testing.assert_array_equal(field.u2, again.u2)
     np.testing.assert_array_equal(field.p, again.p)
+
+
+def test_negative_thickness_rejected():
+    # Surfaces swapped by hand: the upper one runs below the lower one, and
+    # the solid mask would select nothing.
+    good = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
+    swapped = AirfoilShape(x_samples=good.x_samples, z_upper=good.z_lower, z_lower=good.z_upper)
+    with pytest.raises(FlowError, match="negative"):
+        solve_stokes(swapped, ChannelConfig(**SMALL))
+
+
+def test_blade_between_grid_faces_rejected():
+    # A slab 0.01 thick between the face row at z = 0 and the cell centres
+    # at z = 1/24: no u or w face of the 48x24 grid (dz = 1/12) lies inside.
+    x = np.linspace(0.0, 1.0, 33)
+    slab = AirfoilShape(x_samples=x, z_upper=np.full_like(x, 0.02), z_lower=np.full_like(x, 0.01))
+    with pytest.raises(FlowError, match="selects no face"):
+        solve_stokes(slab, ChannelConfig(**SMALL))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import transition_matrix
@@ -9,6 +11,7 @@ from mesopt.value import (
     ValueTable,
     argmin_value,
     discounted_power_sum,
+    fixed_point_iterates,
     mc_value_estimate,
     value_fixed_point,
 )
@@ -174,3 +177,47 @@ def test_fictitious_demo_sharpens_and_keeps_argmins():
         d2_r = r[i - 1] - 2 * r[i] + r[i + 1]
         d2_v = v[i - 1] - 2 * v[i] + v[i + 1]
         assert d2_v > d2_r
+
+
+@st.composite
+def fixed_point_inputs(draw):
+    """(rhat, neighborhood, actions, gamma, schedule) on a random clipped box."""
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(1.0, 1.0), steps=(0.1, 0.1))
+    center = (draw(st.integers(0, 10)), draw(st.integers(0, 10)))
+    radii = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    n = make_neighborhood(grid, center=center, radii=radii)
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n.size, max_size=n.size))
+    actions = ActionSet(2, draw(st.sets(st.integers(0, 1))))
+    gamma = draw(st.floats(0.0, 0.95))
+    schedule = CoolingSchedule(
+        draw(st.sampled_from(["standard-log", "inverse-log"])), t0=draw(st.floats(0.05, 5.0))
+    )
+    return dict(zip(n.members, values)), n, actions, gamma, schedule
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_point_inputs(), st.integers(1, 4))
+def test_property_iterates_inside_discounted_range(inputs, n_iters):
+    # Each iterate of the map is a discounted sum whose weights add up to
+    # 1 / (1 - gamma); V_0 = Rhat is the starting point, not an iterate.
+    rhat, n, actions, gamma, schedule = inputs
+    iterates, _, _ = fixed_point_iterates(rhat, n, actions, gamma, schedule, n_iters)
+    lo = min(rhat.values()) / (1.0 - gamma)
+    hi = max(rhat.values()) / (1.0 - gamma)
+    slack = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    for v in iterates[1:]:
+        assert np.all(v >= lo - slack) and np.all(v <= hi + slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_point_inputs(), st.integers(0, 4), st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_property_both_fixed_point_entries_share_iterates(inputs, max_j, tol_v):
+    rhat, n, actions, gamma, schedule = inputs
+    iterates, deltas, _ = fixed_point_iterates(rhat, n, actions, gamma, schedule, max_j, tol_v)
+    table = value_fixed_point(rhat, n, actions, gamma, schedule, tol_v=tol_v, max_j=max_j)
+    k = table.iterations
+    assert table.history == deltas[:k]
+    np.testing.assert_array_equal(table.as_array(n.members), iterates[k])
+    assert table.converged == (k > 0 and deltas[k - 1] < tol_v)
+    if not table.converged:
+        assert k == max_j
