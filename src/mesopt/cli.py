@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .csvio import write_csv
+from .geometry import GeometryError
 from .grid import ActionSet, GridError, ParameterGrid, make_neighborhood
 from .metropolis import hitting_time_experiment
 from .objectives import BACKENDS, CountingObjective, StokesObjective
@@ -451,7 +452,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FlowError, GridError) as exc:
+    except (FlowError, GeometryError, GridError) as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -56,6 +56,8 @@ class OptimizerConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if self.tol_v <= 0.0:
+            raise ValueError("tol_v must be positive")
         if self.freeze_mode not in ("alternating", "permanent", "off"):
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
         if self.max_cycles < 1:

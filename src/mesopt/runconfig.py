@@ -243,6 +243,8 @@ def parse_config(raw: dict) -> RunConfig:
         wsec.finish()
         if walk.n_walks < 1 or walk.max_steps < 1:
             raise ConfigError("walk", "n_walks and max_steps must be positive")
+        if walk.t0 <= 0.0:
+            raise ConfigError("walk.t0", "must be positive")
 
     fsec = root.section("fixedpoint")
     fixedpoint = FixedPointSettings()
@@ -258,6 +260,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("fixedpoint.gamma", "must be in [0, 1)")
         if fixedpoint.iterations < 1:
             raise ConfigError("fixedpoint.iterations", "must be >= 1")
+        if fixedpoint.tol_v <= 0.0:
+            raise ConfigError("fixedpoint.tol_v", "must be positive")
 
     e1sec = root.section("exp1")
     exp1 = Exp1Settings()

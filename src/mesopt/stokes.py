@@ -9,14 +9,24 @@ location falls inside the airfoil band.  With unit viscosity the velocity
 solution is independent of viscosity under these boundary conditions, so
 none is exposed.
 
-The discrete saddle system (momentum + continuity) is solved directly with
-a sparse LU factorization, followed by iterative refinement until the
+The discrete saddle system (momentum + continuity) is solved directly,
+followed by iterative refinement against the whole system until the
 relative residual drops below ``solver_tol``; continuity therefore holds to
 machine precision, far below the 1e-6 * |inflow| divergence contract.
+
+The blade enters the system only as a diagonal term on faces in the chord
+band, so the direct solve is substructured.  The cell columns around the
+band form the strip; all other columns form the exterior, whose equations
+are the same for every blade.  Once per ``ChannelConfig`` (on its first
+solve; one channel is kept) the exterior block is factored with sparse LU
+and its effect on the strip is condensed into a dense correction on the
+few strip unknowns that touch it.  Each blade then costs one sparse LU of
+the strip's Schur complement and a strip and an exterior triangular solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +142,12 @@ class EvaluationProfile:
         return np.hypot(self.u1, self.u2)
 
 
+def _chord_coordinate(config: ChannelConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """x measured from the leading edge, and whether it lies on the chord."""
+    xc = np.asarray(x) - config.leading_edge_x
+    return xc, (xc >= 0.0) & (xc <= 1.0)
+
+
 def solid_mask(shape: AirfoilShape, config: ChannelConfig, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Indicator of points inside the airfoil band (x, z broadcast together).
 
@@ -139,12 +155,16 @@ def solid_mask(shape: AirfoilShape, config: ChannelConfig, x: np.ndarray, z: np.
     cascade of blades spaced Lz apart and the band wraps around in z; the
     blade's absolute vertical placement is immaterial.
     """
-    xc = np.asarray(x) - config.leading_edge_x
-    inside_chord = (xc >= 0.0) & (xc <= 1.0)
+    xc, inside_chord = _chord_coordinate(config, x)
     xc_clip = np.clip(xc, 0.0, 1.0)
     z_lo = shape.interp_lower(xc_clip)
     z_up = shape.interp_upper(xc_clip)
     return inside_chord & (np.mod(z - z_lo, config.Lz) <= (z_up - z_lo))
+
+
+def _face_x(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """x of the unknown u faces (i = 1..nx) and of the w faces (i = 0..nx-1)."""
+    return np.arange(1, config.nx + 1) * config.dx, (np.arange(config.nx) + 0.5) * config.dx
 
 
 def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
@@ -163,12 +183,38 @@ def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
         raise FlowError("airfoil chord extends past the outflow boundary")
 
 
-def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
-    """Sparse system (A, b) for the penalized steady Stokes equations."""
+def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.ndarray:
+    """K*chi on the u and w momentum rows of the system, zero elsewhere.
+
+    This diagonal is the only part of the system that depends on the shape;
+    it is nonzero only on faces in the chord band.
+    """
+    n = config.nx * config.nz
+    d = np.zeros(3 * n)
+    if shape is None:
+        return d
+    _check_fit(shape, config)
+    xu, xw = _face_x(config)
+    chi_u = solid_mask(shape, config, xu[:, None], config.z_centers()[None, :])
+    chi_w = solid_mask(shape, config, xw[:, None], config.z_faces()[None, :])
+    if not (chi_u.any() or chi_w.any()):
+        raise FlowError(
+            f"the solid mask selects no face: the blade is invisible to a "
+            f"{config.nx}x{config.nz} grid"
+        )
+    d[:n] = config.penalization * chi_u.astype(float).ravel()
+    d[n : 2 * n] = config.penalization * chi_w.astype(float).ravel()
+    return d
+
+
+def _assemble(config: ChannelConfig):
+    """Sparse system (A0, b) of the Stokes equations in the empty channel.
+
+    A blade adds ``_brinkman_diagonal`` to A0's diagonal and leaves b as it is.
+    """
     nx, nz = config.nx, config.nz
     dx, dz = config.dx, config.dz
     u_in, w_in = config.inflow
-    K = config.penalization
 
     n_u = nx * nz       # u faces i=1..nx
     n_w = nx * nz       # w faces i=0..nx-1, periodic in j
@@ -182,24 +228,6 @@ def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
 
     def ip(i, j):
         return n_u + n_w + i * nz + j
-
-    # Penalization indicators at face locations.
-    if shape is not None:
-        _check_fit(shape, config)
-        zc = config.z_centers()
-        zf = config.z_faces()
-        xu = np.arange(1, nx + 1) * dx
-        chi_u = solid_mask(shape, config, xu[:, None], zc[None, :]).astype(float)
-        xw = (np.arange(nx) + 0.5) * dx
-        chi_w = solid_mask(shape, config, xw[:, None], zf[None, :]).astype(float)
-        if not (chi_u.any() or chi_w.any()):
-            raise FlowError(
-                f"the solid mask selects no face: the blade is invisible to a "
-                f"{nx}x{nz} grid"
-            )
-    else:
-        chi_u = np.zeros((nx, nz))
-        chi_w = np.zeros((nx, nz))
 
     rows, cols, vals = [], [], []
     b = np.zeros(n_u + n_w + n_p)
@@ -217,8 +245,7 @@ def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
     # --- u momentum, faces i = 1..nx ---
     for i in range(1, nx + 1):
         r = iu(i, J)
-        diag = 2.0 * idx2 + 2.0 * idz2 + K * chi_u[i - 1, :]
-        add(r, r, diag)
+        add(r, r, 2.0 * idx2 + 2.0 * idz2)
         add(r, iu(i, jp), -idz2)
         add(r, iu(i, jm), -idz2)
         if i == nx:
@@ -244,7 +271,7 @@ def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
             diag_x = 1.0 * idx2  # ghost w[nx] = w[nx-1]
         else:
             diag_x = 2.0 * idx2
-        add(r, r, diag_x + 2.0 * idz2 + K * chi_w[i, :])
+        add(r, r, diag_x + 2.0 * idz2)
         add(r, iw(i, jp), -idz2)
         add(r, iw(i, jm), -idz2)
         if i + 1 <= nx - 1:
@@ -273,12 +300,84 @@ def _assemble(shape: AirfoilShape | None, config: ChannelConfig):
     return A, b
 
 
+#: Interface columns eliminated per exterior solve while building the
+#: correction; bounds the dense block to n_exterior x _CHUNK floats.
+_CHUNK = 64
+
+
+class _Substructure:
+    """The shape-free part of one channel's system, factored once.
+
+    Unknowns split into the strip S, the u, w and p of every cell column
+    with a u or w face in the chord band plus one column on either side,
+    and the exterior E, all other columns.  Only S carries Brinkman terms,
+    so the exterior block A0[E, E] and the interface correction
+    A0[S, E] A0[E, E]^-1 A0[E, S] (dense, nonzero only on the strip
+    unknowns that touch E) do not depend on the shape.  A shape then needs
+    only a factorization of the strip's Schur complement.
+    """
+
+    def __init__(self, config: ChannelConfig):
+        self.A, self.b = _assemble(config)
+        xu, xw = _face_x(config)
+        on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
+        in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
+        # The u, w and p blocks of the unknowns each run over (column, row).
+        in_strip = np.tile(np.repeat(in_strip, config.nz), 3)
+        self.strip = np.flatnonzero(in_strip)
+        self.exterior = np.flatnonzero(~in_strip)
+
+        A_rows = self.A.tocsr()
+        rows_S, rows_E = A_rows[self.strip], A_rows[self.exterior]
+        self.A_SE = rows_S[:, self.exterior]
+        self.A_ES = rows_E[:, self.strip].tocsc()
+        self.lu_E = spla.splu(rows_E[:, self.exterior].tocsc(), permc_spec="MMD_ATA")
+
+        # Strip unknowns the exterior couples to: nonempty rows of A_SE (CSR)
+        # or columns of A_ES (CSC).
+        touched = np.diff(self.A_SE.indptr) > 0
+        touched |= np.diff(self.A_ES.indptr) > 0
+        iface = np.flatnonzero(touched)
+        A_JE = self.A_SE[iface]
+        correction = np.empty((iface.size, iface.size))
+        for k in range(0, iface.size, _CHUNK):
+            cols = iface[k : k + _CHUNK]
+            correction[:, k : k + _CHUNK] = A_JE @ self.lu_E.solve(self.A_ES[:, cols].toarray())
+        dense = sp.coo_matrix(
+            (correction.ravel(), (np.repeat(iface, iface.size), np.tile(iface, iface.size))),
+            shape=(self.strip.size, self.strip.size),
+        )
+        self.strip_base = (rows_S[:, self.strip] - dense).tocsc()
+
+    def factor(self, d: np.ndarray):
+        """Solver for A0 + diag(d), given d zero outside the strip."""
+        S, E = self.strip, self.exterior
+        lu_S = spla.splu((self.strip_base + sp.diags(d[S])).tocsc())
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            y = self.lu_E.solve(r[E])
+            x = np.empty_like(r)
+            x[S] = lu_S.solve(r[S] - self.A_SE @ y)
+            x[E] = y - self.lu_E.solve(self.A_ES @ x[S])
+            return x
+
+        return solve
+
+
+@functools.lru_cache(maxsize=1)
+def _substructure(config: ChannelConfig) -> _Substructure:
+    """The last channel's substructure; built on its first solve."""
+    return _Substructure(config)
+
+
 def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField:
     """Steady penalized Stokes solve; pass shape=None for the empty channel."""
     nx, nz = config.nx, config.nz
-    A, b = _assemble(shape, config)
-    lu = spla.splu(A)
-    x = lu.solve(b)
+    d = _brinkman_diagonal(shape, config)
+    sub = _substructure(config)
+    A, b = sub.A + sp.diags(d), sub.b
+    solve = sub.factor(d)
+    x = solve(b)
 
     scale = max(float(np.abs(b).max()), 1e-300)
     residual = float(np.abs(b - A @ x).max()) / scale
@@ -286,7 +385,7 @@ def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField
     for _ in range(config.max_iters):
         if converged:
             break
-        x = x + lu.solve(b - A @ x)
+        x = x + solve(b - A @ x)
         residual = float(np.abs(b - A @ x).max()) / scale
         converged = residual <= config.solver_tol
 

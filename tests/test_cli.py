@@ -82,6 +82,19 @@ def test_optimize_backend_failure_exit_code(tmp_path):
     assert doc["terminated_reason"] == "error"
 
 
+def test_geometry_error_is_a_backend_failure(tmp_path, capsys):
+    # f = 0.5 is below the airfoil family's bound f >= 1: walk evaluates
+    # every grid node, and the first one fails before any solve.
+    doc = {
+        "backend": "stokes",
+        "grid": {"mins": [0.5, 2.0], "maxs": [0.6, 2.1], "steps": [0.1, 0.1]},
+        "channel": {"nx": 16, "nz": 8},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "backend failure" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path):
     bad = {"backend": "synthetic-valley", "grid": {"mins": [1.5, 1.5], "maxs": [4.0, 4.0]}}
     cfg = write_cfg(tmp_path, bad)

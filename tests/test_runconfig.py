@@ -88,6 +88,27 @@ def test_surrogate_samples_rule():
             parse_config(raw)
 
 
+def test_optimizer_tol_v_must_be_positive():
+    raw = minimal()
+    raw["optimizer"] = {"tol_v": 0.0}
+    with pytest.raises(ConfigError, match=r"optimizer: tol_v must be positive"):
+        parse_config(raw)
+
+
+def test_fixedpoint_tol_v_must_be_positive():
+    raw = minimal(backend="fictitious-1d", grid={"mins": [-3.0], "maxs": [2.0], "steps": [0.05]})
+    raw["fixedpoint"] = {"tol_v": -1e-6}
+    with pytest.raises(ConfigError, match=r"fixedpoint\.tol_v: must be positive"):
+        parse_config(raw)
+
+
+def test_walk_t0_must_be_positive():
+    raw = minimal()
+    raw["walk"] = {"t0": 0.0}
+    with pytest.raises(ConfigError, match=r"walk\.t0: must be positive"):
+        parse_config(raw)
+
+
 def test_cooling_section():
     raw = minimal()
     raw["optimizer"] = {"cooling": {"kind": "inverse-log", "t0": 2.0}}

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
 from mesopt.stokes import (
     ChannelConfig,
@@ -142,3 +147,43 @@ def test_blade_between_grid_faces_rejected():
     slab = AirfoilShape(x_samples=x, z_upper=np.full_like(x, 0.02), z_lower=np.full_like(x, 0.01))
     with pytest.raises(FlowError, match="selects no face"):
         solve_stokes(slab, ChannelConfig(**SMALL))
+
+
+def _stacked(field):
+    return np.concatenate([field.u1[1:].ravel(), field.u2.ravel(), field.p.ravel()])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(1.0, 3.0), st.floats(2.0, 4.0))
+def test_property_substructured_solve_matches_direct_lu(f, b):
+    # The strip/exterior solve against one sparse LU of the whole system.
+    cfg = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    shape = build_airfoil(AirfoilSpec(f=f, b=b), 257)
+    A0, rhs = stokes._assemble(cfg)
+    direct = spla.splu((A0 + sp.diags(stokes._brinkman_diagonal(shape, cfg))).tocsc()).solve(rhs)
+    field = solve_stokes(shape, cfg)
+    assert field.converged
+    assert np.abs(_stacked(field) - direct).max() <= 1e-8 * np.abs(direct).max()
+
+
+def test_cold_and_warm_solves_are_bitwise_equal():
+    cfg = ChannelConfig(**SMALL)
+    shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
+    stokes._substructure.cache_clear()
+    cold = solve_stokes(shape, cfg)
+    warm = solve_stokes(shape, cfg)
+    solve_stokes(shape, ChannelConfig(nx=40, nz=24))  # evicts cfg
+    rebuilt = solve_stokes(shape, cfg)
+    for again in (warm, rebuilt):
+        np.testing.assert_array_equal(_stacked(cold), _stacked(again))
+        assert again.residual == cold.residual
+
+
+def test_blade_at_inflow_face_solves():
+    # leading_edge_x = 0 puts the strip against the inflow: no exterior
+    # lies upstream of it.
+    cfg = ChannelConfig(leading_edge_x=0.0, **SMALL)
+    field = solve_stokes(build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257), cfg)
+    assert stokes._substructure(cfg).strip[0] == 0
+    assert field.converged
+    assert np.abs(field.divergence(cfg)).max() <= 1e-6 * np.hypot(*cfg.inflow)
