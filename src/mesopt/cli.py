@@ -34,6 +34,9 @@ EXIT_MAX_CYCLES = 4
 
 TRACE_SCHEMA_VERSION = 1
 
+#: Failures of a backend evaluation (exit 3); any other exception is a bug.
+BACKEND_FAILURES = (FlowError, GeometryError, GridError)
+
 
 def dim_names(d: int) -> list[str]:
     if d == 1:
@@ -183,7 +186,7 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
         try:
             r1, r2, r = backend.components(theta)
             rows.append([*theta, r1, r2, r, None])
-        except Exception as exc:  # recorded per-row, sweep continues
+        except BACKEND_FAILURES as exc:  # recorded per-row, sweep continues
             failures += 1
             rows.append([*theta, None, None, None, f"{type(exc).__name__}: {exc}"])
     write_csv(
@@ -452,7 +455,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FlowError, GeometryError, GridError) as exc:
+    except BACKEND_FAILURES as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -57,6 +57,46 @@ def _row_weights(values, state, actions: ActionSet, beta: float, contains):
     return targets, weights
 
 
+def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
+    """Where each move leads from each member, built once per box.
+
+    Members are the box's cells in C (lexicographic) order, so a move's
+    target is a fixed offset in that order, and the stencil depends on the
+    box shape and the moves but never on the values.  Returns (cols, valid),
+    each of shape (len(actions.moves), size): cols[k, i] is the member that
+    move k leads to from member i, valid[k, i] whether it lies in the box
+    (an invalid entry points back at member i).
+    """
+    shape = np.array([b - a + 1 for a, b in zip(neighborhood.lo, neighborhood.hi)])
+    coords = np.indices(shape).reshape(len(shape), -1)
+    here = np.arange(coords.shape[1])
+    cols, valid = [], []
+    for move in actions.moves:
+        target = coords + np.array(move)[:, None]
+        inside = np.all((target >= 0) & (target < shape[:, None]), axis=0)
+        cols.append(np.where(inside, np.ravel_multi_index(target, shape, mode="clip"), here))
+        valid.append(inside)
+    return np.array(cols), np.array(valid)
+
+
+def _stencil_kernel(v: np.ndarray, stencil, beta: float) -> np.ndarray:
+    """Kernel matrix from member values ``v`` on a ``_box_stencil``.
+
+    Bitwise the rows ``_row_weights`` defines, given the same exp: the
+    weights are summed in the order of the moves, as a row sums them.
+    """
+    cols, valid = stencil
+    weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
+    total = weights[0].copy()
+    for w in weights[1:]:
+        total += w
+    m = v.size
+    matrix = np.zeros((m, m))
+    rows = np.broadcast_to(np.arange(m), cols.shape)
+    matrix[rows[valid], cols[valid]] = (weights / total)[valid]
+    return matrix
+
+
 def transition_matrix(
     values: dict[GridPoint, float],
     neighborhood: Neighborhood,
@@ -74,16 +114,8 @@ def transition_matrix(
     missing = [s for s in states if s not in values]
     if missing:
         raise KeyError(f"value table missing {len(missing)} members, e.g. {missing[0]}")
-    m = len(states)
-    matrix = np.zeros((m, m))
-    index = {s: k for k, s in enumerate(states)}
-    for k, state in enumerate(states):
-        targets, weights = _row_weights(
-            values, state, actions, beta, neighborhood.contains
-        )
-        total = sum(weights)
-        for target, w in zip(targets, weights):
-            matrix[k, index[target]] = w / total
+    v = np.array([values[s] for s in states], dtype=float)
+    matrix = _stencil_kernel(v, _box_stencil(neighborhood, actions), beta)
     return TransitionModel(states=states, matrix=matrix)
 
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .geometry import GeometryError
 from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
-from .surrogate import SurrogateModel, fit_surrogate
+from .stokes import FlowError
+from .surrogate import SurrogateError, SurrogateModel, fit_surrogate
 from .value import CoolingSchedule, ValueTable, argmin_value, value_fixed_point
 
 __all__ = [
@@ -351,7 +353,8 @@ def run_optimization(
             center = new_center
         else:
             trace.terminated_reason = "max_cycles"
-    except Exception as exc:  # backend/geometry failure mid-run
+    except (FlowError, GeometryError, GridError, SurrogateError) as exc:
+        # A backend, geometry or fit failure ends the run; anything else is a bug.
         trace.terminated_reason = "error"
         trace.error = f"{type(exc).__name__}: {exc}"
 

@@ -17,11 +17,12 @@ machine precision, far below the 1e-6 * |inflow| divergence contract.
 The blade enters the system only as a diagonal term on faces in the chord
 band, so the direct solve is substructured.  The cell columns around the
 band form the strip; all other columns form the exterior, whose equations
-are the same for every blade.  Once per ``ChannelConfig`` (on its first
-solve; one channel is kept) the exterior block is factored with sparse LU
-and its effect on the strip is condensed into a dense correction on the
-few strip unknowns that touch it.  Each blade then costs one sparse LU of
-the strip's Schur complement and a strip and an exterior triangular solve.
+are the same for every blade.  Once per channel geometry (Lx, Lz, nx, nz
+and leading_edge_x; on its first solve; one is kept, whatever the inflow)
+the exterior block is factored with sparse LU and its effect on the strip
+is condensed into a dense correction on the few strip unknowns that touch
+it.  Each blade then costs one sparse LU of the strip's Schur complement
+and a strip and an exterior triangular solve.
 """
 
 from __future__ import annotations
@@ -212,9 +213,13 @@ def _assemble(config: ChannelConfig):
 
     A blade adds ``_brinkman_diagonal`` to A0's diagonal and leaves b as it is.
     """
-    nx, nz = config.nx, config.nz
-    dx, dz = config.dx, config.dz
-    u_in, w_in = config.inflow
+    return _matrix(config), _rhs(config)
+
+
+def _matrix(channel: _Channel | ChannelConfig) -> sp.csc_matrix:
+    """A0, which reads only the grid (nx, nz, dx, dz) and not the inflow."""
+    nx, nz = channel.nx, channel.nz
+    dx, dz = channel.dx, channel.dz
 
     n_u = nx * nz       # u faces i=1..nx
     n_w = nx * nz       # w faces i=0..nx-1, periodic in j
@@ -230,7 +235,6 @@ def _assemble(config: ChannelConfig):
         return n_u + n_w + i * nz + j
 
     rows, cols, vals = [], [], []
-    b = np.zeros(n_u + n_w + n_p)
 
     def add(r, c, v):
         rows.append(r.ravel())
@@ -254,10 +258,8 @@ def _assemble(config: ChannelConfig):
             add(r, ip(nx - 1, J), -1.0 / dx)  # outflow pressure pinned to 0
         else:
             add(r, iu(i + 1, J), -idx2)
-            if i - 1 >= 1:
+            if i - 1 >= 1:  # else u[0] is the Dirichlet inflow face, in b
                 add(r, iu(i - 1, J), -idx2)
-            else:
-                b[iu(i, J)] += u_in * idx2  # Dirichlet inflow face
             add(r, ip(i, J), 1.0 / dx)
             add(r, ip(i - 1, J), -1.0 / dx)
 
@@ -266,7 +268,6 @@ def _assemble(config: ChannelConfig):
         r = iw(i, J)
         if i == 0:
             diag_x = 3.0 * idx2  # ghost w[-1] = 2*w_in - w[0]
-            b[iw(0, J)] += 2.0 * w_in * idx2
         elif i == nx - 1:
             diag_x = 1.0 * idx2  # ghost w[nx] = w[nx-1]
         else:
@@ -287,8 +288,6 @@ def _assemble(config: ChannelConfig):
         add(r, iu(i + 1, J), 1.0 / dx)
         if i >= 1:
             add(r, iu(i, J), -1.0 / dx)
-        else:
-            b[ip(0, J)] += u_in / dx
         add(r, iw(i, jp), 1.0 / dz)
         add(r, iw(i, J), -1.0 / dz)
 
@@ -297,7 +296,20 @@ def _assemble(config: ChannelConfig):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsc()
-    return A, b
+    return A
+
+
+def _rhs(config: ChannelConfig) -> np.ndarray:
+    """b: the inflow enters only the rows of the first cell column."""
+    nx, nz = config.nx, config.nz
+    u_in, w_in = config.inflow
+    n = nx * nz
+    idx2 = 1.0 / config.dx**2
+    b = np.zeros(3 * n)
+    b[:nz] += u_in * idx2  # u faces at i = 1: Dirichlet inflow face
+    b[n : n + nz] += 2.0 * w_in * idx2  # w faces at i = 0: ghost w[-1]
+    b[2 * n : 2 * n + nz] += u_in / config.dx  # continuity of cells i = 0
+    return b
 
 
 #: Interface columns eliminated per exterior solve while building the
@@ -317,13 +329,13 @@ class _Substructure:
     only a factorization of the strip's Schur complement.
     """
 
-    def __init__(self, config: ChannelConfig):
-        self.A, self.b = _assemble(config)
-        xu, xw = _face_x(config)
-        on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
+    def __init__(self, channel: _Channel | ChannelConfig):
+        self.A = _matrix(channel)
+        xu, xw = _face_x(channel)
+        on_band = _chord_coordinate(channel, xu)[1] | _chord_coordinate(channel, xw)[1]
         in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
         # The u, w and p blocks of the unknowns each run over (column, row).
-        in_strip = np.tile(np.repeat(in_strip, config.nz), 3)
+        in_strip = np.tile(np.repeat(in_strip, channel.nz), 3)
         self.strip = np.flatnonzero(in_strip)
         self.exterior = np.flatnonzero(~in_strip)
 
@@ -364,18 +376,43 @@ class _Substructure:
         return solve
 
 
+@dataclass(frozen=True)
+class _Channel:
+    """The ChannelConfig fields the shape-free set-up reads.
+
+    It keys the set-up cache, so configs that differ only in inflow,
+    penalization or solver knobs share one substructure.
+    """
+
+    Lx: float
+    Lz: float
+    nx: int
+    nz: int
+    leading_edge_x: float
+
+    @property
+    def dx(self) -> float:
+        return self.Lx / self.nx
+
+    @property
+    def dz(self) -> float:
+        return self.Lz / self.nz
+
+
 @functools.lru_cache(maxsize=1)
-def _substructure(config: ChannelConfig) -> _Substructure:
+def _substructure(channel: _Channel | ChannelConfig) -> _Substructure:
     """The last channel's substructure; built on its first solve."""
-    return _Substructure(config)
+    return _Substructure(channel)
 
 
 def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField:
     """Steady penalized Stokes solve; pass shape=None for the empty channel."""
     nx, nz = config.nx, config.nz
     d = _brinkman_diagonal(shape, config)
-    sub = _substructure(config)
-    A, b = sub.A + sp.diags(d), sub.b
+    sub = _substructure(
+        _Channel(config.Lx, config.Lz, config.nx, config.nz, config.leading_edge_x)
+    )
+    A, b = sub.A + sp.diags(d), _rhs(config)
     solve = sub.factor(d)
     x = solve(b)
 

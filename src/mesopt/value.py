@@ -3,13 +3,14 @@
 The value of a state is the discounted accumulated penalty along a
 Metropolis walk whose kernel is itself built from the current value
 estimate, so the definition is self-consistent and solved by fixed-point
-iteration: V_0 = Rhat, kernel from V_j at inverse temperature beta_j,
-V_{j+1}(s) = sum_t gamma^t (P^t Rhat)(s).  The infinite sum is truncated at
-a tolerance-derived horizon with the remainder closed by its geometric tail,
-which keeps every iterate inside [min Rhat, max Rhat] / (1 - gamma) exactly.
-A Monte-Carlo estimator of the same truncated sum (no tail) is provided for
-cross-checking; matrix powers are exact and cheap at these neighborhood
-sizes, so they are the primary evaluator.
+iteration: V_0 = Rhat, kernel P_j from V_j at inverse temperature beta_j,
+V_{j+1} = sum_t gamma^t P_j^t Rhat = (I - gamma P_j)^-1 Rhat.  Each step
+evaluates that infinite sum exactly, by one dense linear solve on the
+neighborhood's members; no horizon is chosen and no tail is closed, and
+every iterate is a convex combination of Rhat scaled by 1 / (1 - gamma), so
+it lies inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo
+estimator of the horizon-truncated sum is kept for cross-checking, with
+the truncated matrix-power sum as its exact oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import TransitionModel, _compressed_rows, _sample_step, transition_matrix
+from .metropolis import (
+    TransitionModel,
+    _box_stencil,
+    _compressed_rows,
+    _sample_step,
+    _stencil_kernel,
+    transition_matrix,
+)
 
 __all__ = [
     "CoolingSchedule",
@@ -72,26 +80,13 @@ class ValueTable:
         return np.array([self.values[s] for s in states])
 
 
-def horizon_for(gamma: float, tol: float, r_scale: float) -> int:
-    """Truncation index T_h with geometric tail below tol."""
-    if gamma == 0.0 or r_scale == 0.0:
-        return 0
-    t = math.log(tol * (1.0 - gamma) / r_scale) / math.log(gamma)
-    return max(0, math.ceil(t))
-
-
 def discounted_power_sum(
-    model: TransitionModel,
-    rhat: np.ndarray,
-    gamma: float,
-    horizon: int,
-    tail: bool = True,
+    model: TransitionModel, rhat: np.ndarray, gamma: float, horizon: int
 ) -> np.ndarray:
-    """sum_{t=0}^{horizon} gamma^t P^t rhat, optionally closed by the tail.
+    """sum_{t=0}^{horizon} gamma^t P^t rhat, the truncated discounted sum.
 
-    The tail term gamma^{horizon+1}/(1-gamma) * P^{horizon+1} rhat completes
-    the geometric series as if the walk's reward froze past the horizon; it
-    makes constant tables exact and preserves the range bounds exactly.
+    It is what a horizon-step walk accumulates on average, so it is the
+    exact oracle for ``mc_value_estimate``.
     """
     acc = rhat.astype(float).copy()
     y = rhat.astype(float)
@@ -100,9 +95,6 @@ def discounted_power_sum(
         y = model.matrix @ y
         g *= gamma
         acc += g * y
-    if tail and gamma > 0.0:
-        y = model.matrix @ y
-        acc += g * gamma / (1.0 - gamma) * y
     return acc
 
 
@@ -111,8 +103,8 @@ def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_
 
     Returns (members, V_0 = Rhat, steps), where steps yields
     (beta_j, V_{j+1}, sup delta_j) for j = 0, 1, ...: each step rebuilds the
-    kernel from V_j at inverse temperature beta_j and applies the
-    tolerance-truncated discounted sum.
+    kernel from V_j at inverse temperature beta_j on the box's stencil,
+    which is built once, and solves (I - gamma P_j) V_{j+1} = Rhat.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
@@ -122,14 +114,15 @@ def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_
     if not states:
         raise ValueError("empty neighborhood")
     rhat = np.array([surrogate_values[s] for s in states], dtype=float)
-    horizon = horizon_for(gamma, tol_v, float(np.max(np.abs(rhat))))
+    stencil = _box_stencil(neighborhood, actions)
+    identity = np.eye(rhat.size)
 
     def steps():
         v = rhat
         for j in itertools.count():
             beta = schedule.beta(j)
-            model = transition_matrix(dict(zip(states, v)), neighborhood, actions, beta)
-            v_next = discounted_power_sum(model, rhat, gamma, horizon)
+            kernel = _stencil_kernel(v, stencil, beta)
+            v_next = np.linalg.solve(identity - gamma * kernel, rhat)
             yield beta, v_next, float(np.max(np.abs(v_next - v)))
             v = v_next
 

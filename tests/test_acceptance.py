@@ -146,7 +146,7 @@ def test_criterion_04_mc_oracle_equivalence():
     gamma, beta, horizon = 0.9, 0.8, 60
     model = transition_matrix(rhat, hood, ActionSet(2), beta)
     exact = discounted_power_sum(
-        model, np.array([rhat[s] for s in hood.members]), gamma, horizon, tail=False
+        model, np.array([rhat[s] for s in hood.members]), gamma, horizon
     )
     est, se = mc_value_estimate(
         rhat, hood, ActionSet(2), gamma, beta, n_walks=10_000, horizon=horizon,

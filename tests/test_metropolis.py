@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesopt import metropolis
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import hitting_time_experiment, sample_walk, transition_matrix
 
@@ -184,3 +187,45 @@ def test_property_walk_visits_only_positive_weight_targets(model, n_steps, seed,
     assert len(path) == n_steps + 1 and path[0] == start
     for here, there in zip(path, path[1:]):
         assert model.row(here)[model.index[there]] > 0.0
+
+
+@st.composite
+def clipped_boxes(draw):
+    """Value table on a random clipped box of a 1-d or 2-d grid, and moves."""
+    d = draw(st.sampled_from([1, 2]))
+    grid = ParameterGrid(mins=(0.0,) * d, maxs=(1.0,) * d, steps=(0.1,) * d)
+    center = tuple(draw(st.integers(0, 10)) for _ in range(d))
+    radii = tuple(draw(st.integers(0, 3)) for _ in range(d))
+    n = make_neighborhood(grid, center=center, radii=radii)
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=n.size, max_size=n.size))
+    actions = ActionSet(d, draw(st.sets(st.integers(0, d - 1))))
+    return dict(zip(n.members, values)), n, actions
+
+
+def _rows_from_row_weights(values, n, actions, beta):
+    """The kernel built one row at a time, as the matrix-free walk sees it."""
+    index = {s: k for k, s in enumerate(n.members)}
+    matrix = np.zeros((n.size, n.size))
+    for k, state in enumerate(n.members):
+        targets, weights = metropolis._row_weights(values, state, actions, beta, n.contains)
+        total = sum(weights)
+        for target, w in zip(targets, weights):
+            matrix[k, index[target]] = w / total
+    return matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(clipped_boxes(), st.sampled_from([0.0, 0.9, 1e3]))
+def test_property_kernel_matches_row_by_row_definition(box, beta):
+    # beta = 1e3 underflows exp on every uphill move steeper than 0.75.
+    values, n, actions = box
+    model = transition_matrix(values, n, actions, beta)
+    # numpy's vectorised exp and libm's math.exp may differ in the last bit;
+    # with the same exp the two constructions agree bitwise.
+    numpy_exp = SimpleNamespace(exp=lambda x: float(np.exp(x)))
+    with mock.patch.object(metropolis, "math", numpy_exp):
+        reference = _rows_from_row_weights(values, n, actions, beta)
+    np.testing.assert_array_equal(model.matrix, reference)
+    np.testing.assert_allclose(
+        model.matrix, _rows_from_row_weights(values, n, actions, beta), rtol=1e-15, atol=1e-300
+    )

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesopt.grid import ParameterGrid, make_neighborhood
 from mesopt.objectives import SyntheticValleyObjective, synthetic_valley_2d
@@ -12,6 +16,7 @@ from mesopt.reduction import (
     surrogate_sample_points,
     terminate_check,
 )
+from mesopt.stokes import FlowError
 from mesopt.surrogate import fit_surrogate
 
 
@@ -219,7 +224,7 @@ def test_backend_failure_mid_run(valley_grid):
     class Flaky(SyntheticValleyObjective):
         def _components(self, theta):
             if self.calls > 6:
-                raise RuntimeError("solver exploded")
+                raise FlowError("solver exploded")
             return super()._components(theta)
 
     trace = run_optimization(
@@ -227,6 +232,20 @@ def test_backend_failure_mid_run(valley_grid):
     )
     assert trace.terminated_reason == "error"
     assert "solver exploded" in trace.error
+
+
+def test_programming_error_propagates(valley_grid):
+    # Only backend failures end a run as "error"; a bug surfaces as itself.
+    class Buggy(SyntheticValleyObjective):
+        def _components(self, theta):
+            if self.calls > 6:
+                raise KeyError("not a backend failure")
+            return super()._components(theta)
+
+    with pytest.raises(KeyError, match="not a backend failure"):
+        run_optimization(
+            valley_grid, valley_grid.index_of((3.9, 1.7)), backend=Buggy(), config=OptimizerConfig()
+        )
 
 
 def test_max_cycles_reason(valley_grid):
@@ -253,3 +272,47 @@ def test_permanent_mode_never_thaws(valley_grid):
         assert set(prev.frozen_dims).issubset(nxt.frozen_dims)
         assert len(nxt.frozen_dims) < valley_grid.d
     assert trace.terminated_reason in ("converged", "max_cycles")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_property_resize_never_exceeds_nominal_size(data):
+    d = data.draw(st.integers(1, 3))
+    shape = [data.draw(st.integers(2, 30)) for _ in range(d)]
+    grid = ParameterGrid(mins=(0.0,) * d, maxs=tuple(float(k - 1) for k in shape), steps=(1.0,) * d)
+    center = tuple(data.draw(st.integers(0, k - 1)) for k in shape)
+    old = make_neighborhood(grid, center, [data.draw(st.integers(0, 5)) for _ in range(d)])
+    stable = tuple(data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(lambda s: not all(s))))
+    nominal = data.draw(st.none() | st.integers(1, 2000))
+    radii = resize_neighborhood(old, stable, nominal_size=nominal)
+    target = old.nominal_size if nominal is None else nominal
+    assert math.prod(2 * r + 1 for r in radii) <= target
+    assert all(r == 0 for r, s in zip(radii, stable) if s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["alternating", "permanent", "off"]),
+    st.integers(2, 3),
+    st.sampled_from([0.05, 0.3, 1.5]),  # 1.5 lets every axis look stable
+    st.integers(1, 2),
+    st.data(),
+)
+def test_property_freezing_never_empties_the_action_set(freeze_mode, d, epsilon, radius, data):
+    # An anisotropic bowl whose weights make some axes look flat.
+    grid = ParameterGrid(mins=(0.0,) * d, maxs=(1.0,) * d, steps=(0.1,) * d)
+    weights = [data.draw(st.floats(0.01, 10.0)) for _ in range(d)]
+    bottom = [data.draw(st.floats(0.0, 1.0)) for _ in range(d)]
+    start = tuple(data.draw(st.integers(0, 10)) for _ in range(d))
+
+    def bowl(theta):
+        return sum(w * (t - b) ** 2 for w, t, b in zip(weights, theta, bottom))
+
+    config = OptimizerConfig(
+        epsilon=epsilon, initial_radii=(radius,) * d, freeze_mode=freeze_mode, max_cycles=8
+    )
+    trace = run_optimization(grid, start, bowl, config)
+    assert trace.terminated_reason in ("converged", "max_cycles")
+    for cycle in trace.cycles:
+        assert cycle.active_dims
+        assert sorted(cycle.active_dims + cycle.frozen_dims) == list(range(d))

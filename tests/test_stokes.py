@@ -179,6 +179,20 @@ def test_cold_and_warm_solves_are_bitwise_equal():
         assert again.residual == cold.residual
 
 
+def test_configs_differing_in_inflow_share_one_setup():
+    shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
+    other = ChannelConfig(inflow=(2.0, 1.5), penalization=1e5, **SMALL)
+    stokes._substructure.cache_clear()
+    fresh = solve_stokes(shape, other)
+    stokes._substructure.cache_clear()
+    solve_stokes(shape, ChannelConfig(**SMALL))
+    shared = solve_stokes(shape, other)
+    assert stokes._substructure.cache_info().misses == 1
+    np.testing.assert_array_equal(_stacked(shared), _stacked(fresh))
+    solve_stokes(shape, ChannelConfig(leading_edge_x=0.5, **SMALL))  # the strip moves
+    assert stokes._substructure.cache_info().misses == 2
+
+
 def test_blade_at_inflow_face_solves():
     # leading_edge_x = 0 puts the strip against the inflow: no exterior
     # lies upstream of it.

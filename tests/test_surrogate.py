@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesopt.surrogate import SurrogateError, fit_surrogate, monomial_row
 
@@ -102,3 +104,20 @@ def test_overdetermined_least_squares():
     model = fit_surrogate(center, c0, samples)
     # Generator is itself quadratic, so least squares recovers it exactly.
     np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_property_fit_reproduces_center_value_exactly(d, data):
+    center = tuple(data.draw(st.floats(-5.0, 5.0)) for _ in range(d))
+    center_value = data.draw(st.floats(-1e3, 1e3))
+    offsets = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * d).filter(any), min_size=1, max_size=8, unique=True
+        )
+    )
+    samples = [
+        (tuple(c + 0.25 * o for c, o in zip(center, off)), data.draw(st.floats(-1e3, 1e3)))
+        for off in offsets
+    ]
+    assert fit_surrogate(center, center_value, samples)(center) == center_value

@@ -132,7 +132,7 @@ def test_mc_agrees_with_matrix_power_oracle():
     gamma, beta, horizon = 0.9, 0.8, 30
     model = transition_matrix(rhat, n, ActionSet(2), beta)
     exact = discounted_power_sum(
-        model, np.array([rhat[s] for s in n.members]), gamma, horizon, tail=False
+        model, np.array([rhat[s] for s in n.members]), gamma, horizon
     )
     est, se = mc_value_estimate(
         rhat, n, ActionSet(2), gamma=gamma, beta=beta, n_walks=4000, horizon=horizon,
@@ -221,3 +221,29 @@ def test_property_both_fixed_point_entries_share_iterates(inputs, max_j, tol_v):
     assert table.converged == (k > 0 and deltas[k - 1] < tol_v)
     if not table.converged:
         assert k == max_j
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_point_inputs(), st.integers(1, 3), st.sampled_from([30, 60]))
+def test_property_step_is_the_limit_of_the_truncated_sum(inputs, n_iters, horizon):
+    # Each step solves for the whole discounted series; truncating it at
+    # the horizon H drops at most gamma^(H+1) / (1 - gamma) * max|Rhat|.
+    rhat, n, actions, gamma, schedule = inputs
+    iterates, _, betas = fixed_point_iterates(rhat, n, actions, gamma, schedule, n_iters)
+    r = iterates[0]
+    bound = gamma ** (horizon + 1) / (1.0 - gamma) * np.max(np.abs(r)) + 1e-12
+    for v, v_next, beta in zip(iterates, iterates[1:], betas):
+        model = transition_matrix(dict(zip(n.members, v)), n, actions, beta)
+        truncated = discounted_power_sum(model, r, gamma, horizon)
+        assert np.max(np.abs(v_next - truncated)) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(fixed_point_inputs(), st.integers(1, 3))
+def test_property_gamma_zero_returns_rhat_exactly(inputs, n_iters):
+    rhat, n, actions, _, schedule = inputs
+    iterates, deltas, _ = fixed_point_iterates(rhat, n, actions, 0.0, schedule, n_iters)
+    for v in iterates[1:]:
+        np.testing.assert_array_equal(v, iterates[0])
+    assert deltas == [0.0] * n_iters
+    assert value_fixed_point(rhat, n, actions, 0.0, schedule).values == rhat
