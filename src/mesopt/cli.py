@@ -49,7 +49,9 @@ def dim_names(d: int) -> list[str]:
 def build_backend(cfg: RunConfig) -> CountingObjective:
     backend = BACKENDS[cfg.backend]
     if backend is StokesObjective:
-        return StokesObjective(cfg.channel, e=cfg.airfoil_e, n_shape_samples=cfg.n_shape_samples)
+        return StokesObjective(
+            cfg.channel, e=cfg.airfoil_e, n_shape_samples=cfg.n_shape_samples, grid=cfg.grid
+        )
     return backend()
 
 

@@ -16,12 +16,21 @@ metric the optimizer is meant to minimize.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
 
-from .geometry import AirfoilSpec, build_airfoil
-from .stokes import ChannelConfig, EvaluationProfile, FlowError, sample_line, solve_stokes
+from .geometry import AirfoilSpec, GeometryError, build_airfoil
+from .grid import ParameterGrid
+from .stokes import (
+    ChannelConfig,
+    EvaluationProfile,
+    FlowError,
+    blade_envelope,
+    sample_line,
+    solve_stokes,
+)
 
 __all__ = [
     "reward_R1",
@@ -106,25 +115,62 @@ class CountingObjective:
         raise NotImplementedError
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_envelope(
+    grid: ParameterGrid, channel: ChannelConfig, e: float, n_shape_samples: int
+) -> np.ndarray:
+    """Strip cells that hold the solid faces of every blade on the grid.
+
+    A node whose spec or fit is invalid is skipped: it raises at its own
+    solve.  Built on the first solve and cached on everything it reads, so
+    the backends of one process that share a grid and channel (every
+    ``optimize`` builds a fresh one) pay for it once.
+    """
+
+    def blades():
+        for p in grid.points():
+            f, b = grid.theta(p)
+            try:
+                yield build_airfoil(AirfoilSpec(f=f, b=b, e=e), n_shape_samples)
+            except GeometryError:
+                continue
+
+    cells = blade_envelope(blades(), channel)
+    cells.flags.writeable = False
+    return cells
+
+
 class StokesObjective(CountingObjective):
     """R1 + R2 behind a fresh channel solve at theta = (f, b).
 
     A solve that misses ``solver_tol``, or a non-finite field or profile,
-    raises FlowError instead of yielding a reward.
+    raises FlowError instead of yielding a reward.  Given the parameter
+    grid, the solves factor only the grid blades' envelope (built on the
+    first solve); a blade off the grid that leaves it raises ValueError.
     """
 
     d = 2
 
-    def __init__(self, channel: ChannelConfig, e: float = 0.3, n_shape_samples: int = 257):
+    def __init__(
+        self,
+        channel: ChannelConfig,
+        e: float = 0.3,
+        n_shape_samples: int = 257,
+        grid: ParameterGrid | None = None,
+    ):
         super().__init__()
         self.channel = channel
         self.e = e
         self.n_shape_samples = n_shape_samples
+        self.grid = grid
 
     def _components(self, theta):
         f, b = theta
         shape = build_airfoil(AirfoilSpec(f=f, b=b, e=self.e), self.n_shape_samples)
-        field = solve_stokes(shape, self.channel)
+        envelope = None
+        if self.grid is not None:
+            envelope = _grid_envelope(self.grid, self.channel, self.e, self.n_shape_samples)
+        field = solve_stokes(shape, self.channel, envelope=envelope)
         if not field.converged:
             raise FlowError(
                 f"solve missed solver_tol {self.channel.solver_tol:g} after "

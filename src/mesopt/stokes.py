@@ -14,20 +14,31 @@ followed by iterative refinement against the whole system until the
 relative residual drops below ``solver_tol``; continuity therefore holds to
 machine precision, far below the 1e-6 * |inflow| divergence contract.
 
-The blade enters the system only as a diagonal term on faces in the chord
-band, so the direct solve is substructured.  The cell columns around the
-band form the strip; all other columns form the exterior, whose equations
-are the same for every blade.  Once per channel geometry (Lx, Lz, nx, nz
-and leading_edge_x; on its first solve; one is kept, whatever the inflow)
-the exterior block is factored with sparse LU and its effect on the strip
-is condensed into a dense correction on the few strip unknowns that touch
-it.  Each blade then costs one sparse LU of the strip's Schur complement
-and a strip and an exterior triangular solve.
+The blade enters the system only as a diagonal term on its solid faces, so
+the direct solve is substructured.  The strip is a set of cells that holds
+every solid face; all other cells form the exterior, whose equations are
+the same for every blade.  Given the blades a run can visit (the
+``blade_envelope`` of a parameter grid's nodes), the strip is exactly the
+cells with a solid u or w face for one of them, and the rows above and
+below every blade join the exterior; otherwise it is every cell column
+that touches the chord band, plus one on either side.  Once per channel
+geometry (Lx, Lz, nx, nz and leading_edge_x) and strip, on its first
+solve, the exterior block is factored with sparse LU and its effect on the
+strip is condensed into a dense correction on the few strip unknowns that
+touch it; one set-up is kept, whatever the inflow.  Each blade then costs
+one sparse LU of the strip's Schur complement and a strip and an exterior
+triangular solve.  At 96x72 (Lz = 6, the 26x26 grid of
+``configs/stokes_optimize.json``) the envelope holds 2,073 strip unknowns
+and 259 interface unknowns against 5,832 and 360 for the column strip, and
+a solve takes about 65 ms against 160 ms; at 192x96 (Lz = 3, the
+``configs/stokes_landscape.json`` grid, whose thick blades fill most of the
+period) 10,035 against 14,688 unknowns and about 0.42 s against 0.55 s.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +53,9 @@ __all__ = [
     "FlowField",
     "EvaluationProfile",
     "solve_stokes",
+    "blade_envelope",
     "sample_line",
     "solid_mask",
-    "field_to_csv",
 ]
 
 
@@ -124,6 +135,7 @@ class FlowField:
     p: np.ndarray
     converged: bool
     residual: float
+    refinements: int  # refinement passes taken after the direct solve
 
     def divergence(self, config: ChannelConfig) -> np.ndarray:
         du = (self.u1[1:, :] - self.u1[:-1, :]) / config.dx
@@ -158,9 +170,12 @@ def solid_mask(shape: AirfoilShape, config: ChannelConfig, x: np.ndarray, z: np.
     """
     xc, inside_chord = _chord_coordinate(config, x)
     xc_clip = np.clip(xc, 0.0, 1.0)
-    z_lo = shape.interp_lower(xc_clip)
-    z_up = shape.interp_upper(xc_clip)
-    return inside_chord & (np.mod(z - z_lo, config.Lz) <= (z_up - z_lo))
+    return inside_chord & _in_band(z, shape.interp_lower(xc_clip), shape.interp_upper(xc_clip), config.Lz)
+
+
+def _in_band(z, z_lo, z_up, period: float) -> np.ndarray:
+    """Whether z lies between the surfaces z_lo and z_up, modulo the period."""
+    return np.mod(z - z_lo, period) <= (z_up - z_lo)
 
 
 def _face_x(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +197,38 @@ def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
         )
     if config.leading_edge_x + 1.0 >= config.Lx:
         raise FlowError("airfoil chord extends past the outflow boundary")
+
+
+def blade_envelope(shapes: Iterable[AirfoilShape], config: ChannelConfig) -> np.ndarray:
+    """Cells, (nx, nz), with a solid u or w face for at least one of the blades.
+
+    Exactly the union over the blades of the faces ``solid_mask`` selects
+    (a cell owns its east u face and its w face), evaluated on the chord
+    columns for all blades at once.  A blade that fails the channel fit
+    check is skipped, since its own solve raises.  Only each blade's
+    surface heights at the chord faces are kept, so ``shapes`` may be a
+    generator.
+    """
+    xu, xw = _face_x(config)
+    (xc_u, on_u), (xc_w, on_w) = _chord_coordinate(config, xu), _chord_coordinate(config, xw)
+    xq = np.concatenate([xc_u[on_u], xc_w[on_w]])
+    lower, upper = [], []
+    for shape in shapes:
+        try:
+            _check_fit(shape, config)
+        except FlowError:
+            continue
+        lower.append(shape.interp_lower(xq))
+        upper.append(shape.interp_upper(xq))
+    cells = np.zeros((config.nx, config.nz), dtype=bool)
+    if not lower:
+        return cells
+    z_lo, z_up = np.array(lower), np.array(upper)
+    columns = np.concatenate([np.flatnonzero(on_u), np.flatnonzero(on_w)])
+    heights = [config.z_centers()] * int(on_u.sum()) + [config.z_faces()] * int(on_w.sum())
+    for k, (i, z) in enumerate(zip(columns, heights)):
+        cells[i] |= _in_band(z, z_lo[:, k, None], z_up[:, k, None], config.Lz).any(axis=0)
+    return cells
 
 
 def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.ndarray:
@@ -317,25 +364,30 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
 _CHUNK = 64
 
 
+def _column_strip(channel: _Channel | ChannelConfig) -> np.ndarray:
+    """Cells, (nx, nz), of every column with a face in the chord band plus one on either side."""
+    xu, xw = _face_x(channel)
+    on_band = _chord_coordinate(channel, xu)[1] | _chord_coordinate(channel, xw)[1]
+    in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
+    return np.repeat(in_strip[:, None], channel.nz, axis=1)
+
+
 class _Substructure:
     """The shape-free part of one channel's system, factored once.
 
-    Unknowns split into the strip S, the u, w and p of every cell column
-    with a u or w face in the chord band plus one column on either side,
-    and the exterior E, all other columns.  Only S carries Brinkman terms,
-    so the exterior block A0[E, E] and the interface correction
-    A0[S, E] A0[E, E]^-1 A0[E, S] (dense, nonzero only on the strip
-    unknowns that touch E) do not depend on the shape.  A shape then needs
-    only a factorization of the strip's Schur complement.
+    Unknowns split into the strip S, the u, w and p of the given cells (a
+    cell owns its east u face and its w face), and the exterior E, all
+    other cells.  Only S carries Brinkman terms, so the exterior block
+    A0[E, E] and the interface correction A0[S, E] A0[E, E]^-1 A0[E, S]
+    (dense, nonzero only on the strip unknowns that touch E) do not depend
+    on the shape.  A shape then needs only a factorization of the strip's
+    Schur complement.
     """
 
-    def __init__(self, channel: _Channel | ChannelConfig):
+    def __init__(self, channel: _Channel | ChannelConfig, cells: np.ndarray):
         self.A = _matrix(channel)
-        xu, xw = _face_x(channel)
-        on_band = _chord_coordinate(channel, xu)[1] | _chord_coordinate(channel, xw)[1]
-        in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
         # The u, w and p blocks of the unknowns each run over (column, row).
-        in_strip = np.tile(np.repeat(in_strip, channel.nz), 3)
+        in_strip = np.tile(cells.ravel(), 3)
         self.strip = np.flatnonzero(in_strip)
         self.exterior = np.flatnonzero(~in_strip)
 
@@ -400,17 +452,49 @@ class _Channel:
 
 
 @functools.lru_cache(maxsize=1)
-def _substructure(channel: _Channel | ChannelConfig) -> _Substructure:
-    """The last channel's substructure; built on its first solve."""
-    return _Substructure(channel)
+def _substructure(channel: _Channel | ChannelConfig, cells: bytes | None = None) -> _Substructure:
+    """The last set-up: a channel and its strip cells (packed; None for the column strip)."""
+    if cells is None:
+        mask = _column_strip(channel)
+    else:
+        mask = np.frombuffer(cells, dtype=bool).reshape(channel.nx, channel.nz)
+    return _Substructure(channel, mask)
 
 
-def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField:
-    """Steady penalized Stokes solve; pass shape=None for the empty channel."""
+def _check_inside(shape: AirfoilShape, d: np.ndarray, envelope: np.ndarray) -> None:
+    """Raise ValueError when the blade has a solid face outside the strip cells."""
+    n = envelope.size
+    outside = ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)) & ~envelope.ravel()
+    if outside.any():
+        blade = shape.spec if shape.spec is not None else f"with z extent {shape.z_extent()}"
+        raise ValueError(
+            f"blade {blade} has {int(outside.sum())} solid cells outside the strip "
+            "envelope it was solved with"
+        )
+
+
+def solve_stokes(
+    shape: AirfoilShape | None, config: ChannelConfig, envelope: np.ndarray | None = None
+) -> FlowField:
+    """Steady penalized Stokes solve; pass shape=None for the empty channel.
+
+    ``envelope`` is the strip, an (nx, nz) cell mask such as
+    ``blade_envelope`` returns, and must hold every solid face of the blade
+    (ValueError otherwise); without it the strip is every cell column that
+    touches the chord band.
+    """
     nx, nz = config.nx, config.nz
     d = _brinkman_diagonal(shape, config)
+    cells = None
+    if envelope is not None:
+        envelope = np.asarray(envelope, dtype=bool)
+        if envelope.shape != (nx, nz):
+            raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
+        if shape is not None:
+            _check_inside(shape, d, envelope)
+        cells = envelope.tobytes()
     sub = _substructure(
-        _Channel(config.Lx, config.Lz, config.nx, config.nz, config.leading_edge_x)
+        _Channel(config.Lx, config.Lz, config.nx, config.nz, config.leading_edge_x), cells
     )
     A, b = sub.A + sp.diags(d), _rhs(config)
     solve = sub.factor(d)
@@ -418,13 +502,11 @@ def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField
 
     scale = max(float(np.abs(b).max()), 1e-300)
     residual = float(np.abs(b - A @ x).max()) / scale
-    converged = residual <= config.solver_tol
-    for _ in range(config.max_iters):
-        if converged:
-            break
+    refinements = 0
+    while not residual <= config.solver_tol and refinements < config.max_iters:
         x = x + solve(b - A @ x)
         residual = float(np.abs(b - A @ x).max()) / scale
-        converged = residual <= config.solver_tol
+        refinements += 1
 
     n_u = nx * nz
     u = np.empty((nx + 1, nz))
@@ -432,26 +514,9 @@ def solve_stokes(shape: AirfoilShape | None, config: ChannelConfig) -> FlowField
     u[1:, :] = x[:n_u].reshape(nx, nz)
     w = x[n_u : 2 * n_u].reshape(nx, nz)
     p = x[2 * n_u :].reshape(nx, nz)
-    return FlowField(u1=u, u2=w, p=p, converged=converged, residual=residual)
-
-
-def field_to_csv(field: FlowField, config: ChannelConfig, path) -> None:
-    """Cell-centered (x, z, u1, u2) dump for plotting flow panels."""
-    from .csvio import write_csv
-
-    uc = 0.5 * (field.u1[:-1, :] + field.u1[1:, :])
-    wc = 0.5 * (field.u2 + np.roll(field.u2, -1, axis=1))
-    xc = (np.arange(config.nx) + 0.5) * config.dx
-    zc = config.z_centers()
-    write_csv(
-        path,
-        ["x", "z", "u1", "u2"],
-        (
-            (float(xc[i]), float(zc[j]), float(uc[i, j]), float(wc[i, j]))
-            for i in range(config.nx)
-            for j in range(config.nz)
-        ),
-        comment="mesopt flow field",
+    return FlowField(
+        u1=u, u2=w, p=p, converged=residual <= config.solver_tol, residual=residual,
+        refinements=refinements,
     )
 
 

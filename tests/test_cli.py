@@ -80,6 +80,32 @@ def test_optimize_backend_failure_exit_code(tmp_path):
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     doc = json.loads((tmp_path / "o" / "trace.json").read_text())
     assert doc["terminated_reason"] == "error"
+    # The backend's strip envelope skips the grid's too-thick nodes, so the
+    # start's own solve raises the fit error.
+    assert doc["error"].startswith("FlowError: airfoil thickness")
+    assert "geometry does not fit" in doc["error"]
+
+
+def test_too_thick_node_fails_after_valid_solves(tmp_path, capsys):
+    # At Lz = 2 the b = 2 blades fit and the b = 3.5 ones do not: walk
+    # solves the fitting nodes in the envelope of the grid's valid blades,
+    # then reaches a thick node and fails as a backend failure.
+    doc = {
+        "backend": "stokes",
+        "grid": {"mins": [2.0, 2.0], "maxs": [2.1, 3.5], "steps": [0.1, 1.5]},
+        "walk": {"start": [2.0, 2.0]},
+        "channel": {"nx": 16, "nz": 8},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "backend failure: airfoil thickness" in err and "geometry does not fit" in err
+    # landscape records each node's own outcome: the fitting blades solve.
+    assert main(["landscape", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    rows = read_rows(tmp_path / "l" / "landscape.csv")
+    assert [r["b"] for r in rows if r["R"]] == ["2.0", "2.0"]
+    thick = [r["error"] for r in rows if not r["R"]]
+    assert len(thick) == 2 and all(e.startswith("FlowError: airfoil thickness") for e in thick)
 
 
 def test_geometry_error_is_a_backend_failure(tmp_path, capsys):
@@ -92,7 +118,35 @@ def test_geometry_error_is_a_backend_failure(tmp_path, capsys):
     }
     cfg = write_cfg(tmp_path, doc)
     assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "backend failure" in capsys.readouterr().err
+    assert "backend failure: camber root f must be >= 1 (got 0.5)" in capsys.readouterr().err
+    # Optimize from a valid start: the envelope skips the f = 0.5 nodes and
+    # the box reaches them after the valid solves.
+    doc["grid"] = {"mins": [0.5, 2.0], "maxs": [1.5, 2.2], "steps": [0.5, 0.1]}
+    doc["optimizer"] = {"start": [1.5, 2.1]}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "p")]) == 3
+    trace = json.loads((tmp_path / "p" / "trace.json").read_text())
+    assert trace["error"] == "GeometryError: camber root f must be >= 1 (got 0.5)"
+    assert trace["total_simulations"] == 1  # the start solved first
+
+
+def test_blade_outside_the_envelope_propagates(tmp_path, monkeypatch):
+    # A solve whose blade leaves the strip envelope is a caller bug: it is
+    # no backend failure (exit 3), so main lets the ValueError through and
+    # the process exits 1.
+    from mesopt import objectives
+
+    monkeypatch.setattr(objectives, "_grid_envelope", lambda grid, ch, e, n: np.zeros((ch.nx, ch.nz), bool))
+    doc = {
+        "backend": "stokes",
+        "grid": {"mins": [2.0, 2.0], "maxs": [2.1, 2.1], "steps": [0.1, 0.1]},
+        "optimizer": {"start": [2.0, 2.0]},
+        "channel": {"nx": 16, "nz": 8},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    for command in ("optimize", "landscape", "walk"):
+        with pytest.raises(ValueError, match="outside the strip"):
+            main([command, "--config", cfg, "--out", str(tmp_path / command)])
 
 
 def test_validation_error_exit_code(tmp_path):

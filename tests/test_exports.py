@@ -6,7 +6,7 @@ import pytest
 
 from mesopt.geometry import AirfoilSpec, ReducedParsecSide, build_airfoil, eval_side
 from mesopt.objectives import SyntheticValleyObjective, reward_R1
-from mesopt.stokes import ChannelConfig, EvaluationProfile, field_to_csv, solve_stokes
+from mesopt.stokes import EvaluationProfile
 
 
 def read_rows(path):
@@ -24,18 +24,6 @@ def test_shape_csv_export(tmp_path):
     assert set(rows_up[0]) == {"x", "z"}
     assert float(rows_up[-1]["z"]) == pytest.approx(0.3)
     assert float(rows_lo[0]["z"]) == 0.0
-
-
-def test_field_csv_dump(tmp_path):
-    cfg = ChannelConfig(nx=16, nz=8)
-    field = solve_stokes(None, cfg)
-    out = tmp_path / "field.csv"
-    field_to_csv(field, cfg, out)
-    rows = read_rows(out)
-    assert len(rows) == 16 * 8
-    assert set(rows[0]) == {"x", "z", "u1", "u2"}
-    assert float(rows[0]["u1"]) == pytest.approx(1.0, abs=1e-8)
-    assert float(rows[0]["u2"]) == pytest.approx(0.75, abs=1e-8)
 
 
 def test_three_root_side_zeros():

@@ -134,11 +134,11 @@ def test_unconverged_or_non_finite_solve_raises(monkeypatch):
     with pytest.raises(FlowError, match="solver_tol"):
         strict((2.0, 2.0))
 
-    def nan_solve(shape, channel):
+    def nan_solve(shape, channel, envelope=None):
         u1 = np.ones((channel.nx + 1, channel.nz))
         u1[-1, 0] = np.nan
         rest = np.ones((channel.nx, channel.nz))
-        return FlowField(u1=u1, u2=rest, p=rest, converged=True, residual=0.0)
+        return FlowField(u1=u1, u2=rest, p=rest, converged=True, residual=0.0, refinements=0)
 
     monkeypatch.setattr(objectives, "solve_stokes", nan_solve)
     with pytest.raises(FlowError, match="non-finite"):

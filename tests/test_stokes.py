@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
+from mesopt.grid import ParameterGrid
 from mesopt.stokes import (
     ChannelConfig,
     FlowError,
@@ -201,3 +202,86 @@ def test_blade_at_inflow_face_solves():
     assert stokes._substructure(cfg).strip[0] == 0
     assert field.converged
     assert np.abs(field.divergence(cfg)).max() <= 1e-6 * np.hypot(*cfg.inflow)
+
+
+def _node_cells(shape, cfg):
+    """Cells with a nonzero Brinkman term on their u or w face."""
+    n = cfg.nx * cfg.nz
+    d = stokes._brinkman_diagonal(shape, cfg)
+    return ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)).reshape(cfg.nx, cfg.nz)
+
+
+def _check_envelope_against_column_strip(cfg, grid, interior):
+    # (a) The envelope holds every node's solid faces; (b) at the four
+    # corners and one interior node the envelope solve matches the column
+    # strip's, and both meet solver_tol.
+    shapes = {p: build_airfoil(AirfoilSpec(*grid.theta(p)), 257) for p in grid.points()}
+    envelope = stokes.blade_envelope(shapes.values(), cfg)
+    union = np.zeros_like(envelope)
+    for shape in shapes.values():
+        cells = _node_cells(shape, cfg)
+        assert not (cells & ~envelope).any()
+        union |= cells
+    np.testing.assert_array_equal(envelope, union)  # and nothing more
+
+    (n_f, n_b) = grid.shape
+    corners = [(i, j) for i in (0, n_f - 1) for j in (0, n_b - 1)]
+    nodes = corners + [interior]
+    in_envelope = [solve_stokes(shapes[p], cfg, envelope=envelope) for p in nodes]
+    in_columns = [solve_stokes(shapes[p], cfg) for p in nodes]
+    for a, b in zip(in_envelope, in_columns):
+        assert a.converged and a.residual <= cfg.solver_tol
+        assert b.converged and b.residual <= cfg.solver_tol
+        xa, xb = _stacked(a), _stacked(b)
+        assert np.abs(xa - xb).max() <= 1e-8 * np.abs(xb).max()
+    return shapes
+
+
+@st.composite
+def _grids(draw, f_lo, b_lo, b_max):
+    """A small (f, b) grid of 2 to 4 nodes a side, and one drawn node."""
+    f0, b0 = draw(st.floats(*f_lo)), draw(st.floats(*b_lo))
+    n_f, n_b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    step = draw(st.floats(0.05, 0.3))
+    step_b = min(step, (b_max - b0) / (n_b - 1))
+    grid = ParameterGrid((f0, b0), (f0 + step * (n_f - 1), b0 + step_b * (n_b - 1)), (step, step_b))
+    n_f, n_b = grid.shape
+    return grid, (draw(st.integers(0, n_f - 1)), draw(st.integers(0, n_b - 1)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(_grids(f_lo=(1.0, 3.0), b_lo=(1.5, 3.0), b_max=4.0))
+def test_property_envelope_holds_every_blade_and_matches_column_strip(case):
+    grid, interior = case
+    _check_envelope_against_column_strip(ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36), grid, interior)
+
+
+@settings(max_examples=4, deadline=None)
+@given(_grids(f_lo=(1.0, 3.0), b_lo=(3.3, 3.6), b_max=4.0))
+def test_property_envelope_of_blades_that_wrap_the_period(case):
+    # Lz = 3: the thickest blades (b near 4, 2.9 chords thick) cross the
+    # periodic boundary at z = -Lz/2, so the envelope wraps.
+    grid, interior = case
+    cfg = ChannelConfig(Lx=4.0, Lz=3.0, nx=48, nz=24)
+    shapes = _check_envelope_against_column_strip(cfg, grid, interior)
+    assert any(s.z_extent()[0] < -cfg.Lz / 2 for s in shapes.values())
+
+
+def test_blade_outside_the_envelope_is_a_caller_error():
+    from mesopt.objectives import StokesObjective
+
+    cfg = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    grid = ParameterGrid((2.0, 2.0), (2.2, 2.2), (0.1, 0.1))
+    obj = StokesObjective(cfg, grid=grid)
+    obj((2.1, 2.1))
+    with pytest.raises(ValueError, match=r"blade AirfoilSpec\(f=3.5, b=3.5.*outside the strip") as info:
+        obj((3.5, 3.5))  # off the grid and thicker than any of its blades
+    assert type(info.value) is ValueError  # neither a GeometryError nor a FlowError
+
+
+def test_refinements_count_the_passes_taken(small_airfoil_field):
+    _, _, field = small_airfoil_field
+    assert field.refinements == 0
+    shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
+    strict = ChannelConfig(solver_tol=1e-300, max_iters=3, **SMALL)
+    assert solve_stokes(shape, strict).refinements == 3

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,24 @@ def test_stokes_backend_reaches_minimum_region():
     assert min(visited) <= best_val + 0.1 * spread
     # And ground-truth accounting still matches the flow solver tally.
     assert trace.total_simulations == backend.calls
+
+
+def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
+    # Every solve of configs/stokes_optimize.json runs in the envelope of
+    # its grid's blades and meets solver_tol with the direct solve alone.
+    from mesopt import objectives
+    from mesopt.cli import main
+
+    solve, solves = objectives.solve_stokes, []
+
+    def recording(shape, channel, envelope=None):
+        field = solve(shape, channel, envelope=envelope)
+        solves.append((envelope is not None, field.refinements))
+        return field
+
+    monkeypatch.setattr(objectives, "solve_stokes", recording)
+    config = Path(__file__).resolve().parents[1] / "configs" / "stokes_optimize.json"
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path)]) in (0, 4)
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert len(solves) == trace["total_simulations"] > 0
+    assert solves == [(True, 0)] * len(solves)
