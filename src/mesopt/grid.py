@@ -123,9 +123,6 @@ class ActionSet:
     def frozen(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.d) if i not in self.changeable)
 
-    def without(self, dims) -> "ActionSet":
-        return ActionSet(self.d, self.changeable - frozenset(dims))
-
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -165,17 +162,6 @@ class Neighborhood:
     def nominal_size(self) -> int:
         """Member count the radii would give without boundary clipping."""
         return math.prod(2 * r + 1 for r in self.radii)
-
-    @property
-    def clipped_dims(self) -> tuple[int, ...]:
-        """Dimensions where the box lost members to a grid bound."""
-        return tuple(
-            i
-            for i, (a, b, c, r) in enumerate(
-                zip(self.lo, self.hi, self.center, self.radii)
-            )
-            if (b - a) < 2 * r
-        )
 
     def contains(self, point: GridPoint) -> bool:
         return all(a <= i <= b for i, a, b in zip(point, self.lo, self.hi))

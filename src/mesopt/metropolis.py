@@ -5,22 +5,27 @@ to every reachable target (one grid step along a changeable dimension, or
 stay, which always carries weight 1) and normalizes over the targets that lie
 inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
+
+Both the box kernels and the hitting-time walks read the targets from one
+move stencil, ``_box_stencil``.  A kernel exponentiates a whole box at once
+with numpy; a walk runs on the whole grid as one box, one step at a time,
+and weighs a row's targets with ``math.exp`` in move order, so its steps do
+not depend on numpy's vectorised exp.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
 
-from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid
+from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
 
 __all__ = [
     "TransitionModel",
     "transition_matrix",
-    "sample_walk",
     "WalkStatistics",
     "hitting_time_experiment",
 ]
@@ -28,33 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Row-stochastic kernel over a neighborhood's members."""
+    """Row-stochastic kernel over a neighborhood's members, in member order."""
 
     states: tuple[GridPoint, ...]
     matrix: np.ndarray
-    index: dict[GridPoint, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "index", {s: k for k, s in enumerate(self.states)}
-        )
-
-    def row(self, state: GridPoint) -> np.ndarray:
-        return self.matrix[self.index[state]]
-
-
-def _row_weights(values, state, actions: ActionSet, beta: float, contains):
-    """(targets, weights) for one kernel row; stay is always a target."""
-    v_here = values[state]
-    targets, weights = [], []
-    for move in actions.moves:
-        target = tuple(s + m for s, m in zip(state, move))
-        if not contains(target):
-            continue
-        dv = values[target] - v_here
-        weights.append(math.exp(-beta * max(dv, 0.0)))
-        targets.append(target)
-    return targets, weights
 
 
 def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
@@ -82,8 +64,8 @@ def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
 def _stencil_kernel(v: np.ndarray, stencil, beta: float) -> np.ndarray:
     """Kernel matrix from member values ``v`` on a ``_box_stencil``.
 
-    Bitwise the rows ``_row_weights`` defines, given the same exp: the
-    weights are summed in the order of the moves, as a row sums them.
+    Bitwise the rows a walk step weighs, given the same exp: the weights
+    are summed in the order of the moves, as a step sums them.
     """
     cols, valid = stencil
     weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
@@ -146,34 +128,30 @@ def _sample_step(targets: np.ndarray, cumw: np.ndarray, pos: np.ndarray, rng) ->
     return targets[pos, choice]
 
 
-def sample_walk(model: TransitionModel, start: GridPoint, n_steps: int, seed: int) -> list[GridPoint]:
-    """Sample a walk of n_steps transitions under one kernel.
+#: Uniforms a walk fetches from its generator at a time.  A block holds the
+#: same doubles as that many scalar ``random()`` calls, so the size changes
+#: no walk; it bounds what a long walk holds in memory.
+_DRAW_BLOCK = 256
 
-    Returns the n_steps + 1 visited points.  Deterministic for a fixed seed.
+
+def _uniforms(rng):
+    """The generator's scalar ``random()`` draws, fetched in blocks."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
+def _grid_targets(grid: ParameterGrid, actions: ActionSet) -> list[list[int]]:
+    """Per grid node in ``grid.points()`` order, its in-grid targets in move order.
+
+    Targets are positions in that same order: the stencil of the whole grid
+    taken as one box.
     """
-    if start not in model.index:
-        raise GridError(f"walk start {start} outside the kernel's state set")
-    targets, cumw = _compressed_rows(model)
-    rng = np.random.default_rng(seed)
-    pos = np.array([model.index[start]])
-    path = [start]
-    for _ in range(n_steps):
-        pos = _sample_step(targets, cumw, pos, rng)
-        path.append(model.states[pos[0]])
-    return path
-
-
-def _lazy_step(values, grid, state, actions, beta, rng):
-    """One Metropolis step without materializing the full kernel."""
-    targets, weights = _row_weights(values, state, actions, beta, grid.contains)
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    for target, w in zip(targets, weights):
-        acc += w
-        if u < acc:
-            return target
-    return targets[-1]
+    whole = make_neighborhood(grid, (0,) * grid.d, [n - 1 for n in grid.shape])
+    cols, valid = _box_stencil(whole, actions)
+    return [
+        [j for j, ok in zip(node_cols, node_valid) if ok]
+        for node_cols, node_valid in zip(cols.T.tolist(), valid.T.tolist())
+    ]
 
 
 @dataclass
@@ -216,10 +194,16 @@ def hitting_time_experiment(
     dimension every max(grid.shape) steps.  For 1-d grids both modes
     coincide.  Walks that never hit within max_steps are censored at
     max_steps with hit=False.  The path of walk 0 is kept for path exports.
+    ``values`` must cover every grid node; a missing one raises KeyError
+    before any walk starts.
     """
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown walk mode {mode!r}")
     start = grid.require(start)
+    points = list(grid.points())
+    missing = [p for p in points if p not in values]
+    if missing:
+        raise KeyError(f"value table missing {len(missing)} grid nodes, e.g. {missing[0]}")
     ordered = sorted(values.items(), key=lambda kv: (kv[1], kv[0]))
     target, best = ordered[0]
     if len(ordered) > 1 and ordered[1][1] == best:
@@ -231,21 +215,34 @@ def hitting_time_experiment(
         phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
     else:
         phases = [ActionSet(d)]
+    tables = [_grid_targets(grid, actions) for actions in phases]
+    v = [values[p] for p in points]
+    index = {p: k for k, p in enumerate(points)}
+    goal = index.get(target)  # None, never hit, for an argmin off the grid
 
     steps_out, hits, path = [], [], [start]
     for walk_id in range(n_walks):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
-        state = start
-        hit = state == target
+        draws = _uniforms(rng)
+        i = index[start]
+        hit = i == goal
         t = 0
         while not hit and t < max_steps:
-            actions = phases[(t // switch_every) % len(phases)]
+            row = tables[(t // switch_every) % len(tables)][i]
             beta = math.log(2.0 + t) / t0
-            state = _lazy_step(values, grid, state, actions, beta, rng)
+            v_here = v[i]
+            weights = [math.exp(-beta * max(v[j] - v_here, 0.0)) for j in row]
+            u = next(draws) * sum(weights)
+            acc = 0.0
+            # Inverse-CDF scan; if u rounds up to the total, the last target.
+            for i, w in zip(row, weights):
+                acc += w
+                if u < acc:
+                    break
             t += 1
-            hit = state == target
+            hit = i == goal
             if walk_id == 0:
-                path.append(state)
+                path.append(points[i])
         steps_out.append(t)
         hits.append(hit)
     return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=target, path=path)

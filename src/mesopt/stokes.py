@@ -25,14 +25,17 @@ that touches the chord band, plus one on either side.  Once per channel
 geometry (Lx, Lz, nx, nz and leading_edge_x) and strip, on its first
 solve, the exterior block is factored with sparse LU and its effect on the
 strip is condensed into a dense correction on the few strip unknowns that
-touch it; one set-up is kept, whatever the inflow.  Each blade then costs
-one sparse LU of the strip's Schur complement and a strip and an exterior
-triangular solve.  At 96x72 (Lz = 6, the 26x26 grid of
-``configs/stokes_optimize.json``) the envelope holds 2,073 strip unknowns
-and 259 interface unknowns against 5,832 and 360 for the column strip, and
-a solve takes about 65 ms against 160 ms; at 192x96 (Lz = 3, the
-``configs/stokes_landscape.json`` grid, whose thick blades fill most of the
-period) 10,035 against 14,688 unknowns and about 0.42 s against 0.55 s.
+touch it; one set-up is kept, whatever the inflow.  The exterior solve of
+the right-hand side b depends on no shape either, so the set-up keeps one
+per inflow.  Each blade then costs one sparse LU of the strip's Schur
+complement and a strip and an exterior triangular solve.  At 96x72
+(Lz = 6, the 26x26 grid of ``configs/stokes_optimize.json``) the envelope
+holds 2,073 strip unknowns and 259 interface unknowns against 5,832 and
+360 for the column strip, and a solve took about 65 ms against 160 ms
+before the exterior solve of b was kept, which takes about 9 ms more off
+every solve; at 192x96 (Lz = 3, the ``configs/stokes_landscape.json`` grid, whose
+thick blades fill most of the period) 10,035 against 14,688 unknowns and
+about 0.42 s against 0.55 s.
 """
 
 from __future__ import annotations
@@ -412,14 +415,30 @@ class _Substructure:
             shape=(self.strip.size, self.strip.size),
         )
         self.strip_base = (rows_S[:, self.strip] - dense).tocsc()
+        self._exterior_b = {}  # inflow -> lu_E.solve(b[E]), which no shape changes
+
+    def rhs(self, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+        """b for the config's inflow and its exterior solve, made once per inflow.
+
+        b depends only on the channel, which keys this set-up, and the inflow.
+        """
+        b, key = _rhs(config), tuple(config.inflow)
+        y = self._exterior_b.get(key)
+        if y is None:
+            y = self._exterior_b[key] = self.lu_E.solve(b[self.exterior])
+        return b, y
 
     def factor(self, d: np.ndarray):
-        """Solver for A0 + diag(d), given d zero outside the strip."""
+        """Solver for A0 + diag(d), given d zero outside the strip.
+
+        It takes r and, if the caller has it, y = lu_E.solve(r[E]).
+        """
         S, E = self.strip, self.exterior
         lu_S = spla.splu((self.strip_base + sp.diags(d[S])).tocsc())
 
-        def solve(r: np.ndarray) -> np.ndarray:
-            y = self.lu_E.solve(r[E])
+        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+            if y is None:
+                y = self.lu_E.solve(r[E])
             x = np.empty_like(r)
             x[S] = lu_S.solve(r[S] - self.A_SE @ y)
             x[E] = y - self.lu_E.solve(self.A_ES @ x[S])
@@ -496,9 +515,9 @@ def solve_stokes(
     sub = _substructure(
         _Channel(config.Lx, config.Lz, config.nx, config.nz, config.leading_edge_x), cells
     )
-    A, b = sub.A + sp.diags(d), _rhs(config)
-    solve = sub.factor(d)
-    x = solve(b)
+    A, solve = sub.A + sp.diags(d), sub.factor(d)
+    b, y_b = sub.rhs(config)
+    x = solve(b, y_b)
 
     scale = max(float(np.abs(b).max()), 1e-300)
     residual = float(np.abs(b - A @ x).max()) / scale

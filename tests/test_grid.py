@@ -41,7 +41,6 @@ def test_interior_neighborhood_counts(grid2d):
     n = make_neighborhood(grid2d, center=(10, 10), radii=(3, 3))
     assert n.size == 49
     assert n.nominal_size == 49
-    assert n.clipped_dims == ()
     assert (10, 10) in n.members
     assert n.members == tuple(sorted(n.members))
 
@@ -56,7 +55,6 @@ def test_corner_clipping(grid2d):
     n = make_neighborhood(grid2d, center=(0, 0), radii=(1, 1))
     assert n.size == 4
     assert set(n.members) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert n.clipped_dims == (0, 1)
 
 
 def test_axis_line(grid2d):
@@ -81,12 +79,6 @@ def test_action_set_moves():
     assert only_b.frozen() == (0,)
     none = ActionSet(d=2, changeable=())
     assert none.moves == ((0, 0),)
-
-
-def test_action_set_without():
-    full = ActionSet(d=3)
-    reduced = full.without({0, 2})
-    assert reduced.changeable == frozenset({1})
     with pytest.raises(GridError):
         ActionSet(d=2, changeable={5})
 

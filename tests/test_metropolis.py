@@ -1,5 +1,7 @@
+import contextlib
+import itertools
 import math
-from types import SimpleNamespace
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,9 +9,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesopt import metropolis
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import hitting_time_experiment, sample_walk, transition_matrix
+from mesopt.metropolis import hitting_time_experiment, transition_matrix
+
+
+def _row_weights(values, state, actions, beta, contains, exp=math.exp):
+    """(targets, weights) for one kernel row; stay is always a target.
+
+    The row-by-row definition of the kernel, the oracle for both the box
+    kernels and the table-driven walk.
+    """
+    v_here = values[state]
+    targets, weights = [], []
+    for move in actions.moves:
+        target = tuple(s + m for s, m in zip(state, move))
+        if not contains(target):
+            continue
+        dv = values[target] - v_here
+        weights.append(exp(-beta * max(dv, 0.0)))
+        targets.append(target)
+    return targets, weights
+
+
+def _lazy_step(values, grid, state, actions, beta, rng):
+    """One Metropolis step without materializing the full kernel."""
+    targets, weights = _row_weights(values, state, actions, beta, grid.contains)
+    total = sum(weights)
+    u = rng.random() * total
+    acc = 0.0
+    for target, w in zip(targets, weights):
+        acc += w
+        if u < acc:
+            return target
+    return targets[-1]
+
+
+def _reference_walks(values, grid, start, mode, n_walks, seed, max_steps, t0):
+    """(steps, hits, walk-0 path) of the walks taken one ``_lazy_step`` at a time."""
+    target = min(values, key=lambda p: (values[p], p))
+    d = grid.d
+    switch_every = max(grid.shape)
+    if mode == "fixed" and d >= 2:
+        phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
+    else:
+        phases = [ActionSet(d)]
+    steps_out, hits, path = [], [], [start]
+    for walk_id in range(n_walks):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
+        state = start
+        hit = state == target
+        t = 0
+        while not hit and t < max_steps:
+            actions = phases[(t // switch_every) % len(phases)]
+            beta = math.log(2.0 + t) / t0
+            state = _lazy_step(values, grid, state, actions, beta, rng)
+            t += 1
+            hit = state == target
+            if walk_id == 0:
+                path.append(state)
+        steps_out.append(t)
+        hits.append(hit)
+    return steps_out, hits, path
 
 
 @pytest.fixture
@@ -23,9 +83,9 @@ def test_hand_computed_rows(line_grid):
     values = {(4,): 0.0, (5,): 1.0, (6,): 0.0}
     model = transition_matrix(values, n, ActionSet(d=1), beta=math.log(2.0))
     # Center row: both moves go downhill (weight 1), stay weight 1 -> uniform.
-    np.testing.assert_allclose(model.row((5,)), [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(model.matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     # Left member: stay weight 1, uphill move weight 1/2, off-box move dropped.
-    np.testing.assert_allclose(model.row((4,)), [2 / 3, 1 / 3, 0.0], atol=1e-15)
+    np.testing.assert_allclose(model.matrix[0], [2 / 3, 1 / 3, 0.0], atol=1e-15)
 
 
 def test_beta_zero_is_uniform(line_grid):
@@ -33,8 +93,9 @@ def test_beta_zero_is_uniform(line_grid):
     rng = np.random.default_rng(3)
     values = {s: float(rng.normal()) for s in n.members}
     model = transition_matrix(values, n, ActionSet(d=1), beta=0.0)
-    np.testing.assert_allclose(model.row((5,)), [0, 1 / 3, 1 / 3, 1 / 3, 0], atol=1e-15)
-    np.testing.assert_allclose(model.row((3,)), [1 / 2, 1 / 2, 0, 0, 0], atol=1e-15)
+    # Members (3,) .. (7,): row 2 is (5,), row 0 is (3,).
+    np.testing.assert_allclose(model.matrix[2], [0, 1 / 3, 1 / 3, 1 / 3, 0], atol=1e-15)
+    np.testing.assert_allclose(model.matrix[0], [1 / 2, 1 / 2, 0, 0, 0], atol=1e-15)
 
 
 def test_rows_stochastic_and_supported_on_allowed_moves():
@@ -62,15 +123,15 @@ def test_downhill_ordering(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
     values = {(4,): -2.0, (5,): 0.0, (6,): 3.0}
     model = transition_matrix(values, n, ActionSet(d=1), beta=1.7)
-    row = model.row((5,))
-    assert row[model.index[(4,)]] >= row[model.index[(6,)]]
+    row = model.matrix[model.states.index((5,))]
+    assert row[model.states.index((4,))] >= row[model.states.index((6,))]
 
 
 def test_tie_values_get_stay_weight(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
     values = {(4,): 1.0, (5,): 1.0, (6,): 1.0}
     model = transition_matrix(values, n, ActionSet(d=1), beta=50.0)
-    np.testing.assert_allclose(model.row((5,)), [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(model.matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_missing_values_and_negative_beta_rejected(line_grid):
@@ -83,34 +144,23 @@ def test_missing_values_and_negative_beta_rejected(line_grid):
 
 
 def test_walk_descends_ramp_in_greedy_limit(line_grid):
-    # Uphill weight vanishes at large beta; stay keeps weight 1, so the path
-    # may dwell but never climbs.
-    n = make_neighborhood(line_grid, center=(5,), radii=(5,))
-    values = {s: float(s[0]) for s in n.members}  # strictly decreasing leftward
-    model = transition_matrix(values, n, ActionSet(d=1), beta=200.0)
-    path = sample_walk(model, start=(10,), n_steps=60, seed=0)
-    pos = [p[0] for p in path]
+    # Uphill weights are below exp(-138) from the first step on; stay keeps
+    # weight 1, so the path may dwell but never climbs.
+    values = {p: float(p[0]) for p in line_grid.points()}  # strictly decreasing leftward
+    stats = hitting_time_experiment(values, line_grid, (10,), "free", n_walks=3, seed=0, t0=0.005)
+    pos = [p[0] for p in stats.path]
     assert all(b <= a for a, b in zip(pos, pos[1:]))
-    assert pos[-1] == 0
-
-
-def test_walk_with_no_changeable_dims_stays_put(line_grid):
-    n = make_neighborhood(line_grid, center=(5,), radii=(2,))
-    values = {s: 0.0 for s in n.members}
-    model = transition_matrix(values, n, ActionSet(1, changeable=()), beta=1.0)
-    path = sample_walk(model, start=(4,), n_steps=7, seed=1)
-    assert path == [(4,)] * 8
+    assert pos[-1] == 0 and stats.target == (0,)
+    assert all(stats.hits)
 
 
 def test_walk_determinism(line_grid):
-    n = make_neighborhood(line_grid, center=(5,), radii=(4,))
     rng = np.random.default_rng(5)
-    values = {s: float(rng.normal()) for s in n.members}
-    model = transition_matrix(values, n, ActionSet(d=1), beta=0.8)
-    a = sample_walk(model, start=(5,), n_steps=60, seed=42)
-    b = sample_walk(model, start=(5,), n_steps=60, seed=42)
-    assert a == b
-    assert len(a) == 61
+    values = {p: float(rng.normal()) for p in line_grid.points()}
+    a = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60)
+    b = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60)
+    assert (a.steps, a.hits, a.path) == (b.steps, b.hits, b.path)
+    assert len(a.path) == a.steps[0] + 1
 
 
 def _valley_values(grid):
@@ -179,14 +229,38 @@ def test_property_rows_stochastic_and_stay_heaviest(model):
     assert np.all(stay[:, None] >= m)
 
 
+@st.composite
+def grid_values(draw, max_d=2):
+    """A small grid and a value table on it with plateaus and one strict argmin."""
+    d = draw(st.integers(1, max_d))
+    shape = [draw(st.integers(2, 5)) for _ in range(d)]
+    grid = ParameterGrid(mins=(0.0,) * d, maxs=[n - 1.0 for n in shape], steps=(1.0,) * d)
+    points = list(grid.points())
+    level = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    values = {p: draw(st.one_of(level, st.floats(-5.0, 5.0))) for p in points}
+    values[draw(st.sampled_from(points))] = -10.0
+    start = draw(st.sampled_from(points))
+    return values, grid, start
+
+
 @settings(max_examples=60, deadline=None)
-@given(box_kernels(), st.integers(0, 40), st.integers(0, 2**32 - 1), st.data())
-def test_property_walk_visits_only_positive_weight_targets(model, n_steps, seed, data):
-    start = data.draw(st.sampled_from(model.states))
-    path = sample_walk(model, start=start, n_steps=n_steps, seed=seed)
-    assert len(path) == n_steps + 1 and path[0] == start
-    for here, there in zip(path, path[1:]):
-        assert model.row(here)[model.index[there]] > 0.0
+@given(grid_values(), st.sampled_from(["free", "fixed"]), st.floats(0.1, 10.0), st.integers(0, 40),
+       st.integers(0, 2**32 - 1))
+def test_property_walk_visits_only_positive_weight_targets(case, mode, t0, max_steps, seed):
+    values, grid, start = case
+    stats = hitting_time_experiment(values, grid, start, mode, n_walks=1, seed=seed,
+                                    max_steps=max_steps, t0=t0)
+    path = stats.path
+    assert len(path) == stats.steps[0] + 1 and path[0] == start
+    d = grid.d
+    phases = ([ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
+              if mode == "fixed" and d >= 2 else [ActionSet(d)])
+    for t, (here, there) in enumerate(zip(path, path[1:])):
+        assert grid.contains(there)
+        delta = tuple(b - a for a, b in zip(here, there))
+        assert delta in phases[(t // max(grid.shape)) % len(phases)].moves
+        beta = math.log(2.0 + t) / t0
+        assert math.exp(-beta * max(values[there] - values[here], 0.0)) > 0.0
 
 
 @st.composite
@@ -202,12 +276,12 @@ def clipped_boxes(draw):
     return dict(zip(n.members, values)), n, actions
 
 
-def _rows_from_row_weights(values, n, actions, beta):
-    """The kernel built one row at a time, as the matrix-free walk sees it."""
+def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
+    """The kernel built one row at a time, as a walk step weighs it."""
     index = {s: k for k, s in enumerate(n.members)}
     matrix = np.zeros((n.size, n.size))
     for k, state in enumerate(n.members):
-        targets, weights = metropolis._row_weights(values, state, actions, beta, n.contains)
+        targets, weights = _row_weights(values, state, actions, beta, n.contains, exp)
         total = sum(weights)
         for target, w in zip(targets, weights):
             matrix[k, index[target]] = w / total
@@ -222,10 +296,76 @@ def test_property_kernel_matches_row_by_row_definition(box, beta):
     model = transition_matrix(values, n, actions, beta)
     # numpy's vectorised exp and libm's math.exp may differ in the last bit;
     # with the same exp the two constructions agree bitwise.
-    numpy_exp = SimpleNamespace(exp=lambda x: float(np.exp(x)))
-    with mock.patch.object(metropolis, "math", numpy_exp):
-        reference = _rows_from_row_weights(values, n, actions, beta)
+    reference = _rows_from_row_weights(values, n, actions, beta, exp=lambda x: float(np.exp(x)))
     np.testing.assert_array_equal(model.matrix, reference)
     np.testing.assert_allclose(
         model.matrix, _rows_from_row_weights(values, n, actions, beta), rtol=1e-15, atol=1e-300
     )
+
+
+class _DyadicGenerator:
+    """Generator stand-in whose doubles are multiples of 1/8.
+
+    Scalar and block draws come from one stream, as numpy's do.  Such a
+    draw times a total of whole weights often lands exactly on a cumulative
+    weight, the case that tells ``<`` from ``<=`` in the scan.
+    """
+
+    def __init__(self, seed_seq):
+        eighths = np.random.Generator(np.random.PCG64(seed_seq)).integers(0, 8, size=4096) / 8
+        self._draws = iter(eighths.tolist())
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._draws)
+        return np.array(list(itertools.islice(self._draws, size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid_values(max_d=3),
+    st.sampled_from(["free", "fixed"]),
+    st.floats(0.1, 10.0),
+    st.integers(0, 80),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_property_table_walk_matches_row_by_row_walk(
+    case, mode, t0, max_steps, n_walks, seed, dyadic
+):
+    values, grid, start = case
+    generators = (
+        mock.patch("numpy.random.default_rng", _DyadicGenerator)
+        if dyadic
+        else contextlib.nullcontext()
+    )
+    with generators:
+        stats = hitting_time_experiment(values, grid, start, mode, n_walks, seed, max_steps, t0)
+        reference = _reference_walks(values, grid, start, mode, n_walks, seed, max_steps, t0)
+    assert (stats.steps, stats.hits, stats.path) == reference
+
+
+def test_long_walk_budget_holds_no_draws_in_memory():
+    # One step from the argmin, the walk hits with probability 1/2 per step;
+    # a budget of 10**7 steps must not be drawn up front (80 MB).
+    grid = ParameterGrid(mins=(0.0,), maxs=(1.0,), steps=(1.0,))
+    values = {(0,): 0.0, (1,): 1.0}
+    tracemalloc.start()
+    try:
+        stats = hitting_time_experiment(
+            values, grid, (1,), "free", n_walks=1, seed=0, max_steps=10**7
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.hits == [True]
+    assert peak < 2**20
+
+
+def test_walk_rejects_value_table_missing_a_node():
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(1.0, 1.0), steps=(0.5, 0.5))
+    values = {p: float(sum(p)) for p in grid.points() if p != (2, 1)}
+    # The start is the argmin, so no walk would ever reach (2, 1).
+    with pytest.raises(KeyError, match=r"1 grid nodes, e\.g\. \(2, 1\)"):
+        hitting_time_experiment(values, grid, (0, 0), "free", n_walks=1, seed=0)

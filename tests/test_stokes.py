@@ -190,6 +190,9 @@ def test_configs_differing_in_inflow_share_one_setup():
     shared = solve_stokes(shape, other)
     assert stokes._substructure.cache_info().misses == 1
     np.testing.assert_array_equal(_stacked(shared), _stacked(fresh))
+    solve_stokes(shape, ChannelConfig(**SMALL))
+    again = solve_stokes(shape, other)  # both inflows' exterior solves of b are kept now
+    np.testing.assert_array_equal(_stacked(again), _stacked(fresh))
     solve_stokes(shape, ChannelConfig(leading_edge_x=0.5, **SMALL))  # the strip moves
     assert stokes._substructure.cache_info().misses == 2
 
