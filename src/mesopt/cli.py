@@ -61,6 +61,14 @@ def _require_backend_dim(cfg: RunConfig) -> None:
         raise ConfigError("grid", f"backend {cfg.backend!r} needs a {backend_d}-d grid")
 
 
+def _grid_index(grid: ParameterGrid, theta, path: str):
+    """Index of the configured point ``theta``; off the grid is a config error."""
+    try:
+        return grid.index_of(theta)
+    except GridError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 # --- optimize ---------------------------------------------------------------
 
 def _trace_rows(trace: OptimizationTrace, grid: ParameterGrid):
@@ -82,6 +90,10 @@ def _trace_rows(trace: OptimizationTrace, grid: ParameterGrid):
 def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig, table_refs):
     def point(p):
         return {"index": list(p), "theta": list(grid.theta(p))}
+
+    # The run's optimizer settings under their config keys.
+    optimizer = dataclasses.asdict(cfg.optimizer)
+    optimizer["cooling"] = optimizer.pop("schedule")
 
     cycles = []
     for c in trace.cycles:
@@ -112,16 +124,7 @@ def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig, t
         "backend": cfg.backend,
         "seed": cfg.seed,
         "grid": {"mins": list(grid.mins), "maxs": list(grid.maxs), "steps": list(grid.steps)},
-        "optimizer": {
-            "gamma": cfg.optimizer.gamma,
-            "epsilon": cfg.optimizer.epsilon,
-            "initial_radii": list(cfg.optimizer.initial_radii),
-            "tol_v": cfg.optimizer.tol_v,
-            "max_cycles": cfg.optimizer.max_cycles,
-            "max_j": cfg.optimizer.max_j,
-            "freeze_mode": cfg.optimizer.freeze_mode,
-            "cooling": {"kind": cfg.optimizer.schedule.kind, "t0": cfg.optimizer.schedule.t0},
-        },
+        "optimizer": optimizer,
         "terminated_reason": trace.terminated_reason,
         "error": trace.error,
         "total_simulations": trace.total_simulations,
@@ -130,14 +133,9 @@ def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig, t
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    _require_backend_dim(cfg)
-    backend = build_backend(cfg)
     grid = cfg.grid
-    try:
-        start = grid.index_of(cfg.start)
-    except GridError as exc:
-        print(f"config error: optimizer.start: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    start = _grid_index(grid, cfg.start, "optimizer.start")
+    backend = build_backend(cfg)
     trace = run_optimization(grid, start, backend, cfg.optimizer, keep_value_tables=True)
 
     names = dim_names(grid.d)
@@ -177,7 +175,6 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 # --- landscape ---------------------------------------------------------------
 
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
-    _require_backend_dim(cfg)
     backend = build_backend(cfg)
     grid = cfg.grid
     names = dim_names(grid.d)
@@ -206,16 +203,11 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
 # --- walk --------------------------------------------------------------------
 
 def cmd_walk(cfg: RunConfig, out: Path) -> int:
-    _require_backend_dim(cfg)
-    backend = build_backend(cfg)
     grid = cfg.grid
+    start = _grid_index(grid, cfg.walk.start, "walk.start")
+    backend = build_backend(cfg)
     names = dim_names(grid.d)
     values = {p: backend(grid.theta(p)) for p in grid.points()}
-    try:
-        start = grid.index_of(cfg.walk.start)
-    except GridError as exc:
-        print(f"config error: walk.start: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     stats = {}
     for mode in ("fixed", "free"):
@@ -277,7 +269,6 @@ def cmd_fixedpoint(cfg: RunConfig, out: Path) -> int:
     if cfg.backend != "fictitious-1d":
         print("config error: fixedpoint requires the fictitious-1d backend", file=sys.stderr)
         return EXIT_CONFIG
-    _require_backend_dim(cfg)
     backend = build_backend(cfg)
     grid = cfg.grid
     # One neighborhood spanning the whole 1-d grid.
@@ -286,7 +277,7 @@ def cmd_fixedpoint(cfg: RunConfig, out: Path) -> int:
     rhat = {p: backend(grid.theta(p)) for p in hood.members}
     fp = cfg.fixedpoint
     iterates, deltas, betas = fixed_point_iterates(
-        rhat, hood, ActionSet(1), fp.gamma, fp.schedule, fp.iterations, fp.tol_v
+        rhat, hood, ActionSet(1), fp.gamma, fp.schedule, fp.iterations
     )
 
     xs = [grid.theta(p)[0] for p in hood.members]
@@ -331,7 +322,6 @@ def _box_sequence(trace: OptimizationTrace) -> str:
 
 
 def cmd_exp1(cfg: RunConfig, out: Path) -> int:
-    _require_backend_dim(cfg)
     grid = cfg.grid
     rows = []
     for start_theta in cfg.exp1.starts:
@@ -371,13 +361,8 @@ def cmd_exp1(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_exp2(cfg: RunConfig, out: Path) -> int:
-    _require_backend_dim(cfg)
     grid = cfg.grid
-    try:
-        start = grid.index_of(cfg.exp2.start)
-    except GridError as exc:
-        print(f"config error: exp2.start: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    start = _grid_index(grid, cfg.exp2.start, "exp2.start")
     rows = []
     for radius in cfg.exp2.radii:
         for variant, mode in (("quadratic", "off"), ("rectangle", "alternating")):
@@ -446,6 +431,7 @@ def main(argv=None) -> int:
             if args.backend not in BACKENDS:
                 raise ConfigError("--backend", f"unknown backend {args.backend!r}")
             cfg.backend = args.backend
+        _require_backend_dim(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

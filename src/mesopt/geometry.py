@@ -140,17 +140,6 @@ class AirfoilShape:
     def interp_lower(self, x):
         return np.interp(x, self.x_samples, self.z_lower)
 
-    def write_csv(self, upper_path, lower_path) -> None:
-        """Two-column (x, z) CSV per surface, for plotting."""
-        from .csvio import write_csv
-
-        write_csv(upper_path, ["x", "z"],
-                  ((float(x), float(z)) for x, z in zip(self.x_samples, self.z_upper)),
-                  comment="mesopt airfoil upper surface")
-        write_csv(lower_path, ["x", "z"],
-                  ((float(x), float(z)) for x, z in zip(self.x_samples, self.z_lower)),
-                  comment="mesopt airfoil lower surface")
-
 
 def build_airfoil(spec: AirfoilSpec, n_samples: int) -> AirfoilShape:
     """Sample both surfaces on a cosine-clustered abscissa.

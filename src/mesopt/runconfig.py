@@ -3,16 +3,26 @@
 One document with one section per subsystem; unknown keys are rejected and
 every validation error names the offending field by its dotted path, so
 drift between experiment configs and the code surfaces immediately.
+
+Every setting has one home, its settings dataclass field: a section's keys
+are the field names, each read as the JSON kind its annotation names, and a
+missing key takes the field's own default.  A ``CoolingSchedule`` field is
+the nested section ``cooling``.  Only the defaults that depend on the grid
+are set here: ``optimizer.initial_radii`` (3 per dimension),
+``optimizer.start`` (2.0 per coordinate) and ``walk.start`` (the grid's last
+node).  Every section present is parsed and checked, whatever the command.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
-from .grid import GridError, ParameterGrid
+from .grid import ParameterGrid
 from .objectives import BACKENDS
 from .reduction import OptimizerConfig
 from .stokes import ChannelConfig
@@ -31,10 +41,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class WalkSettings:
-    start: tuple[float, ...] = (3.5, 3.5)
+    start: tuple[float, ...]
     n_walks: int = 100
     max_steps: int = 5000
     t0: float = 1.0
+
+    def __post_init__(self):
+        if self.n_walks < 1 or self.max_steps < 1:
+            raise ConfigError("walk", "n_walks and max_steps must be positive")
+        if self.t0 <= 0.0:
+            raise ConfigError("walk.t0", "must be positive")
 
 
 @dataclass
@@ -45,6 +61,14 @@ class FixedPointSettings:
     schedule: CoolingSchedule = field(
         default_factory=lambda: CoolingSchedule(t0=1e-3)
     )
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma < 1.0:
+            raise ConfigError("fixedpoint.gamma", "must be in [0, 1)")
+        if self.iterations < 1:
+            raise ConfigError("fixedpoint.iterations", "must be >= 1")
+        if self.tol_v <= 0.0:
+            raise ConfigError("fixedpoint.tol_v", "must be positive")
 
 
 @dataclass
@@ -59,6 +83,10 @@ class Exp2Settings:
     start: tuple[float, ...] = (9.7, 3.9)
     radii: tuple[int, ...] = (1, 2, 3, 4, 5)
     max_cycles: int = 200
+
+    def __post_init__(self):
+        if any(r < 1 for r in self.radii):
+            raise ConfigError("exp2.radii", "radii must be >= 1")
 
 
 @dataclass
@@ -90,25 +118,19 @@ class _Section:
     def _p(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def has(self, key: str) -> bool:
-        return key in self.data
-
-    def get(self, key: str, kind, default=..., allow_none: bool = False):
+    def get(self, key: str, kind, default=MISSING):
         self.seen.add(key)
         if key not in self.data:
-            if default is ...:
+            if default is MISSING:
                 raise ConfigError(self._p(key), "required field is missing")
             return default
-        value = self.data[key]
-        if value is None and allow_none:
-            return None
-        return _coerce(value, kind, self._p(key))
+        return _coerce(self.data[key], kind, self._p(key))
 
-    def section(self, key: str) -> "_Section | None":
+    def section(self, key: str) -> "_Section":
+        """The nested object under ``key``; absent or null reads as ``{}``."""
         self.seen.add(key)
-        if key not in self.data or self.data[key] is None:
-            return None
-        return _Section(self.data[key], self._p(key))
+        value = self.data.get(key)
+        return _Section({} if value is None else value, self._p(key))
 
     def finish(self) -> None:
         unknown = sorted(set(self.data) - self.seen)
@@ -116,7 +138,20 @@ class _Section:
             raise ConfigError(self._p(unknown[0]), "unknown field")
 
 
+_ARRAY_OF = {float: "numbers", int: "integers"}
+
+
 def _coerce(value, kind, path: str):
+    """``value`` as the type annotation ``kind``; arrays become tuples."""
+    if type(None) in typing.get_args(kind):  # ``X | None`` also takes null
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, f"expected a non-empty array of {_ARRAY_OF.get(item, 'points')}")
+        return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
@@ -132,25 +167,31 @@ def _coerce(value, kind, path: str):
         if not isinstance(value, str):
             raise ConfigError(path, f"expected a string, got {value!r}")
         return value
-    if kind == "floats":
-        if not isinstance(value, list) or not value:
-            raise ConfigError(path, "expected a non-empty array of numbers")
-        return tuple(_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value))
-    if kind == "ints":
-        if not isinstance(value, list) or not value:
-            raise ConfigError(path, "expected a non-empty array of integers")
-        return tuple(_coerce(v, int, f"{path}[{i}]") for i, v in enumerate(value))
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def _parse_cooling(sec: _Section | None, default_t0: float) -> CoolingSchedule:
-    if sec is None:
-        return CoolingSchedule(t0=default_t0)
-    kind = sec.get("kind", str, "standard-log")
-    t0 = sec.get("t0", float, default_t0)
+def _build(cls, sec: _Section, **defaults):
+    """Settings class ``cls`` read from ``sec``, one key per field.
+
+    A missing key takes its value from ``defaults``, else the field's own
+    default.  A ``CoolingSchedule`` field is the nested section ``cooling``,
+    whose missing keys keep the values of that field's default.  A
+    ``ValueError`` from the class's own checks names the section.
+    """
+    kinds = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        default = defaults.get(f.name, default)
+        if kinds[f.name] is CoolingSchedule:
+            kwargs[f.name] = _build(CoolingSchedule, sec.section("cooling"), **dataclasses.asdict(default))
+        else:
+            kwargs[f.name] = sec.get(f.name, kinds[f.name], default)
     sec.finish()
     try:
-        return CoolingSchedule(kind=kind, t0=t0)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(sec.path, str(exc)) from None
 
@@ -163,131 +204,30 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("backend", f"must be one of {', '.join(BACKENDS)}")
     seed = root.get("seed", int, 0)
 
-    gsec = root.section("grid")
-    if gsec is None:
+    if root.data.get("grid") is None:
         raise ConfigError("grid", "required section is missing")
-    mins = gsec.get("mins", "floats")
-    maxs = gsec.get("maxs", "floats")
-    steps = gsec.get("steps", "floats")
-    gsec.finish()
-    try:
-        grid = ParameterGrid(mins=mins, maxs=maxs, steps=steps)
-    except GridError as exc:
-        raise ConfigError("grid", str(exc)) from None
+    grid = _build(ParameterGrid, root.section("grid"))
 
     osec = root.section("optimizer")
-    start = tuple(2.0 for _ in range(grid.d))
-    opt_kwargs = {}
-    if osec is not None:
-        start = osec.get("start", "floats", start)
-        opt_kwargs = dict(
-            gamma=osec.get("gamma", float, 0.9),
-            epsilon=osec.get("epsilon", float, 0.1),
-            initial_radii=osec.get("initial_radii", "ints", tuple(3 for _ in range(grid.d))),
-            tol_v=osec.get("tol_v", float, 1e-6),
-            max_cycles=osec.get("max_cycles", int, 40),
-            max_j=osec.get("max_j", int, 60),
-            freeze_mode=osec.get("freeze_mode", str, "alternating"),
-            schedule=_parse_cooling(osec.section("cooling"), 1.0),
-        )
-        osec.finish()
-    else:
-        opt_kwargs = dict(initial_radii=tuple(3 for _ in range(grid.d)))
-    try:
-        optimizer = OptimizerConfig(**opt_kwargs)
-    except ValueError as exc:
-        raise ConfigError("optimizer", str(exc)) from None
+    start = osec.get("start", tuple[float, ...], (2.0,) * grid.d)
+    optimizer = _build(OptimizerConfig, osec, initial_radii=(3,) * grid.d)
     if len(start) != grid.d:
         raise ConfigError("optimizer.start", f"expected {grid.d} coordinates")
     if len(optimizer.initial_radii) != grid.d:
         raise ConfigError("optimizer.initial_radii", f"expected {grid.d} radii")
 
     csec = root.section("channel")
-    airfoil_e = 0.3
-    n_shape_samples = 257
-    if csec is not None:
-        airfoil_e = csec.get("airfoil_e", float, 0.3)
-        n_shape_samples = csec.get("n_shape_samples", int, 257)
-        ch_kwargs = dict(
-            Lx=csec.get("Lx", float, 4.0),
-            Lz=csec.get("Lz", float, 2.0),
-            nx=csec.get("nx", int, 192),
-            nz=csec.get("nz", int, 96),
-            inflow=csec.get("inflow", "floats", (1.0, 0.75)),
-            leading_edge_x=csec.get("leading_edge_x", float, 1.0),
-            line_E_x=csec.get("line_E_x", float, None, allow_none=True),
-            penalization=csec.get("penalization", float, 1e6),
-            solver_tol=csec.get("solver_tol", float, 1e-8),
-            max_iters=csec.get("max_iters", int, 50),
-            reward_variant=csec.get("reward_variant", str, "ratio"),
-        )
-        csec.finish()
-        if len(ch_kwargs["inflow"]) != 2:
-            raise ConfigError("channel.inflow", "expected [u_in, w_in]")
-        try:
-            channel = ChannelConfig(**ch_kwargs)
-        except ValueError as exc:
-            raise ConfigError("channel", str(exc)) from None
-    else:
-        channel = ChannelConfig()
+    airfoil_e = csec.get("airfoil_e", float, 0.3)
+    n_shape_samples = csec.get("n_shape_samples", int, 257)
+    channel = _build(ChannelConfig, csec)
+    if len(channel.inflow) != 2:
+        raise ConfigError("channel.inflow", "expected [u_in, w_in]")
 
-    wsec = root.section("walk")
-    walk = WalkSettings(start=tuple(grid.theta(tuple((n - 1) for n in grid.shape))))
-    if wsec is not None:
-        walk = WalkSettings(
-            start=wsec.get("start", "floats", walk.start),
-            n_walks=wsec.get("n_walks", int, 100),
-            max_steps=wsec.get("max_steps", int, 5000),
-            t0=wsec.get("t0", float, 1.0),
-        )
-        wsec.finish()
-        if walk.n_walks < 1 or walk.max_steps < 1:
-            raise ConfigError("walk", "n_walks and max_steps must be positive")
-        if walk.t0 <= 0.0:
-            raise ConfigError("walk.t0", "must be positive")
-
-    fsec = root.section("fixedpoint")
-    fixedpoint = FixedPointSettings()
-    if fsec is not None:
-        fixedpoint = FixedPointSettings(
-            iterations=fsec.get("iterations", int, 30),
-            gamma=fsec.get("gamma", float, 0.9),
-            tol_v=fsec.get("tol_v", float, 1e-6),
-            schedule=_parse_cooling(fsec.section("cooling"), 1e-3),
-        )
-        fsec.finish()
-        if not 0.0 <= fixedpoint.gamma < 1.0:
-            raise ConfigError("fixedpoint.gamma", "must be in [0, 1)")
-        if fixedpoint.iterations < 1:
-            raise ConfigError("fixedpoint.iterations", "must be >= 1")
-        if fixedpoint.tol_v <= 0.0:
-            raise ConfigError("fixedpoint.tol_v", "must be positive")
-
-    e1sec = root.section("exp1")
-    exp1 = Exp1Settings()
-    if e1sec is not None:
-        e1sec.seen.add("starts")
-        raw_starts = e1sec.data.get("starts")
-        if raw_starts is not None:
-            if not isinstance(raw_starts, list) or not raw_starts:
-                raise ConfigError("exp1.starts", "expected a non-empty array of points")
-            starts = tuple(
-                _coerce(s, "floats", f"exp1.starts[{i}]") for i, s in enumerate(raw_starts)
-            )
-            exp1 = Exp1Settings(starts=starts)
-        e1sec.finish()
-
-    e2sec = root.section("exp2")
-    exp2 = Exp2Settings()
-    if e2sec is not None:
-        exp2 = Exp2Settings(
-            start=e2sec.get("start", "floats", (9.7, 3.9)),
-            radii=e2sec.get("radii", "ints", (1, 2, 3, 4, 5)),
-            max_cycles=e2sec.get("max_cycles", int, 200),
-        )
-        e2sec.finish()
-        if any(r < 1 for r in exp2.radii):
-            raise ConfigError("exp2.radii", "radii must be >= 1")
+    last_node = tuple(grid.theta(tuple(n - 1 for n in grid.shape)))
+    walk = _build(WalkSettings, root.section("walk"), start=last_node)
+    fixedpoint = _build(FixedPointSettings, root.section("fixedpoint"))
+    exp1 = _build(Exp1Settings, root.section("exp1"))
+    exp2 = _build(Exp2Settings, root.section("exp2"))
 
     root.finish()
     return RunConfig(

@@ -98,7 +98,7 @@ def discounted_power_sum(
     return acc
 
 
-def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v):
+def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule):
     """The fixed-point map shared by both entry points, validated up front.
 
     Returns (members, V_0 = Rhat, steps), where steps yields
@@ -108,8 +108,6 @@ def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
-    if tol_v <= 0.0:
-        raise ValueError("tol_v must be positive")
     states = neighborhood.members
     if not states:
         raise ValueError("empty neighborhood")
@@ -144,7 +142,9 @@ def value_fixed_point(
     each step's inverse temperature, and stops when the sup-norm change
     drops below tol_v or max_j iterations have run (converged=False then).
     """
-    states, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v)
+    if tol_v <= 0.0:
+        raise ValueError("tol_v must be positive")
+    states, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule)
     v, history, converged = rhat, [], False
     for _, v, delta in itertools.islice(steps, max_j):
         history.append(delta)
@@ -164,14 +164,13 @@ def fixed_point_iterates(
     gamma: float,
     schedule: CoolingSchedule,
     n_iters: int,
-    tol_v: float = 1e-6,
 ):
     """All iterates V_0 .. V_{n_iters} plus per-step sup deltas and betas.
 
     Same map as value_fixed_point but runs a fixed number of iterations and
     keeps every iterate, for the 1-d demonstration exports.
     """
-    _, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule, tol_v)
+    _, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule)
     steps = list(itertools.islice(steps, n_iters))
     iterates = [rhat] + [v for _, v, _ in steps]
     deltas = [delta for _, _, delta in steps]

@@ -1,29 +1,11 @@
-import csv
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from mesopt.geometry import AirfoilSpec, ReducedParsecSide, build_airfoil, eval_side
+from mesopt.geometry import ReducedParsecSide, eval_side
 from mesopt.objectives import SyntheticValleyObjective, reward_R1
 from mesopt.stokes import EvaluationProfile
-
-
-def read_rows(path):
-    with open(path) as fh:
-        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
-
-
-def test_shape_csv_export(tmp_path):
-    shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 33)
-    up, lo = tmp_path / "upper.csv", tmp_path / "lower.csv"
-    shape.write_csv(up, lo)
-    rows_up = read_rows(up)
-    rows_lo = read_rows(lo)
-    assert len(rows_up) == len(rows_lo) == 33
-    assert set(rows_up[0]) == {"x", "z"}
-    assert float(rows_up[-1]["z"]) == pytest.approx(0.3)
-    assert float(rows_lo[0]["z"]) == 0.0
 
 
 def test_three_root_side_zeros():

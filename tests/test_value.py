@@ -213,7 +213,7 @@ def test_property_iterates_inside_discounted_range(inputs, n_iters):
 @given(fixed_point_inputs(), st.integers(0, 4), st.sampled_from([1e-6, 1e-2, 1.0]))
 def test_property_both_fixed_point_entries_share_iterates(inputs, max_j, tol_v):
     rhat, n, actions, gamma, schedule = inputs
-    iterates, deltas, _ = fixed_point_iterates(rhat, n, actions, gamma, schedule, max_j, tol_v)
+    iterates, deltas, _ = fixed_point_iterates(rhat, n, actions, gamma, schedule, max_j)
     table = value_fixed_point(rhat, n, actions, gamma, schedule, tol_v=tol_v, max_j=max_j)
     k = table.iterations
     assert table.history == deltas[:k]
