@@ -20,7 +20,7 @@ from . import __version__
 from .csvio import write_csv
 from .geometry import GeometryError
 from .grid import ActionSet, GridError, ParameterGrid, make_neighborhood
-from .metropolis import hitting_time_experiment
+from .metropolis import NoUniqueArgmin, hitting_time_experiment
 from .objectives import BACKENDS, CountingObjective, StokesObjective
 from .reduction import OptimizationTrace, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
@@ -49,9 +49,7 @@ def dim_names(d: int) -> list[str]:
 def build_backend(cfg: RunConfig) -> CountingObjective:
     backend = BACKENDS[cfg.backend]
     if backend is StokesObjective:
-        return StokesObjective(
-            cfg.channel, e=cfg.airfoil_e, n_shape_samples=cfg.n_shape_samples, grid=cfg.grid
-        )
+        return StokesObjective(cfg.channel, grid=cfg.grid)
     return backend()
 
 
@@ -211,16 +209,19 @@ def cmd_walk(cfg: RunConfig, out: Path) -> int:
 
     stats = {}
     for mode in ("fixed", "free"):
-        stats[mode] = hitting_time_experiment(
-            values,
-            grid,
-            start,
-            mode,
-            n_walks=cfg.walk.n_walks,
-            seed=cfg.seed,
-            max_steps=cfg.walk.max_steps,
-            t0=cfg.walk.t0,
-        )
+        try:
+            stats[mode] = hitting_time_experiment(
+                values,
+                grid,
+                start,
+                mode,
+                n_walks=cfg.walk.n_walks,
+                seed=cfg.seed,
+                max_steps=cfg.walk.max_steps,
+                t0=cfg.walk.t0,
+            )
+        except NoUniqueArgmin as exc:  # the grid and objective give the walk no target
+            raise ConfigError("walk", str(exc)) from None
     write_csv(
         out / "walks.csv",
         ["mode", "walk_id", "steps", "hit"],
@@ -267,8 +268,7 @@ def _local_argmins(vals: np.ndarray) -> list[int]:
 
 def cmd_fixedpoint(cfg: RunConfig, out: Path) -> int:
     if cfg.backend != "fictitious-1d":
-        print("config error: fixedpoint requires the fictitious-1d backend", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("backend", "fixedpoint requires the fictitious-1d backend")
     backend = build_backend(cfg)
     grid = cfg.grid
     # One neighborhood spanning the whole 1-d grid.
@@ -323,6 +323,9 @@ def _box_sequence(trace: OptimizationTrace) -> str:
 
 def cmd_exp1(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid
+    if any(len(s) != grid.d for s in cfg.exp1.starts):
+        # Checked here, not in parse_config: the default starts are 2-d.
+        raise ConfigError("exp1.starts", f"expected {grid.d} coordinates per start")
     rows = []
     for start_theta in cfg.exp1.starts:
         try:

@@ -90,6 +90,8 @@ class ParameterGrid:
             if abs(k - round(k)) > 1e-6 or not (lo - d * 1e-6 <= v <= hi + d * 1e-6):
                 raise GridError(f"value {v} is not a grid node of step {d} from {lo}")
             idx.append(int(round(k)))
+        if len(theta) != self.d:
+            raise GridError(f"point {tuple(theta)} has {len(theta)} coordinates on a {self.d}-d grid")
         return self.require(tuple(idx))
 
     def points(self):

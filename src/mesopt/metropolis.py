@@ -24,11 +24,16 @@ import numpy as np
 from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
 
 __all__ = [
+    "NoUniqueArgmin",
     "TransitionModel",
     "transition_matrix",
     "WalkStatistics",
     "hitting_time_experiment",
 ]
+
+
+class NoUniqueArgmin(ValueError):
+    """The values tie at their minimum, so a hitting-time walk has no target."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def hitting_time_experiment(
     ordered = sorted(values.items(), key=lambda kv: (kv[1], kv[0]))
     target, best = ordered[0]
     if len(ordered) > 1 and ordered[1][1] == best:
-        raise ValueError("objective has no unique global argmin on the grid")
+        raise NoUniqueArgmin("objective has no unique global argmin on the grid")
 
     d = grid.d
     switch_every = max(grid.shape)  # the longest grid side

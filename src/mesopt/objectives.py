@@ -116,9 +116,7 @@ class CountingObjective:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_envelope(
-    grid: ParameterGrid, channel: ChannelConfig, e: float, n_shape_samples: int
-) -> np.ndarray:
+def _grid_envelope(grid: ParameterGrid, channel: ChannelConfig) -> np.ndarray:
     """Strip cells that hold the solid faces of every blade on the grid.
 
     A node whose spec or fit is invalid is skipped: it raises at its own
@@ -131,7 +129,7 @@ def _grid_envelope(
         for p in grid.points():
             f, b = grid.theta(p)
             try:
-                yield build_airfoil(AirfoilSpec(f=f, b=b, e=e), n_shape_samples)
+                yield build_airfoil(AirfoilSpec(f=f, b=b, e=channel.airfoil_e), channel.n_shape_samples)
             except GeometryError:
                 continue
 
@@ -151,36 +149,29 @@ class StokesObjective(CountingObjective):
 
     d = 2
 
-    def __init__(
-        self,
-        channel: ChannelConfig,
-        e: float = 0.3,
-        n_shape_samples: int = 257,
-        grid: ParameterGrid | None = None,
-    ):
+    def __init__(self, channel: ChannelConfig, grid: ParameterGrid | None = None):
         super().__init__()
         self.channel = channel
-        self.e = e
-        self.n_shape_samples = n_shape_samples
         self.grid = grid
 
     def _components(self, theta):
         f, b = theta
-        shape = build_airfoil(AirfoilSpec(f=f, b=b, e=self.e), self.n_shape_samples)
+        channel = self.channel
+        shape = build_airfoil(AirfoilSpec(f=f, b=b, e=channel.airfoil_e), channel.n_shape_samples)
         envelope = None
         if self.grid is not None:
-            envelope = _grid_envelope(self.grid, self.channel, self.e, self.n_shape_samples)
-        field = solve_stokes(shape, self.channel, envelope=envelope)
+            envelope = _grid_envelope(self.grid, channel)
+        field = solve_stokes(shape, channel, envelope=envelope)
         if not field.converged:
             raise FlowError(
-                f"solve missed solver_tol {self.channel.solver_tol:g} after "
-                f"{self.channel.max_iters} refinements (residual {field.residual:.3e})"
+                f"solve missed solver_tol {channel.solver_tol:g} after "
+                f"{channel.max_iters} refinements (residual {field.residual:.3e})"
             )
-        profile = sample_line(field, self.channel)
+        profile = sample_line(field, channel)
         arrays = (field.u1, field.u2, field.p, profile.u1, profile.u2)
         if not all(np.isfinite(a).all() for a in arrays):
             raise FlowError("non-finite flow field or evaluation profile")
-        r1 = reward_R1(profile, variant=self.channel.reward_variant)
+        r1 = reward_R1(profile, variant=channel.reward_variant)
         r2 = reward_R2(profile)
         return r1, r2, r1 + r2
 

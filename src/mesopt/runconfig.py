@@ -97,8 +97,6 @@ class RunConfig:
     optimizer: OptimizerConfig
     start: tuple[float, ...]
     channel: ChannelConfig
-    airfoil_e: float
-    n_shape_samples: int
     walk: WalkSettings
     fixedpoint: FixedPointSettings
     exp1: Exp1Settings
@@ -216,10 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
     if len(optimizer.initial_radii) != grid.d:
         raise ConfigError("optimizer.initial_radii", f"expected {grid.d} radii")
 
-    csec = root.section("channel")
-    airfoil_e = csec.get("airfoil_e", float, 0.3)
-    n_shape_samples = csec.get("n_shape_samples", int, 257)
-    channel = _build(ChannelConfig, csec)
+    channel = _build(ChannelConfig, root.section("channel"))
     if len(channel.inflow) != 2:
         raise ConfigError("channel.inflow", "expected [u_in, w_in]")
 
@@ -237,8 +232,6 @@ def parse_config(raw: dict) -> RunConfig:
         optimizer=optimizer,
         start=start,
         channel=channel,
-        airfoil_e=airfoil_e,
-        n_shape_samples=n_shape_samples,
         walk=walk,
         fixedpoint=fixedpoint,
         exp1=exp1,

@@ -9,33 +9,33 @@ location falls inside the airfoil band.  With unit viscosity the velocity
 solution is independent of viscosity under these boundary conditions, so
 none is exposed.
 
-The discrete saddle system (momentum + continuity) is solved directly,
-followed by iterative refinement against the whole system until the
-relative residual drops below ``solver_tol``; continuity therefore holds to
-machine precision, far below the 1e-6 * |inflow| divergence contract.
+The discrete saddle system is (A0 + diag(K*chi)) x = b with
 
-The blade enters the system only as a diagonal term on its solid faces, so
-the direct solve is substructured.  The strip is a set of cells that holds
-every solid face; all other cells form the exterior, whose equations are
-the same for every blade.  Given the blades a run can visit (the
-``blade_envelope`` of a parameter grid's nodes), the strip is exactly the
-cells with a solid u or w face for one of them, and the rows above and
-below every blade join the exterior; otherwise it is every cell column
-that touches the chord band, plus one on either side.  Once per channel
-geometry (Lx, Lz, nx, nz and leading_edge_x) and strip, on its first
-solve, the exterior block is factored with sparse LU and its effect on the
-strip is condensed into a dense correction on the few strip unknowns that
-touch it; one set-up is kept, whatever the inflow.  The exterior solve of
-the right-hand side b depends on no shape either, so the set-up keeps one
-per inflow.  Each blade then costs one sparse LU of the strip's Schur
-complement and a strip and an exterior triangular solve.  At 96x72
-(Lz = 6, the 26x26 grid of ``configs/stokes_optimize.json``) the envelope
-holds 2,073 strip unknowns and 259 interface unknowns against 5,832 and
-360 for the column strip, and a solve took about 65 ms against 160 ms
-before the exterior solve of b was kept, which takes about 9 ms more off
-every solve; at 192x96 (Lz = 3, the ``configs/stokes_landscape.json`` grid, whose
-thick blades fill most of the period) 10,035 against 14,688 unknowns and
-about 0.42 s against 0.55 s.
+    A0 = [[Lu, 0, Gx], [0, Lw, Gz], [-Gx^T, -Gz^T, 0]],
+
+built from 1-d stencils by Kronecker products: Lu and Lw are the x second
+difference with the inflow and outflow ghosts folded into its boundary rows
+plus the periodic z second difference, G is the pressure gradient with the
+outflow pressure pinned, and continuity is -G^T.  The inflow enters only b.
+It is solved directly, followed by iterative refinement against the whole
+system until the relative residual drops below ``solver_tol``; continuity
+therefore holds to machine precision, far below the 1e-6 * |inflow|
+divergence contract.
+
+The blade enters the system only as a diagonal term on its solid faces
+(``_solid_faces``, the one rule for which faces are solid), so the direct
+solve is substructured.  The strip is a set of cells that holds every solid
+face; all other cells form the exterior, whose equations are the same for
+every blade.  A solve takes its strip as ``envelope``: the
+``blade_envelope`` of the blades a run can visit, or by default every cell
+column that touches the chord band plus one on either side.  Once per grid
+(nx, nz, dx, dz) and strip, on its first solve, the exterior block is
+factored with sparse LU and its effect on the strip is condensed into a
+dense correction on the few strip unknowns that touch it; one set-up is
+kept, whatever the inflow, along with the exterior solve of b for each
+inflow.  Each blade then costs one sparse LU of the strip's Schur
+complement and a strip and an exterior triangular solve.  README's notes on
+the solver give the sizes and timings.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AirfoilShape
+from .geometry import AirfoilShape, AirfoilSpec
 
 __all__ = [
     "FlowError",
@@ -68,7 +68,7 @@ class FlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel geometry, inflow, discretization, and solver knobs."""
+    """Channel geometry, inflow, discretization, solver knobs and the blade's sampling."""
 
     Lx: float = 4.0
     Lz: float = 2.0
@@ -81,6 +81,8 @@ class ChannelConfig:
     solver_tol: float = 1e-8
     max_iters: int = 50
     reward_variant: str = "ratio"  # "ratio" (canonical) or "magnitude" (sqrt denominator)
+    airfoil_e: float = AirfoilSpec.e  # camber amplitude of every blade
+    n_shape_samples: int = 257  # surface samples per blade
 
     def __post_init__(self):
         if self.Lx <= 0 or self.Lz <= 0:
@@ -202,35 +204,33 @@ def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
         raise FlowError("airfoil chord extends past the outflow boundary")
 
 
+def _solid_faces(shape: AirfoilShape, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(chi_u, chi_w), each (nx, nz): the u and w faces ``solid_mask`` selects.
+
+    The one rule for which faces a blade makes solid; it first runs the
+    channel fit check.
+    """
+    _check_fit(shape, config)
+    xu, xw = _face_x(config)
+    chi_u = solid_mask(shape, config, xu[:, None], config.z_centers()[None, :])
+    chi_w = solid_mask(shape, config, xw[:, None], config.z_faces()[None, :])
+    return chi_u, chi_w
+
+
 def blade_envelope(shapes: Iterable[AirfoilShape], config: ChannelConfig) -> np.ndarray:
     """Cells, (nx, nz), with a solid u or w face for at least one of the blades.
 
-    Exactly the union over the blades of the faces ``solid_mask`` selects
-    (a cell owns its east u face and its w face), evaluated on the chord
-    columns for all blades at once.  A blade that fails the channel fit
-    check is skipped, since its own solve raises.  Only each blade's
-    surface heights at the chord faces are kept, so ``shapes`` may be a
-    generator.
+    A cell owns its east u face and its w face.  A blade that fails the
+    channel fit check is skipped, since its own solve raises.  ``shapes``
+    may be a generator.
     """
-    xu, xw = _face_x(config)
-    (xc_u, on_u), (xc_w, on_w) = _chord_coordinate(config, xu), _chord_coordinate(config, xw)
-    xq = np.concatenate([xc_u[on_u], xc_w[on_w]])
-    lower, upper = [], []
+    cells = np.zeros((config.nx, config.nz), dtype=bool)
     for shape in shapes:
         try:
-            _check_fit(shape, config)
+            chi_u, chi_w = _solid_faces(shape, config)
         except FlowError:
             continue
-        lower.append(shape.interp_lower(xq))
-        upper.append(shape.interp_upper(xq))
-    cells = np.zeros((config.nx, config.nz), dtype=bool)
-    if not lower:
-        return cells
-    z_lo, z_up = np.array(lower), np.array(upper)
-    columns = np.concatenate([np.flatnonzero(on_u), np.flatnonzero(on_w)])
-    heights = [config.z_centers()] * int(on_u.sum()) + [config.z_faces()] * int(on_w.sum())
-    for k, (i, z) in enumerate(zip(columns, heights)):
-        cells[i] |= _in_band(z, z_lo[:, k, None], z_up[:, k, None], config.Lz).any(axis=0)
+        cells |= chi_u | chi_w
     return cells
 
 
@@ -244,10 +244,7 @@ def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.
     d = np.zeros(3 * n)
     if shape is None:
         return d
-    _check_fit(shape, config)
-    xu, xw = _face_x(config)
-    chi_u = solid_mask(shape, config, xu[:, None], config.z_centers()[None, :])
-    chi_w = solid_mask(shape, config, xw[:, None], config.z_faces()[None, :])
+    chi_u, chi_w = _solid_faces(shape, config)
     if not (chi_u.any() or chi_w.any()):
         raise FlowError(
             f"the solid mask selects no face: the blade is invisible to a "
@@ -258,95 +255,40 @@ def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.
     return d
 
 
-def _assemble(config: ChannelConfig):
-    """Sparse system (A0, b) of the Stokes equations in the empty channel.
+def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
+    """A0 = [[Lu, 0, Gx], [0, Lw, Gz], [-Gx^T, -Gz^T, 0]], the empty channel's operator.
 
-    A blade adds ``_brinkman_diagonal`` to A0's diagonal and leaves b as it is.
+    Lu and Lw are -laplacians, G the pressure gradient; continuity is -G^T.
+    A blade adds ``_brinkman_diagonal`` to A0's diagonal; the inflow enters
+    only ``_rhs``.
     """
-    return _matrix(config), _rhs(config)
-
-
-def _matrix(channel: _Channel | ChannelConfig) -> sp.csc_matrix:
-    """A0, which reads only the grid (nx, nz, dx, dz) and not the inflow."""
-    nx, nz = channel.nx, channel.nz
-    dx, dz = channel.dx, channel.dz
-
-    n_u = nx * nz       # u faces i=1..nx
-    n_w = nx * nz       # w faces i=0..nx-1, periodic in j
-    n_p = nx * nz
-
-    def iu(i, j):  # i in 1..nx
-        return (i - 1) * nz + j
-
-    def iw(i, j):  # i in 0..nx-1
-        return n_u + i * nz + j
-
-    def ip(i, j):
-        return n_u + n_w + i * nz + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(v, r.shape).ravel().astype(float))
-
-    J = np.arange(nz)
-    jp = (J + 1) % nz
-    jm = (J - 1) % nz
     idx2, idz2 = 1.0 / dx**2, 1.0 / dz**2
 
-    # --- u momentum, faces i = 1..nx ---
-    for i in range(1, nx + 1):
-        r = iu(i, J)
-        add(r, r, 2.0 * idx2 + 2.0 * idz2)
-        add(r, iu(i, jp), -idz2)
-        add(r, iu(i, jm), -idz2)
-        if i == nx:
-            # ghost u[nx+1] = u[nx-1] (zero gradient at outflow)
-            add(r, iu(nx - 1, J), -2.0 * idx2)
-            add(r, ip(nx - 1, J), -1.0 / dx)  # outflow pressure pinned to 0
-        else:
-            add(r, iu(i + 1, J), -idx2)
-            if i - 1 >= 1:  # else u[0] is the Dirichlet inflow face, in b
-                add(r, iu(i - 1, J), -idx2)
-            add(r, ip(i, J), 1.0 / dx)
-            add(r, ip(i - 1, J), -1.0 / dx)
+    # The u, w and p blocks each run over (column, row).  format="csr" keeps
+    # kron from storing a small stencil as dense blocks with explicit zeros.
+    def along_x(m):
+        return sp.kron(m, sp.identity(nz), format="csr")
 
-    # --- w momentum, faces i = 0..nx-1 ---
-    for i in range(nx):
-        r = iw(i, J)
-        if i == 0:
-            diag_x = 3.0 * idx2  # ghost w[-1] = 2*w_in - w[0]
-        elif i == nx - 1:
-            diag_x = 1.0 * idx2  # ghost w[nx] = w[nx-1]
-        else:
-            diag_x = 2.0 * idx2
-        add(r, r, diag_x + 2.0 * idz2)
-        add(r, iw(i, jp), -idz2)
-        add(r, iw(i, jm), -idz2)
-        if i + 1 <= nx - 1:
-            add(r, iw(i + 1, J), -idx2)
-        if i - 1 >= 0:
-            add(r, iw(i - 1, J), -idx2)
-        add(r, ip(i, J), 1.0 / dz)
-        add(r, ip(i, jm), -1.0 / dz)
+    def along_z(m):
+        return sp.kron(sp.identity(nx), m, format="csr")
 
-    # --- continuity per cell ---
-    for i in range(nx):
-        r = ip(i, J)
-        add(r, iu(i + 1, J), 1.0 / dx)
-        if i >= 1:
-            add(r, iu(i, J), -1.0 / dx)
-        add(r, iw(i, jp), 1.0 / dz)
-        add(r, iw(i, J), -1.0 / dz)
-
-    n = n_u + n_w + n_p
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    return A
+    # -d2/dx2 on u faces i = 1..nx: u[0] is the Dirichlet inflow face (in b),
+    # and the outflow ghost u[nx+1] = u[nx-1] doubles the last row's neighbour.
+    xx_u = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nx, nx), format="lil")
+    xx_u[nx - 1, nx - 2] = -2.0
+    # -d2/dx2 on w faces i = 0..nx-1: ghosts w[-1] = 2*w_in - w[0] and w[nx] = w[nx-1].
+    xx_w = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nx, nx), format="lil")
+    xx_w[0, 0], xx_w[nx - 1, nx - 1] = 3.0, 1.0
+    # Periodic -d2/dz2.
+    zz = sp.diags([-1.0, -1.0, 2.0, -1.0, -1.0], [1 - nz, -1, 0, 1, nz - 1], shape=(nz, nz))
+    lap_z = along_z(zz * idz2)
+    lu = along_x(xx_u * idx2) + lap_z
+    lw = along_x(xx_w * idx2) + lap_z
+    # u face i lies between cells i-1 and i, with the outflow pressure p[nx]
+    # pinned to 0; w face j between rows j-1 and j (periodic).
+    gx = along_x(sp.diags([-1.0, 1.0], [0, 1], shape=(nx, nx)) * (1.0 / dx))
+    gz = along_z(sp.diags([1.0, -1.0, -1.0], [0, -1, nz - 1], shape=(nz, nz)) * (1.0 / dz))
+    return sp.bmat([[lu, None, gx], [None, lw, gz], [-gx.T, -gz.T, None]], format="csc")
 
 
 def _rhs(config: ChannelConfig) -> np.ndarray:
@@ -367,12 +309,12 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
 _CHUNK = 64
 
 
-def _column_strip(channel: _Channel | ChannelConfig) -> np.ndarray:
+def _column_strip(config: ChannelConfig) -> np.ndarray:
     """Cells, (nx, nz), of every column with a face in the chord band plus one on either side."""
-    xu, xw = _face_x(channel)
-    on_band = _chord_coordinate(channel, xu)[1] | _chord_coordinate(channel, xw)[1]
+    xu, xw = _face_x(config)
+    on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
     in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
-    return np.repeat(in_strip[:, None], channel.nz, axis=1)
+    return np.repeat(in_strip[:, None], config.nz, axis=1)
 
 
 class _Substructure:
@@ -387,8 +329,8 @@ class _Substructure:
     Schur complement.
     """
 
-    def __init__(self, channel: _Channel | ChannelConfig, cells: np.ndarray):
-        self.A = _matrix(channel)
+    def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
+        self.A = _matrix(*grid)
         # The u, w and p blocks of the unknowns each run over (column, row).
         in_strip = np.tile(cells.ravel(), 3)
         self.strip = np.flatnonzero(in_strip)
@@ -420,7 +362,7 @@ class _Substructure:
     def rhs(self, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
         """b for the config's inflow and its exterior solve, made once per inflow.
 
-        b depends only on the channel, which keys this set-up, and the inflow.
+        b depends only on the grid, which keys this set-up, and the inflow.
         """
         b, key = _rhs(config), tuple(config.inflow)
         y = self._exterior_b.get(key)
@@ -447,40 +389,14 @@ class _Substructure:
         return solve
 
 
-@dataclass(frozen=True)
-class _Channel:
-    """The ChannelConfig fields the shape-free set-up reads.
-
-    It keys the set-up cache, so configs that differ only in inflow,
-    penalization or solver knobs share one substructure.
-    """
-
-    Lx: float
-    Lz: float
-    nx: int
-    nz: int
-    leading_edge_x: float
-
-    @property
-    def dx(self) -> float:
-        return self.Lx / self.nx
-
-    @property
-    def dz(self) -> float:
-        return self.Lz / self.nz
-
-
 @functools.lru_cache(maxsize=1)
-def _substructure(channel: _Channel | ChannelConfig, cells: bytes | None = None) -> _Substructure:
-    """The last set-up: a channel and its strip cells (packed; None for the column strip)."""
-    if cells is None:
-        mask = _column_strip(channel)
-    else:
-        mask = np.frombuffer(cells, dtype=bool).reshape(channel.nx, channel.nz)
-    return _Substructure(channel, mask)
+def _substructure(grid: tuple[int, int, float, float], cells: bytes) -> _Substructure:
+    """The last set-up: the grid (nx, nz, dx, dz) ``_matrix`` reads and the packed strip cells."""
+    nx, nz = grid[:2]
+    return _Substructure(grid, np.frombuffer(cells, dtype=bool).reshape(nx, nz))
 
 
-def _check_inside(shape: AirfoilShape, d: np.ndarray, envelope: np.ndarray) -> None:
+def _check_inside(shape: AirfoilShape | None, d: np.ndarray, envelope: np.ndarray) -> None:
     """Raise ValueError when the blade has a solid face outside the strip cells."""
     n = envelope.size
     outside = ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)) & ~envelope.ravel()
@@ -499,22 +415,16 @@ def solve_stokes(
 
     ``envelope`` is the strip, an (nx, nz) cell mask such as
     ``blade_envelope`` returns, and must hold every solid face of the blade
-    (ValueError otherwise); without it the strip is every cell column that
-    touches the chord band.
+    (ValueError otherwise); it defaults to ``_column_strip``, every cell
+    column that touches the chord band plus one on either side.
     """
     nx, nz = config.nx, config.nz
     d = _brinkman_diagonal(shape, config)
-    cells = None
-    if envelope is not None:
-        envelope = np.asarray(envelope, dtype=bool)
-        if envelope.shape != (nx, nz):
-            raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
-        if shape is not None:
-            _check_inside(shape, d, envelope)
-        cells = envelope.tobytes()
-    sub = _substructure(
-        _Channel(config.Lx, config.Lz, config.nx, config.nz, config.leading_edge_x), cells
-    )
+    envelope = _column_strip(config) if envelope is None else np.asarray(envelope, dtype=bool)
+    if envelope.shape != (nx, nz):
+        raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
+    _check_inside(shape, d, envelope)
+    sub = _substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
     A, solve = sub.A + sp.diags(d), sub.factor(d)
     b, y_b = sub.rhs(config)
     x = solve(b, y_b)

@@ -233,7 +233,7 @@ def test_criterion_07_channel_landscape():
     # e * (f - 2) to both sides, so the bisector is horizontal where
     # e * (f - 2) = (b - 1)(c_up + c_lo)/2, with c_lo the lower side's signed
     # coefficient; for the documented airfoil f = 2 - (b - 1)(c_lo - c_up)/(2e).
-    spec = AirfoilSpec(f=float(fs[0]), b=float(bs[0]), e=obj.e)
+    spec = AirfoilSpec(f=float(fs[0]), b=float(bs[0]), e=sweep_cfg.airfoil_e)
     c_sum = spec.upper_side().leading_coeff + spec.lower_side().leading_coeff
     f_flat = 2.0 + (spec.b - 1.0) * c_sum / (2.0 * spec.e)
     f_exp, b_exp = float(fs[np.argmin(np.abs(fs - f_flat))]), spec.b

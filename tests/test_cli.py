@@ -136,7 +136,7 @@ def test_blade_outside_the_envelope_propagates(tmp_path, monkeypatch):
     # the process exits 1.
     from mesopt import objectives
 
-    monkeypatch.setattr(objectives, "_grid_envelope", lambda grid, ch, e, n: np.zeros((ch.nx, ch.nz), bool))
+    monkeypatch.setattr(objectives, "_grid_envelope", lambda grid, ch: np.zeros((ch.nx, ch.nz), bool))
     doc = {
         "backend": "stokes",
         "grid": {"mins": [2.0, 2.0], "maxs": [2.1, 2.1], "steps": [0.1, 0.1]},
@@ -248,9 +248,27 @@ def test_fixedpoint_outputs(tmp_path):
     assert xs == [-2.0, -1.0, 1.0]
 
 
-def test_fixedpoint_requires_1d_backend(tmp_path):
+def test_fixedpoint_requires_1d_backend(tmp_path, capsys):
     cfg = write_cfg(tmp_path, VALLEY)
     assert main(["fixedpoint", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: backend: fixedpoint requires the fictitious-1d backend\n"
+
+
+def test_walk_without_a_unique_argmin_is_a_config_error(tmp_path, capsys):
+    # The three wells of the fictitious objective all reach 0 on the grid.
+    cfg = write_cfg(tmp_path, FICTITIOUS)
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: walk: objective has no unique global argmin on the grid\n"
+    assert not (tmp_path / "o" / "walks.csv").exists()
+
+
+def test_exp1_start_of_the_wrong_dimension_is_a_config_error(tmp_path, capsys):
+    # exp1's default starts are 2-d; on a 1-d grid each once became a row
+    # with two start columns under a one-column header.
+    cfg = write_cfg(tmp_path, FICTITIOUS)
+    assert main(["exp1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: exp1.starts: expected 1 coordinates per start\n"
+    assert not (tmp_path / "o" / "exp1.csv").exists()
 
 
 def test_exp1_table(tmp_path):
@@ -334,3 +352,24 @@ def test_unconverged_solve_is_a_backend_failure(tmp_path):
     trace = json.loads((tmp_path / "o" / "trace.json").read_text())
     assert trace["terminated_reason"] == "error"
     assert trace["error"].startswith("FlowError: solve missed solver_tol")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: Exit code of each command on the shipped configs that run in seconds.
+SMOKE_EXIT_CODES = {
+    "valley.json": {"optimize": 0, "landscape": 0, "walk": 0, "fixedpoint": 2, "exp1": 0, "exp2": 2},
+    "valley_exp2.json": {"optimize": 0, "landscape": 0, "walk": 0, "fixedpoint": 2, "exp1": 0, "exp2": 0},
+    "fictitious.json": {"optimize": 0, "landscape": 0, "walk": 2, "fixedpoint": 0, "exp1": 2, "exp2": 2},
+}
+
+
+@pytest.mark.parametrize("config", sorted(SMOKE_EXIT_CODES))
+def test_every_command_exits_with_a_documented_code(tmp_path, config):
+    # Each command returns one of the codes the CLI documents and raises
+    # nothing, whatever the config's backend and dimension.
+    codes = {}
+    for command in sorted(SMOKE_EXIT_CODES[config]):
+        codes[command] = main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / command)])
+        assert codes[command] in (0, 2, 3, 4)
+    assert codes == SMOKE_EXIT_CODES[config]

@@ -54,7 +54,7 @@ def test_section_extras_and_grid_dependent_defaults():
     cfg = parse_config(BASE)
     assert cfg.start == (2.0, 2.0)
     assert cfg.walk.start == (4.0, 4.0)
-    assert (cfg.airfoil_e, cfg.n_shape_samples) == (0.3, 257)
+    assert (cfg.channel.airfoil_e, cfg.channel.n_shape_samples) == (0.3, 257)
     one_d = parse_config({"backend": "fictitious-1d", "grid": {"mins": [-3.0], "maxs": [2.0], "steps": [0.05]}})
     assert one_d.optimizer.initial_radii == (3,)
     assert one_d.start == (2.0,)

@@ -36,6 +36,14 @@ def test_index_of_rejects_off_grid(grid2d):
         grid2d.index_of((0.0, 2.0))
 
 
+def test_index_of_rejects_a_wrong_number_of_coordinates(grid2d):
+    line = ParameterGrid(mins=(-3.0,), maxs=(2.0,), steps=(0.05,))
+    with pytest.raises(GridError, match="2 coordinates on a 1-d grid"):
+        line.index_of((1.0, 99.0))  # once read as (80,), dropping 99.0
+    with pytest.raises(GridError, match="1 coordinates on a 2-d grid"):
+        grid2d.index_of((2.0,))
+
+
 def test_interior_neighborhood_counts(grid2d):
     # 7x7 box
     n = make_neighborhood(grid2d, center=(10, 10), radii=(3, 3))

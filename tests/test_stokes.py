@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mesopt import stokes
@@ -160,7 +160,7 @@ def test_property_substructured_solve_matches_direct_lu(f, b):
     # The strip/exterior solve against one sparse LU of the whole system.
     cfg = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
     shape = build_airfoil(AirfoilSpec(f=f, b=b), 257)
-    A0, rhs = stokes._assemble(cfg)
+    A0, rhs = stokes._matrix(cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._rhs(cfg)
     direct = spla.splu((A0 + sp.diags(stokes._brinkman_diagonal(shape, cfg))).tocsc()).solve(rhs)
     field = solve_stokes(shape, cfg)
     assert field.converged
@@ -202,7 +202,8 @@ def test_blade_at_inflow_face_solves():
     # lies upstream of it.
     cfg = ChannelConfig(leading_edge_x=0.0, **SMALL)
     field = solve_stokes(build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257), cfg)
-    assert stokes._substructure(cfg).strip[0] == 0
+    sub = stokes._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._column_strip(cfg).tobytes())
+    assert sub.strip[0] == 0
     assert field.converged
     assert np.abs(field.divergence(cfg)).max() <= 1e-6 * np.hypot(*cfg.inflow)
 
@@ -288,3 +289,98 @@ def test_refinements_count_the_passes_taken(small_airfoil_field):
     shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
     strict = ChannelConfig(solver_tol=1e-300, max_iters=3, **SMALL)
     assert solve_stokes(shape, strict).refinements == 3
+
+
+def _loop_matrix(nx, nz, dx, dz):
+    """A0 assembled row block by row block, one cell column at a time.
+
+    The operator's definition written out stencil entry by stencil entry:
+    u momentum on faces i = 1..nx, w momentum on faces i = 0..nx-1 (periodic
+    in j), then continuity per cell.
+    """
+    n_u = n_w = n_p = nx * nz
+
+    def iu(i, j):  # i in 1..nx
+        return (i - 1) * nz + j
+
+    def iw(i, j):  # i in 0..nx-1
+        return n_u + i * nz + j
+
+    def ip(i, j):
+        return n_u + n_w + i * nz + j
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, r.shape).ravel().astype(float))
+
+    J = np.arange(nz)
+    jp, jm = (J + 1) % nz, (J - 1) % nz
+    idx2, idz2 = 1.0 / dx**2, 1.0 / dz**2
+    for i in range(1, nx + 1):
+        r = iu(i, J)
+        add(r, r, 2.0 * idx2 + 2.0 * idz2)
+        add(r, iu(i, jp), -idz2)
+        add(r, iu(i, jm), -idz2)
+        if i == nx:
+            add(r, iu(nx - 1, J), -2.0 * idx2)  # ghost u[nx+1] = u[nx-1]
+            add(r, ip(nx - 1, J), -1.0 / dx)  # outflow pressure pinned to 0
+        else:
+            add(r, iu(i + 1, J), -idx2)
+            if i - 1 >= 1:  # else u[0] is the Dirichlet inflow face, in b
+                add(r, iu(i - 1, J), -idx2)
+            add(r, ip(i, J), 1.0 / dx)
+            add(r, ip(i - 1, J), -1.0 / dx)
+    for i in range(nx):
+        r = iw(i, J)
+        # ghosts w[-1] = 2*w_in - w[0] and w[nx] = w[nx-1]
+        diag_x = 3.0 * idx2 if i == 0 else 1.0 * idx2 if i == nx - 1 else 2.0 * idx2
+        add(r, r, diag_x + 2.0 * idz2)
+        add(r, iw(i, jp), -idz2)
+        add(r, iw(i, jm), -idz2)
+        if i + 1 <= nx - 1:
+            add(r, iw(i + 1, J), -idx2)
+        if i - 1 >= 0:
+            add(r, iw(i - 1, J), -idx2)
+        add(r, ip(i, J), 1.0 / dz)
+        add(r, ip(i, jm), -1.0 / dz)
+    for i in range(nx):
+        r = ip(i, J)
+        add(r, iu(i + 1, J), 1.0 / dx)
+        if i >= 1:
+            add(r, iu(i, J), -1.0 / dx)
+        add(r, iw(i, jp), 1.0 / dz)
+        add(r, iw(i, J), -1.0 / dz)
+    n = n_u + n_w + n_p
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsc()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 12), st.integers(4, 12), st.floats(0.5, 9.0), st.floats(0.5, 9.0))
+@example(96, 72, 4.0, 6.0)
+@example(192, 96, 4.0, 3.0)
+def test_property_kron_operator_is_the_loop_operator(nx, nz, Lx, Lz):
+    # The block operator from 1-d stencils stores exactly the loop's CSC
+    # arrays: same structure, same bits, no explicit zeros.
+    dx, dz = Lx / nx, Lz / nz
+    got, want = stokes._matrix(nx, nz, dx, dz), _loop_matrix(nx, nz, dx, dz)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_default_strip_is_the_column_strip():
+    # No envelope means the column strip: the same set-up and the same bits.
+    cfg = ChannelConfig(**SMALL)
+    shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
+    stokes._substructure.cache_clear()
+    default = solve_stokes(shape, cfg)
+    explicit = solve_stokes(shape, cfg, envelope=stokes._column_strip(cfg))
+    assert stokes._substructure.cache_info().misses == 1
+    np.testing.assert_array_equal(_stacked(default), _stacked(explicit))
+    assert default.residual == explicit.residual
