@@ -17,7 +17,6 @@ metric the optimizer is meant to minimize.
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class CountingObjective:
     d: int = 2
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._calls = 0
 
     @property
@@ -96,16 +94,11 @@ class CountingObjective:
         return self._calls
 
     def reset_calls(self) -> None:
-        with self._lock:
-            self._calls = 0
-
-    def _tick(self) -> None:
-        with self._lock:
-            self._calls += 1
+        self._calls = 0
 
     def components(self, theta) -> tuple[float, float, float]:
         """(R1, R2, R) from one counted ground-truth evaluation."""
-        self._tick()
+        self._calls += 1
         return self._components(tuple(float(v) for v in theta))
 
     def __call__(self, theta) -> float:

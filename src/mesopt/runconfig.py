@@ -89,10 +89,10 @@ class Exp2Settings:
             raise ConfigError("exp2.radii", "radii must be >= 1")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    backend: str
-    seed: int
+    backend: str = "synthetic-valley"
+    seed: int = 0
     grid: ParameterGrid
     optimizer: OptimizerConfig
     start: tuple[float, ...]
@@ -197,10 +197,10 @@ def _build(cls, sec: _Section, **defaults):
 def parse_config(raw: dict) -> RunConfig:
     root = _Section(raw, "")
 
-    backend = root.get("backend", str, "synthetic-valley")
+    backend = root.get("backend", str, RunConfig.backend)
     if backend not in BACKENDS:
         raise ConfigError("backend", f"must be one of {', '.join(BACKENDS)}")
-    seed = root.get("seed", int, 0)
+    seed = root.get("seed", int, RunConfig.seed)
 
     if root.data.get("grid") is None:
         raise ConfigError("grid", "required section is missing")

@@ -33,9 +33,12 @@ column that touches the chord band plus one on either side.  Once per grid
 factored with sparse LU and its effect on the strip is condensed into a
 dense correction on the few strip unknowns that touch it; one set-up is
 kept, whatever the inflow, along with the exterior solve of b for each
-inflow.  Each blade then costs one sparse LU of the strip's Schur
-complement and a strip and an exterior triangular solve.  README's notes on
-the solver give the sizes and timings.
+inflow.  Each blade then factors the strip's Schur complement, either as
+a sparse LU or, when the set-up can afford a dense inverse on the strip's
+velocity unknowns, as a dense capacitance matrix on the blade's solid
+faces alone (``_Substructure`` gives the rule), and takes a strip and an
+exterior triangular solve.  README's notes on the solver give the sizes
+and timings.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -208,13 +212,17 @@ def _solid_faces(shape: AirfoilShape, config: ChannelConfig) -> tuple[np.ndarray
     """(chi_u, chi_w), each (nx, nz): the u and w faces ``solid_mask`` selects.
 
     The one rule for which faces a blade makes solid; it first runs the
-    channel fit check.
+    channel fit check.  Only face columns on the chord can be solid, so
+    ``solid_mask`` runs on those alone.
     """
     _check_fit(shape, config)
-    xu, xw = _face_x(config)
-    chi_u = solid_mask(shape, config, xu[:, None], config.z_centers()[None, :])
-    chi_w = solid_mask(shape, config, xw[:, None], config.z_faces()[None, :])
-    return chi_u, chi_w
+    faces = []
+    for x, z in zip(_face_x(config), (config.z_centers(), config.z_faces())):
+        on_chord = _chord_coordinate(config, x)[1]
+        chi = np.zeros((config.nx, config.nz), dtype=bool)
+        chi[on_chord] = solid_mask(shape, config, x[on_chord, None], z[None, :])
+        faces.append(chi)
+    return tuple(faces)
 
 
 def blade_envelope(shapes: Iterable[AirfoilShape], config: ChannelConfig) -> np.ndarray:
@@ -304,8 +312,8 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
     return b
 
 
-#: Interface columns eliminated per exterior solve while building the
-#: correction; bounds the dense block to n_exterior x _CHUNK floats.
+#: Right-hand sides per blocked solve while building the interface
+#: correction and G; bounds the dense block to n_exterior x _CHUNK floats.
 _CHUNK = 64
 
 
@@ -325,8 +333,18 @@ class _Substructure:
     other cells.  Only S carries Brinkman terms, so the exterior block
     A0[E, E] and the interface correction A0[S, E] A0[E, E]^-1 A0[E, S]
     (dense, nonzero only on the strip unknowns that touch E) do not depend
-    on the shape.  A shape then needs only a factorization of the strip's
-    Schur complement.
+    on the shape; nor does the strip's Schur complement S0 of the empty
+    channel.  A shape adds diag(d) on its solid faces F to S0, and
+    ``factor`` solves S0 + diag(d) in one of two ways:
+
+    - capacitance: S0 is factored once here, with G = S0^-1 restricted to
+      the strip's velocity unknowns V (the first |V| strip unknowns, as
+      they run u, w, p), and a blade factors only the dense m x m
+      capacitance matrix G[F, F] + diag(1/d_F), m = |F|;
+    - strip LU: each blade factors S0 + diag(d) with sparse LU.
+
+    G holds |V|^2 floats, so the capacitance path is taken only when that
+    is no more than the exterior LU already holds, |V|^2 <= nnz(L + U).
     """
 
     def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
@@ -340,7 +358,7 @@ class _Substructure:
         rows_S, rows_E = A_rows[self.strip], A_rows[self.exterior]
         self.A_SE = rows_S[:, self.exterior]
         self.A_ES = rows_E[:, self.strip].tocsc()
-        self.lu_E = spla.splu(rows_E[:, self.exterior].tocsc(), permc_spec="MMD_ATA")
+        self.lu_E = spla.splu(rows_E[:, self.exterior].tocsc(), permc_spec="COLAMD")
 
         # Strip unknowns the exterior couples to: nonempty rows of A_SE (CSR)
         # or columns of A_ES (CSC).
@@ -356,7 +374,20 @@ class _Substructure:
             (correction.ravel(), (np.repeat(iface, iface.size), np.tile(iface, iface.size))),
             shape=(self.strip.size, self.strip.size),
         )
-        self.strip_base = (rows_S[:, self.strip] - dense).tocsc()
+        strip_base = (rows_S[:, self.strip] - dense).tocsc()
+        del A_rows, rows_S, rows_E, correction, dense
+
+        n_v = 2 * int(cells.sum())
+        self.strip_base = self.lu_S = self.G = None
+        if n_v**2 <= self.lu_E.nnz:
+            self.lu_S = spla.splu(strip_base)
+            del strip_base
+            self.G = np.empty((n_v, n_v))
+            unit = sp.identity(self.strip.size, format="csc")[:, :n_v]
+            for k in range(0, n_v, _CHUNK):
+                self.G[:, k : k + _CHUNK] = self.lu_S.solve(unit[:, k : k + _CHUNK].toarray())[:n_v]
+        else:
+            self.strip_base = strip_base
         self._exterior_b = {}  # inflow -> lu_E.solve(b[E]), which no shape changes
 
     def rhs(self, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -376,13 +407,34 @@ class _Substructure:
         It takes r and, if the caller has it, y = lu_E.solve(r[E]).
         """
         S, E = self.strip, self.exterior
-        lu_S = spla.splu((self.strip_base + sp.diags(d[S])).tocsc())
+        d_S = d[S]
+        F = np.flatnonzero(d_S)
+        if self.G is None:
+            solve_S = spla.splu((self.strip_base + sp.diags(d_S)).tocsc()).solve
+        elif F.size == 0:
+            solve_S = self.lu_S.solve
+        else:
+            d_F = d_S[F]
+            C = self.G[np.ix_(F, F)]
+            C[np.diag_indices_from(C)] += 1.0 / d_F
+            # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
+            # then solves with C itself.
+            lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+
+            def solve_S(rS: np.ndarray) -> np.ndarray:
+                z = la.lu_solve(lu_C, self.lu_S.solve(rS)[F], trans=1, check_finite=False)
+                rS[F] -= z
+                x_S = self.lu_S.solve(rS)
+                # x_F = z / d_F exactly; recovering it by subtraction, as
+                # lu_S gives it, loses about log10(K) digits.
+                x_S[F] = z / d_F
+                return x_S
 
         def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
             if y is None:
                 y = self.lu_E.solve(r[E])
             x = np.empty_like(r)
-            x[S] = lu_S.solve(r[S] - self.A_SE @ y)
+            x[S] = solve_S(r[S] - self.A_SE @ y)
             x[E] = y - self.lu_E.solve(self.A_ES @ x[S])
             return x
 
@@ -425,16 +477,18 @@ def solve_stokes(
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
     _check_inside(shape, d, envelope)
     sub = _substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
-    A, solve = sub.A + sp.diags(d), sub.factor(d)
+    solve = sub.factor(d)
     b, y_b = sub.rhs(config)
     x = solve(b, y_b)
 
     scale = max(float(np.abs(b).max()), 1e-300)
-    residual = float(np.abs(b - A @ x).max()) / scale
+    r = b - sub.A @ x - d * x
+    residual = float(np.abs(r).max()) / scale
     refinements = 0
     while not residual <= config.solver_tol and refinements < config.max_iters:
-        x = x + solve(b - A @ x)
-        residual = float(np.abs(b - A @ x).max()) / scale
+        x = x + solve(r)
+        r = b - sub.A @ x - d * x
+        residual = float(np.abs(r).max()) / scale
         refinements += 1
 
     n_u = nx * nz

@@ -6,6 +6,7 @@ config reader.  Shipped configs parse, and the optimizer block a run echoes
 into ``trace.json`` reads back to the settings the run used.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from mesopt.runconfig import (
     Exp1Settings,
     Exp2Settings,
     FixedPointSettings,
+    RunConfig,
     WalkSettings,
     load_config,
     parse_config,
@@ -113,3 +115,12 @@ def test_off_grid_walk_start_costs_no_evaluation(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "config error: walk.start: value 9.0 is not a grid node of step 0.1 from 1.5\n"
     )
+
+
+def test_top_level_keys_default_to_the_field_default():
+    cfg = parse_config({"grid": BASE["grid"]})
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.default is not dataclasses.MISSING}
+    assert defaults == {"backend": "synthetic-valley", "seed": 0}
+    assert (cfg.backend, cfg.seed) == (defaults["backend"], defaults["seed"])
+    given = parse_config({"grid": BASE["grid"], "backend": "stokes", "seed": 7})
+    assert (given.backend, given.seed) == ("stokes", 7)

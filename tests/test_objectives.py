@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mesopt.objectives import (
     Fictitious1DObjective,
     StokesObjective,
     SyntheticValleyObjective,
+    _grid_envelope,
     fictitious_1d,
     reward_R1,
     reward_R2,
@@ -143,3 +146,25 @@ def test_unconverged_or_non_finite_solve_raises(monkeypatch):
     monkeypatch.setattr(objectives, "solve_stokes", nan_solve)
     with pytest.raises(FlowError, match="non-finite"):
         StokesObjective(ChannelConfig(nx=48, nz=24))((2.0, 2.0))
+
+
+def test_capacitance_solve_that_fails_raises(monkeypatch):
+    # The grid envelope at 48x36 takes the capacitance path; a solve that
+    # misses solver_tol or whose field turns non-finite is a FlowError.
+    from mesopt import stokes
+    from mesopt.grid import ParameterGrid
+    from mesopt.stokes import ChannelConfig, FlowError
+
+    grid = ParameterGrid((2.0, 2.0), (2.2, 2.2), (0.1, 0.1))
+    channel = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    strict = StokesObjective(dataclasses.replace(channel, solver_tol=1e-300, max_iters=1), grid=grid)
+    with pytest.raises(FlowError, match="solver_tol"):
+        strict((2.1, 2.1))
+    misses = stokes._substructure.cache_info().misses
+    sub = stokes._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel).tobytes())
+    assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
+    assert sub.G is not None
+
+    monkeypatch.setattr(stokes.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
+    with pytest.raises(FlowError, match="residual nan"):
+        StokesObjective(channel, grid=grid)((2.1, 2.1))

@@ -384,3 +384,92 @@ def test_default_strip_is_the_column_strip():
     assert stokes._substructure.cache_info().misses == 1
     np.testing.assert_array_equal(_stacked(default), _stacked(explicit))
     assert default.residual == explicit.residual
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36),
+        ChannelConfig(Lx=4.0, Lz=3.0, nx=48, nz=24),  # blades wrap the period
+        ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36, leading_edge_x=0.0),  # the chord starts at the inflow
+    ],
+    ids=["48x36", "48x24-wrap", "48x36-inflow"],
+)
+def test_solid_faces_are_the_all_column_mask(cfg):
+    # _solid_faces evaluates solid_mask on chord columns only; every blade
+    # of the grid, corners included, gets the mask of all columns.
+    grid = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.5, 0.5))
+    xu, xw = stokes._face_x(cfg)
+    for p in grid.points():
+        shape = build_airfoil(AirfoilSpec(*grid.theta(p)), 257)
+        chi_u, chi_w = stokes._solid_faces(shape, cfg)
+        np.testing.assert_array_equal(chi_u, solid_mask(shape, cfg, xu[:, None], cfg.z_centers()[None, :]))
+        np.testing.assert_array_equal(chi_w, solid_mask(shape, cfg, xw[:, None], cfg.z_faces()[None, :]))
+
+
+CAPACITANCE_CFG = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+CAPACITANCE_GRID = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.1, 0.1))
+
+
+@pytest.fixture(scope="module")
+def both_blade_solvers():
+    """Set-ups of one 48x36 channel on the grid's envelope and on the column strip."""
+    from mesopt.objectives import _grid_envelope
+
+    cfg = CAPACITANCE_CFG
+    grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
+    envelope = stokes._Substructure(grid, _grid_envelope(CAPACITANCE_GRID, cfg))
+    columns = stokes._Substructure(grid, stokes._column_strip(cfg))
+    return envelope, columns
+
+
+def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip(both_blade_solvers):
+    # G = S0^-1 on the strip's |V| velocity unknowns is built only when
+    # |V|^2 <= nnz(L + U) of the exterior LU.
+    envelope, columns = both_blade_solvers
+    for sub, capacitance in ((envelope, True), (columns, False)):
+        n_v = 2 * sub.strip.size // 3
+        assert (n_v**2 <= sub.lu_E.nnz) is capacitance
+        assert (sub.G is not None) is capacitance
+        assert (sub.strip_base is None) is capacitance
+    assert envelope.G.shape == (2 * envelope.strip.size // 3,) * 2
+    cfg = ChannelConfig(**SMALL)
+    small = stokes._Substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._column_strip(cfg))
+    assert small.G is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, CAPACITANCE_GRID.shape[0] - 1),
+    st.integers(0, CAPACITANCE_GRID.shape[1] - 1),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, 0, 0)
+@example(CAPACITANCE_GRID.shape[0] - 1, CAPACITANCE_GRID.shape[1] - 1, 1)
+def test_property_capacitance_and_strip_lu_solves_agree(both_blade_solvers, i, j, seed):
+    # The same (d, r) through the capacitance solve on the envelope, the
+    # strip LU on the column strip and one splu of the whole system.
+    envelope, columns = both_blade_solvers
+    cfg = CAPACITANCE_CFG
+    d = stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(*CAPACITANCE_GRID.theta((i, j))), 257), cfg)
+    r = np.random.default_rng(seed).standard_normal(d.size)
+    A = (envelope.A + sp.diags(d)).tocsc()
+    direct = spla.splu(A).solve(r)
+    scale = np.abs(direct).max()
+    capacitance, strip_lu = envelope.factor(d)(r), columns.factor(d)(r)
+    # The residual weighs the solid faces by K: recovering x_F by
+    # subtraction instead of as z / d_F leaves about 1e-6 here.
+    for x in (capacitance, strip_lu, direct):
+        assert np.abs(r - A @ x).max() <= 1e-7 * np.abs(r).max()
+    assert np.abs(capacitance - strip_lu).max() <= 1e-8 * scale
+    assert np.abs(capacitance - direct).max() <= 1e-8 * scale
+    assert np.abs(strip_lu - direct).max() <= 1e-8 * scale
+
+
+def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_solvers):
+    envelope, columns = both_blade_solvers
+    r = np.random.default_rng(3).standard_normal(envelope.A.shape[0])
+    d = np.zeros_like(r)
+    direct = spla.splu(envelope.A).solve(r)
+    for sub in (envelope, columns):
+        assert np.abs(sub.factor(d)(r) - direct).max() <= 1e-10 * np.abs(direct).max()
