@@ -418,7 +418,8 @@ class _Substructure:
             C = self.G[np.ix_(F, F)]
             C[np.diag_indices_from(C)] += 1.0 / d_F
             # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
-            # then solves with C itself.
+            # then solves with C itself.  Unchecked, a non-finite value
+            # reaches the residual and the solve reports no convergence.
             lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
 
             def solve_S(rS: np.ndarray) -> np.ndarray:
