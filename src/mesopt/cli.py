@@ -18,13 +18,11 @@ import numpy as np
 
 from . import __version__
 from .csvio import write_csv
-from .geometry import GeometryError
 from .grid import ActionSet, GridError, ParameterGrid, make_neighborhood
 from .metropolis import NoUniqueArgmin, hitting_time_experiment
-from .objectives import BACKENDS, CountingObjective, StokesObjective
+from .objectives import BACKEND_FAILURES, BACKENDS, CountingObjective, StokesObjective
 from .reduction import OptimizationTrace, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
-from .stokes import FlowError
 from .value import fixed_point_iterates
 
 EXIT_OK = 0
@@ -33,9 +31,6 @@ EXIT_BACKEND = 3
 EXIT_MAX_CYCLES = 4
 
 TRACE_SCHEMA_VERSION = 1
-
-#: Failures of a backend evaluation (exit 3); any other exception is a bug.
-BACKEND_FAILURES = (FlowError, GeometryError, GridError)
 
 
 def dim_names(d: int) -> list[str]:
@@ -321,42 +316,42 @@ def _box_sequence(trace: OptimizationTrace) -> str:
     return ";".join("x".join(str(2 * r + 1) for r in c.radii) for c in trace.cycles)
 
 
+def _freeze_mode_runs(cfg: RunConfig, start, variants: tuple[str, str], **overrides):
+    """(variant, summary) of two runs from ``start``: freeze mode "off", then "alternating".
+
+    Each run gets a fresh backend; ``overrides`` replace optimizer settings.
+    """
+    for variant, mode in zip(variants, ("off", "alternating")):
+        opt = dataclasses.replace(cfg.optimizer, freeze_mode=mode, **overrides)
+        trace = run_optimization(cfg.grid, start, build_backend(cfg), opt)
+        yield variant, {
+            "terminated": trace.terminated_reason,
+            "path_length": trace.path_length,
+            "simulations": trace.total_simulations,
+            "value_iterations": trace.total_value_iterations(),
+            "neighborhoods": _box_sequence(trace) if trace.cycles else trace.error,
+        }
+
+
 def cmd_exp1(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid
     if any(len(s) != grid.d for s in cfg.exp1.starts):
         # Checked here, not in parse_config: the default starts are 2-d.
         raise ConfigError("exp1.starts", f"expected {grid.d} coordinates per start")
+    columns = ["terminated", "path_length", "simulations", "value_iterations", "neighborhoods"]
+    variants = ("fixed", "adaptive")
     rows = []
     for start_theta in cfg.exp1.starts:
         try:
             start = grid.index_of(start_theta)
         except GridError as exc:
-            rows.append([*start_theta, "adaptive", "error", None, None, None, str(exc)])
-            rows.append([*start_theta, "fixed", "error", None, None, None, str(exc)])
-            continue
-        adaptive_mode = cfg.optimizer.freeze_mode
-        if adaptive_mode == "off":
-            adaptive_mode = "alternating"
-        for variant, mode in (("fixed", "off"), ("adaptive", adaptive_mode)):
-            backend = build_backend(cfg)
-            opt = dataclasses.replace(cfg.optimizer, freeze_mode=mode)
-            trace = run_optimization(grid, start, backend, opt)
-            rows.append(
-                [
-                    *start_theta,
-                    variant,
-                    trace.terminated_reason,
-                    trace.path_length,
-                    trace.total_simulations,
-                    trace.total_value_iterations(),
-                    _box_sequence(trace) if trace.cycles else trace.error,
-                ]
-            )
-    names = dim_names(grid.d)
+            runs = [(v, {"terminated": "error", "neighborhoods": str(exc)}) for v in variants]
+        else:
+            runs = _freeze_mode_runs(cfg, start, variants)
+        rows.extend([*start_theta, v] + [summary.get(k) for k in columns] for v, summary in runs)
     write_csv(
         out / "exp1.csv",
-        [f"start_{n}" for n in names]
-        + ["variant", "terminated", "path_length", "simulations", "value_iterations", "neighborhoods"],
+        [f"start_{n}" for n in dim_names(grid.d)] + ["variant"] + columns,
         rows,
         comment=f"mesopt {__version__} exp1",
     )
@@ -366,31 +361,20 @@ def cmd_exp1(cfg: RunConfig, out: Path) -> int:
 def cmd_exp2(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid
     start = _grid_index(grid, cfg.exp2.start, "exp2.start")
+    columns = ["terminated", "path_length", "value_iterations", "simulations", "neighborhoods"]
     rows = []
     for radius in cfg.exp2.radii:
-        for variant, mode in (("quadratic", "off"), ("rectangle", "alternating")):
-            backend = build_backend(cfg)
-            opt = dataclasses.replace(
-                cfg.optimizer,
-                initial_radii=tuple(radius for _ in range(grid.d)),
-                max_cycles=cfg.exp2.max_cycles,
-                freeze_mode=mode,
-            )
-            trace = run_optimization(grid, start, backend, opt)
-            rows.append(
-                [
-                    radius,
-                    variant,
-                    trace.terminated_reason,
-                    trace.path_length,
-                    trace.total_value_iterations(),
-                    trace.total_simulations,
-                    _box_sequence(trace) if trace.cycles else trace.error,
-                ]
-            )
+        runs = _freeze_mode_runs(
+            cfg,
+            start,
+            ("quadratic", "rectangle"),
+            initial_radii=tuple(radius for _ in range(grid.d)),
+            max_cycles=cfg.exp2.max_cycles,
+        )
+        rows.extend([radius, v] + [summary[k] for k in columns] for v, summary in runs)
     write_csv(
         out / "exp2.csv",
-        ["radius", "variant", "terminated", "path_length", "value_iterations", "simulations", "neighborhoods"],
+        ["radius", "variant"] + columns,
         rows,
         comment=f"mesopt {__version__} exp2",
     )

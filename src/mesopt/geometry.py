@@ -82,15 +82,12 @@ class AirfoilSpec:
     f: float
     b: float
     e: float = 0.3
-    chord: float = 1.0
 
     def __post_init__(self):
         if not self.b > 1.0:
             raise GeometryError(f"form root b must exceed 1 (got {self.b})")
         if not self.f >= 1.0:
             raise GeometryError(f"camber root f must be >= 1 (got {self.f})")
-        if self.chord <= 0.0:
-            raise GeometryError("chord must be positive")
 
     @property
     def c_up(self) -> float:

@@ -177,10 +177,6 @@ class WalkStatistics:
     def median_steps(self) -> float:
         return float(median(self.steps))
 
-    @property
-    def hit_rate(self) -> float:
-        return float(np.mean(self.hits))
-
 
 def hitting_time_experiment(
     values: dict[GridPoint, float],

@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from .geometry import AirfoilSpec, GeometryError, build_airfoil
-from .grid import ParameterGrid
+from .grid import GridError, ParameterGrid
 from .stokes import (
     ChannelConfig,
     EvaluationProfile,
@@ -32,6 +32,7 @@ from .stokes import (
 )
 
 __all__ = [
+    "BACKEND_FAILURES",
     "reward_R1",
     "reward_R2",
     "fictitious_1d",
@@ -44,21 +45,20 @@ __all__ = [
 ]
 
 
-def reward_R1(profile: EvaluationProfile, variant: str = "ratio") -> float:
-    """Mean vertical-component ratio on the line; 0 for aligned flow.
+#: Failures of a backend evaluation: they end a run or a landscape cell
+#: (and exit 3); any other exception is a bug.
+BACKEND_FAILURES = (FlowError, GeometryError, GridError)
 
-    The canonical form averages u2^2 / (u1^2 + u2^2) and lies in [0, 1].
-    variant="magnitude" divides by the magnitude instead of its square (a units-
-    carrying alternative kept for landscape comparisons).
+
+def reward_R1(profile: EvaluationProfile) -> float:
+    """Mean vertical-component ratio u2^2 / (u1^2 + u2^2) on the line.
+
+    It lies in [0, 1] and is 0 for aligned flow.
     """
     q2 = profile.u1**2 + profile.u2**2
     if np.any(q2 == 0.0):
         raise ValueError("stagnant sample on the evaluation line (u1 = u2 = 0)")
-    if variant == "ratio":
-        return float(np.mean(profile.u2**2 / q2))
-    if variant == "magnitude":
-        return float(np.mean(profile.u2**2 / np.sqrt(q2)))
-    raise ValueError(f"unknown R1 variant {variant!r}")
+    return float(np.mean(profile.u2**2 / q2))
 
 
 def reward_R2(profile: EvaluationProfile) -> float:
@@ -93,9 +93,6 @@ class CountingObjective:
     def calls(self) -> int:
         return self._calls
 
-    def reset_calls(self) -> None:
-        self._calls = 0
-
     def components(self, theta) -> tuple[float, float, float]:
         """(R1, R2, R) from one counted ground-truth evaluation."""
         self._calls += 1
@@ -106,6 +103,11 @@ class CountingObjective:
 
     def _components(self, theta) -> tuple[float, float, float]:
         raise NotImplementedError
+
+
+def _blade(f: float, b: float, channel: ChannelConfig):
+    """The channel's blade at (f, b): the envelope holds the blades the solves build."""
+    return build_airfoil(AirfoilSpec(f=f, b=b, e=channel.airfoil_e), channel.n_shape_samples)
 
 
 @functools.lru_cache(maxsize=1)
@@ -122,7 +124,7 @@ def _grid_envelope(grid: ParameterGrid, channel: ChannelConfig) -> np.ndarray:
         for p in grid.points():
             f, b = grid.theta(p)
             try:
-                yield build_airfoil(AirfoilSpec(f=f, b=b, e=channel.airfoil_e), channel.n_shape_samples)
+                yield _blade(f, b, channel)
             except GeometryError:
                 continue
 
@@ -150,7 +152,7 @@ class StokesObjective(CountingObjective):
     def _components(self, theta):
         f, b = theta
         channel = self.channel
-        shape = build_airfoil(AirfoilSpec(f=f, b=b, e=channel.airfoil_e), channel.n_shape_samples)
+        shape = _blade(f, b, channel)
         envelope = None
         if self.grid is not None:
             envelope = _grid_envelope(self.grid, channel)
@@ -164,7 +166,7 @@ class StokesObjective(CountingObjective):
         arrays = (field.u1, field.u2, field.p, profile.u1, profile.u2)
         if not all(np.isfinite(a).all() for a in arrays):
             raise FlowError("non-finite flow field or evaluation profile")
-        r1 = reward_R1(profile, variant=channel.reward_variant)
+        r1 = reward_R1(profile)
         r2 = reward_R2(profile)
         return r1, r2, r1 + r2
 

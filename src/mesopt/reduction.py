@@ -8,13 +8,12 @@ the surrogate offers (relatively) no descent along its axis line through
 the new center; the box is then elongated along the surviving dimensions so
 its member count roughly matches the previous one.
 
-Freezing is re-evaluated from scratch every cycle by default ("alternating")
-so a frozen dimension may thaw; "permanent" keeps dimensions frozen for the
-rest of the run; "off" disables freezing (fixed-shape boxes).  The run
-terminates when the argmin coincides with the center while no dimension is
-frozen; if some are frozen at coincidence, they are re-activated and the
-run continues (a reduced action set stalling on its axis line says nothing
-about the remaining directions).
+Freezing is re-evaluated from scratch every cycle ("alternating"), so a
+frozen dimension may thaw; "off" disables freezing (fixed-shape boxes).
+The run terminates when the argmin coincides with the center while no
+dimension is frozen; if some are frozen at coincidence, they are
+re-activated and the run continues (a reduced action set stalling on its
+axis line says nothing about the remaining directions).
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import GeometryError
 from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
-from .stokes import FlowError
+from .objectives import BACKEND_FAILURES
 from .surrogate import SurrogateError, SurrogateModel, fit_surrogate
 from .value import CoolingSchedule, ValueTable, argmin_value, value_fixed_point
 
@@ -51,7 +49,7 @@ class OptimizerConfig:
     tol_v: float = 1e-6
     max_cycles: int = 40
     max_j: int = 60
-    freeze_mode: str = "alternating"  # "alternating" | "permanent" | "off"
+    freeze_mode: str = "alternating"  # "alternating" | "off"
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -60,7 +58,7 @@ class OptimizerConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.tol_v <= 0.0:
             raise ValueError("tol_v must be positive")
-        if self.freeze_mode not in ("alternating", "permanent", "off"):
+        if self.freeze_mode not in ("alternating", "off"):
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
@@ -215,21 +213,17 @@ def resize_neighborhood(
     return tuple(radii)
 
 
-def terminate_check(trace: "OptimizationTrace", freeze_mode: str = "alternating") -> bool:
+def terminate_check(trace: "OptimizationTrace") -> bool:
     """Convergence decision after a completed cycle.
 
-    Grid-exact coincidence of the argmin with the center is the criterion.
-    Under re-evaluated (alternating) freezing it only counts when no
-    dimension is frozen, because a reduced action set stalling on its axis
-    line says nothing about the other directions; permanently removed
-    dimensions are out of the problem, so coincidence suffices there.
+    Grid-exact coincidence of the argmin with the center is the criterion,
+    and it only counts when no dimension is frozen, because a reduced action
+    set stalling on its axis line says nothing about the other directions.
     """
     if not trace.cycles:
         raise ValueError("terminate_check needs at least one completed cycle")
     last = trace.cycles[-1]
-    if last.argmin != last.center:
-        return False
-    return not last.frozen_dims or freeze_mode == "permanent"
+    return last.argmin == last.center and not last.frozen_dims
 
 
 class _EvalCache:
@@ -277,7 +271,6 @@ def run_optimization(
     nominal_size = math.prod(2 * r + 1 for r in config.initial_radii)
     radii = tuple(config.initial_radii)
     actions = ActionSet(grid.d)  # cycle 0 allows every coordinate to change
-    permanently_frozen: frozenset[int] = frozenset()
 
     try:
         for n in range(config.max_cycles):
@@ -326,7 +319,7 @@ def run_optimization(
             )
             trace.cycles.append(record)
 
-            if terminate_check(trace, config.freeze_mode):
+            if terminate_check(trace):
                 trace.terminated_reason = "converged"
                 break
 
@@ -339,12 +332,7 @@ def run_optimization(
             # yet, so the current one is re-centered for the decision).
             probe = make_neighborhood(grid, new_center, radii)
             stable = stability_check(surrogate, probe, config.epsilon)
-            if config.freeze_mode == "permanent":
-                candidate = permanently_frozen | {i for i, s in enumerate(stable) if s}
-                if len(candidate) < grid.d:  # a freeze may never empty the action set
-                    permanently_frozen = candidate
-                stable = tuple(i in permanently_frozen for i in range(grid.d))
-            elif new_center == center and any(stable):
+            if new_center == center and any(stable):
                 # Stalled on a reduced action set: thaw everything instead.
                 stable = tuple(False for _ in range(grid.d))
 
@@ -353,7 +341,7 @@ def run_optimization(
             center = new_center
         else:
             trace.terminated_reason = "max_cycles"
-    except (FlowError, GeometryError, GridError, SurrogateError) as exc:
+    except (*BACKEND_FAILURES, SurrogateError) as exc:
         # A backend, geometry or fit failure ends the run; anything else is a bug.
         trace.terminated_reason = "error"
         trace.error = f"{type(exc).__name__}: {exc}"

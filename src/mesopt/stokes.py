@@ -84,7 +84,6 @@ class ChannelConfig:
     penalization: float = 1e6
     solver_tol: float = 1e-8
     max_iters: int = 50
-    reward_variant: str = "ratio"  # "ratio" (canonical) or "magnitude" (sqrt denominator)
     airfoil_e: float = AirfoilSpec.e  # camber amplitude of every blade
     n_shape_samples: int = 257  # surface samples per blade
 
@@ -99,8 +98,6 @@ class ChannelConfig:
             raise ValueError("solver_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.reward_variant not in ("ratio", "magnitude"):
-            raise ValueError(f"unknown reward variant {self.reward_variant!r}")
         if self.line_E_x is None:
             object.__setattr__(self, "line_E_x", self.leading_edge_x + 1.0 + 0.5)
         te = self.leading_edge_x + 1.0

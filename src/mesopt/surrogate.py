@@ -83,10 +83,9 @@ def fit_surrogate(
     disp = np.array([theta for theta, _ in samples], dtype=float) - np.asarray(center)
     rhs = np.array([val for _, val in samples], dtype=float) - float(center_value)
     design = monomial_row(disp)
-    rank = int(np.linalg.matrix_rank(design))
+    coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank == 0:
         raise SurrogateError("sample geometry is rank-0; no coefficient is identifiable")
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     return SurrogateModel(
-        center=center, center_value=float(center_value), coeffs=coeffs, rank=rank
+        center=center, center_value=float(center_value), coeffs=coeffs, rank=int(rank)
     )

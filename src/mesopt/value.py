@@ -76,9 +76,6 @@ class ValueTable:
     converged: bool
     history: list[float] = field(default_factory=list)
 
-    def as_array(self, states) -> np.ndarray:
-        return np.array([self.values[s] for s in states])
-
 
 def discounted_power_sum(
     model: TransitionModel, rhat: np.ndarray, gamma: float, horizon: int

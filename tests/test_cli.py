@@ -282,6 +282,22 @@ def test_exp1_table(tmp_path):
     assert all(r["terminated"] == "converged" for r in rows)
 
 
+def test_exp1_off_grid_start_gives_error_rows_in_result_order(tmp_path):
+    doc = dict(VALLEY)
+    doc["exp1"] = {"starts": [[9.0, 9.0], [2.2, 1.7]]}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["exp1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = read_rows(tmp_path / "o" / "exp1.csv")
+    assert [(r["start_f"], r["variant"], r["terminated"]) for r in rows] == [
+        ("9.0", "fixed", "error"),
+        ("9.0", "adaptive", "error"),
+        ("2.2", "fixed", "converged"),
+        ("2.2", "adaptive", "converged"),
+    ]
+    assert rows[0]["neighborhoods"] == rows[1]["neighborhoods"] != ""
+    assert rows[0]["path_length"] == rows[0]["simulations"] == ""
+
+
 def test_exp2_table(tmp_path):
     doc = {
         "backend": "synthetic-valley",

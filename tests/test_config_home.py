@@ -87,7 +87,7 @@ def test_trace_optimizer_block_reads_back(tmp_path):
             "tol_v": 1e-5,
             "max_cycles": 5,
             "max_j": 40,
-            "freeze_mode": "permanent",
+            "freeze_mode": "off",
             "cooling": {"kind": "standard-log", "t0": 0.5},
         },
     )

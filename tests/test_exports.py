@@ -19,11 +19,8 @@ def test_magnitude_reward_variant():
     p = EvaluationProfile(
         z_samples=np.arange(4.0), u1=np.full(4, 1.0), u2=np.full(4, 0.75)
     )
-    # ratio: 0.5625/1.5625; magnitude divides by |u| instead of |u|^2.
-    assert reward_R1(p, variant="ratio") == pytest.approx(0.36)
-    assert reward_R1(p, variant="magnitude") == pytest.approx(0.5625 / 1.25)
-    with pytest.raises(ValueError):
-        reward_R1(p, variant="other")
+    # ratio: 0.5625/1.5625
+    assert reward_R1(p) == pytest.approx(0.36)
 
 
 def test_csv_cell_formatting(tmp_path):

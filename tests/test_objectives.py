@@ -84,8 +84,6 @@ def test_backends_count_calls():
     valley((2.0, 2.5))
     valley.components((2.1, 2.5))
     assert valley.calls == 2
-    valley.reset_calls()
-    assert valley.calls == 0
 
     poly = Fictitious1DObjective()
     assert poly((0.0,)) == 4.0

@@ -260,20 +260,6 @@ def test_max_cycles_reason(valley_grid):
     assert trace.path_length == 2
 
 
-def test_permanent_mode_never_thaws(valley_grid):
-    backend = SyntheticValleyObjective()
-    trace = run_optimization(
-        valley_grid,
-        valley_grid.index_of((3.9, 2.6)),
-        backend,
-        OptimizerConfig(freeze_mode="permanent"),
-    )
-    for prev, nxt in zip(trace.cycles, trace.cycles[1:]):
-        assert set(prev.frozen_dims).issubset(nxt.frozen_dims)
-        assert len(nxt.frozen_dims) < valley_grid.d
-    assert trace.terminated_reason in ("converged", "max_cycles")
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_property_resize_never_exceeds_nominal_size(data):
@@ -292,7 +278,7 @@ def test_property_resize_never_exceeds_nominal_size(data):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["alternating", "permanent", "off"]),
+    st.sampled_from(["alternating", "off"]),
     st.integers(2, 3),
     st.sampled_from([0.05, 0.3, 1.5]),  # 1.5 lets every axis look stable
     st.integers(1, 2),

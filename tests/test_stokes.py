@@ -120,8 +120,6 @@ def test_config_validation():
         ChannelConfig(penalization=0.0)
     with pytest.raises(ValueError):
         ChannelConfig(solver_tol=-1.0)
-    with pytest.raises(ValueError):
-        ChannelConfig(reward_variant="bogus")
 
 
 def test_solve_determinism(small_airfoil_field):

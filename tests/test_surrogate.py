@@ -106,6 +106,22 @@ def test_overdetermined_least_squares():
     np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-9)
 
 
+def test_rank_is_the_design_matrix_rank():
+    # A full 3x3 box, a line along x and a single sample identify 5, 2 and
+    # 1 of the five coefficients.
+    center = (1.0, 2.0)
+    offset_sets = {
+        5: [(dx, dy) for dx in (-0.1, 0.0, 0.1) for dy in (-0.1, 0.0, 0.1) if (dx, dy) != (0.0, 0.0)],
+        2: [(-0.2, 0.0), (-0.1, 0.0), (0.1, 0.0), (0.3, 0.0)],
+        1: [(0.1, -0.1)],
+    }
+    for expected, offsets in offset_sets.items():
+        samples = [((center[0] + dx, center[1] + dy), dx**2 + dy) for dx, dy in offsets]
+        model = fit_surrogate(center, 0.5, samples)
+        design = monomial_row(np.array([theta for theta, _ in samples]) - np.asarray(center))
+        assert model.rank == np.linalg.matrix_rank(design) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_property_fit_reproduces_center_value_exactly(d, data):

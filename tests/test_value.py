@@ -171,7 +171,7 @@ def test_fictitious_demo_sharpens_and_keeps_argmins():
         rhat, n, ActionSet(1), gamma=0.9, schedule=CoolingSchedule(t0=1e-3), max_j=30
     )
     r = np.array([rhat[s] for s in n.members])
-    v = table.as_array(n.members)
+    v = np.array([table.values[s] for s in n.members])
     assert _local_argmins(v) == _local_argmins(r)
     for i in _local_argmins(r):
         d2_r = r[i - 1] - 2 * r[i] + r[i + 1]
@@ -217,7 +217,7 @@ def test_property_both_fixed_point_entries_share_iterates(inputs, max_j, tol_v):
     table = value_fixed_point(rhat, n, actions, gamma, schedule, tol_v=tol_v, max_j=max_j)
     k = table.iterations
     assert table.history == deltas[:k]
-    np.testing.assert_array_equal(table.as_array(n.members), iterates[k])
+    np.testing.assert_array_equal([table.values[s] for s in n.members], iterates[k])
     assert table.converged == (k > 0 and deltas[k - 1] < tol_v)
     if not table.converged:
         assert k == max_j
