@@ -141,10 +141,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         write_csv(
             out / ref,
             names + ["V"],
-            (
-                [*grid.theta(p), v]
-                for p, v in c.value_table.values.items()
-            ),
+            ([*grid.theta(p), v] for p, v in zip(c.value_table.members, c.value_table.values)),
             comment=f"mesopt {__version__} optimize value table cycle {c.n}",
         )
     write_csv(
@@ -269,7 +266,7 @@ def cmd_fixedpoint(cfg: RunConfig, out: Path) -> int:
     # One neighborhood spanning the whole 1-d grid.
     center = (grid.shape[0] // 2,)
     hood = make_neighborhood(grid, center, (max(grid.shape),))
-    rhat = {p: backend(grid.theta(p)) for p in hood.members}
+    rhat = np.array([backend(grid.theta(p)) for p in hood.members])
     fp = cfg.fixedpoint
     iterates, deltas, betas = fixed_point_iterates(
         rhat, hood, ActionSet(1), fp.gamma, fp.schedule, fp.iterations

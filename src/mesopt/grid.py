@@ -84,14 +84,16 @@ class ParameterGrid:
 
     def index_of(self, theta) -> GridPoint:
         """Nearest grid index for a physical vector; must lie on the grid."""
-        idx = []
-        for v, lo, hi, d in zip(theta, self.mins, self.maxs, self.steps):
-            k = (float(v) - lo) / d
-            if abs(k - round(k)) > 1e-6 or not (lo - d * 1e-6 <= v <= hi + d * 1e-6):
-                raise GridError(f"value {v} is not a grid node of step {d} from {lo}")
-            idx.append(int(round(k)))
         if len(theta) != self.d:
             raise GridError(f"point {tuple(theta)} has {len(theta)} coordinates on a {self.d}-d grid")
+        idx = []
+        for v, lo, hi, d in zip(theta, self.mins, self.maxs, self.steps):
+            if not lo - d * 1e-6 <= v <= hi + d * 1e-6:
+                raise GridError(f"value {v} lies outside the grid's bounds [{lo}, {hi}]")
+            k = (float(v) - lo) / d
+            if abs(k - round(k)) > 1e-6:
+                raise GridError(f"value {v} is not a grid node of step {d} from {lo}")
+            idx.append(int(round(k)))
         return self.require(tuple(idx))
 
     def points(self):

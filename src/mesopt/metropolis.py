@@ -10,7 +10,9 @@ Both the box kernels and the hitting-time walks read the targets from one
 move stencil, ``_box_stencil``.  A kernel exponentiates a whole box at once
 with numpy; a walk runs on the whole grid as one box, one step at a time,
 and weighs a row's targets with ``math.exp`` in move order, so its steps do
-not depend on numpy's vectorised exp.
+not depend on numpy's vectorised exp.  A box's values are one float array
+in ``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
+rule, shared by the walks and the value fixed point.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
 
 __all__ = [
+    "CoolingSchedule",
     "NoUniqueArgmin",
-    "TransitionModel",
     "transition_matrix",
     "WalkStatistics",
     "hitting_time_experiment",
@@ -37,11 +39,27 @@ class NoUniqueArgmin(ValueError):
 
 
 @dataclass(frozen=True)
-class TransitionModel:
-    """Row-stochastic kernel over a neighborhood's members, in member order."""
+class CoolingSchedule:
+    """Inverse-temperature sequence beta_j for the annealed kernel.
 
-    states: tuple[GridPoint, ...]
-    matrix: np.ndarray
+    "standard-log" is log(2 + j) / t0, which cools (grows) with j as in
+    conventional annealing.  "inverse-log" is 1 / (t0 * log(2 + j)), which
+    heats instead; it is kept selectable so the difference is testable.
+    """
+
+    kind: str = "standard-log"
+    t0: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("standard-log", "inverse-log"):
+            raise ValueError(f"unknown cooling schedule kind {self.kind!r}")
+        if self.t0 <= 0.0:
+            raise ValueError("temperature scale t0 must be positive")
+
+    def beta(self, j: int) -> float:
+        if self.kind == "standard-log":
+            return math.log(2.0 + j) / self.t0
+        return 1.0 / (self.t0 * math.log(2.0 + j))
 
 
 def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
@@ -66,6 +84,14 @@ def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
     return np.array(cols), np.array(valid)
 
 
+def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
+    """``values`` as a new float array; it must hold one value per member."""
+    v = np.array(values, dtype=float)
+    if v.shape != (neighborhood.size,):
+        raise ValueError(f"{v.size} values for a box of {neighborhood.size} members")
+    return v
+
+
 def _stencil_kernel(v: np.ndarray, stencil, beta: float) -> np.ndarray:
     """Kernel matrix from member values ``v`` on a ``_box_stencil``.
 
@@ -85,39 +111,33 @@ def _stencil_kernel(v: np.ndarray, stencil, beta: float) -> np.ndarray:
 
 
 def transition_matrix(
-    values: dict[GridPoint, float],
+    values: np.ndarray,
     neighborhood: Neighborhood,
     actions: ActionSet,
     beta: float,
-) -> TransitionModel:
-    """Build the full kernel for a neighborhood from a value table.
+) -> np.ndarray:
+    """The row-stochastic kernel over a neighborhood's members, in member order.
 
-    ``values`` must cover every member.  ``beta`` is the inverse temperature;
-    beta = 0 gives the uniform kernel on the allowed targets.
+    ``values`` holds one value per member.  ``beta`` is the inverse
+    temperature; beta = 0 gives the uniform kernel on the allowed targets.
     """
     if beta < 0.0:
         raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
-    states = neighborhood.members
-    missing = [s for s in states if s not in values]
-    if missing:
-        raise KeyError(f"value table missing {len(missing)} members, e.g. {missing[0]}")
-    v = np.array([values[s] for s in states], dtype=float)
-    matrix = _stencil_kernel(v, _box_stencil(neighborhood, actions), beta)
-    return TransitionModel(states=states, matrix=matrix)
+    return _stencil_kernel(_box_values(values, neighborhood), _box_stencil(neighborhood, actions), beta)
 
 
-def _compressed_rows(model: TransitionModel) -> tuple[np.ndarray, np.ndarray]:
+def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (targets, cumulative weights) over the row's nonzero columns.
 
     Rows have at most 2d+1 nonzeros.  Targets stay in column order; short
     rows are padded with their last target, and the last cumulative weight
     of every row is set to 1.0 so a uniform draw u < 1 never overruns it.
     """
-    m = len(model.states)
-    width = max(int((row > 0).sum()) for row in model.matrix)
+    m = matrix.shape[0]
+    width = max(int((row > 0).sum()) for row in matrix)
     targets = np.zeros((m, width), dtype=np.intp)
     cumw = np.ones((m, width))
-    for k, row in enumerate(model.matrix):
+    for k, row in enumerate(matrix):
         idx = np.flatnonzero(row)
         targets[k, : idx.size] = idx
         targets[k, idx.size :] = idx[-1]
@@ -185,8 +205,8 @@ def hitting_time_experiment(
     mode: str,
     n_walks: int,
     seed: int,
-    max_steps: int = 5000,
-    t0: float = 1.0,
+    max_steps: int,
+    t0: float,
 ) -> WalkStatistics:
     """First-passage times to the unique grid argmin under log cooling.
 
@@ -195,8 +215,8 @@ def hitting_time_experiment(
     dimension every max(grid.shape) steps.  For 1-d grids both modes
     coincide.  Walks that never hit within max_steps are censored at
     max_steps with hit=False.  The path of walk 0 is kept for path exports.
-    ``values`` must cover every grid node; a missing one raises KeyError
-    before any walk starts.
+    ``values`` maps every grid node to its value; a missing one raises
+    KeyError before any walk starts.  Step t cools by ``CoolingSchedule``.
     """
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown walk mode {mode!r}")
@@ -220,6 +240,7 @@ def hitting_time_experiment(
     v = [values[p] for p in points]
     index = {p: k for k, p in enumerate(points)}
     goal = index.get(target)  # None, never hit, for an argmin off the grid
+    beta_at = CoolingSchedule(t0=t0).beta
 
     steps_out, hits, path = [], [], [start]
     for walk_id in range(n_walks):
@@ -230,7 +251,7 @@ def hitting_time_experiment(
         t = 0
         while not hit and t < max_steps:
             row = tables[(t // switch_every) % len(tables)][i]
-            beta = math.log(2.0 + t) / t0
+            beta = beta_at(t)
             v_here = v[i]
             weights = [math.exp(-beta * max(v[j] - v_here, 0.0)) for j in row]
             u = next(draws) * sum(weights)

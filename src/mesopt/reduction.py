@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
 from .objectives import BACKEND_FAILURES
 from .surrogate import SurrogateError, SurrogateModel, fit_surrogate
@@ -288,15 +290,9 @@ def run_optimization(
                     sample_pairs.append((grid.theta(p), v))
             surrogate = fit_surrogate(grid.theta(center), center_value, sample_pairs)
 
-            rhat = {p: float(surrogate(grid.theta(p))) for p in neighborhood.members}
+            rhat = np.array([surrogate(grid.theta(p)) for p in neighborhood.members])
             table = value_fixed_point(
-                rhat,
-                neighborhood,
-                actions,
-                gamma=config.gamma,
-                schedule=config.schedule,
-                tol_v=config.tol_v,
-                max_j=config.max_j,
+                rhat, neighborhood, actions, config.gamma, config.schedule, config.tol_v, config.max_j
             )
             new_center = argmin_value(table)
             true_at_argmin = cache.value(new_center)

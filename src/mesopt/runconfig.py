@@ -6,11 +6,12 @@ drift between experiment configs and the code surfaces immediately.
 
 Every setting has one home, its settings dataclass field: a section's keys
 are the field names, each read as the JSON kind its annotation names, and a
-missing key takes the field's own default.  A ``CoolingSchedule`` field is
-the nested section ``cooling``.  Only the defaults that depend on the grid
-are set here: ``optimizer.initial_radii`` (3 per dimension),
-``optimizer.start`` (2.0 per coordinate) and ``walk.start`` (the grid's last
-node).  Every section present is parsed and checked, whatever the command.
+missing key takes the field's own default.  A ``CoolingSchedule`` field
+(``metropolis.CoolingSchedule``) is the nested section ``cooling``.  Only
+the defaults that depend on the grid are set here:
+``optimizer.initial_radii`` (3 per dimension), ``optimizer.start`` (2.0
+per coordinate) and ``walk.start`` (the grid's last node).  Every section
+present is parsed and checked, whatever the command.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ neighborhood's members; no horizon is chosen and no tail is closed, and
 every iterate is a convex combination of Rhat scaled by 1 / (1 - gamma), so
 it lies inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo
 estimator of the horizon-truncated sum is kept for cross-checking, with
-the truncated matrix-power sum as its exact oracle.
+the truncated matrix-power sum as its exact oracle.  Rhat, the iterates
+and the estimates are float arrays in ``Neighborhood.members`` order.
+``CoolingSchedule`` lives in ``metropolis`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 
 from .grid import ActionSet, GridPoint, Neighborhood
 from .metropolis import (
-    TransitionModel,
+    CoolingSchedule,
     _box_stencil,
+    _box_values,
     _compressed_rows,
     _sample_step,
     _stencil_kernel,
@@ -42,44 +45,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoolingSchedule:
-    """Inverse-temperature sequence beta_j for the annealed kernel.
-
-    "standard-log" is log(2 + j) / t0, which cools (grows) with j as in
-    conventional annealing.  "inverse-log" is 1 / (t0 * log(2 + j)), which
-    heats instead; it is kept selectable so the difference is testable.
-    """
-
-    kind: str = "standard-log"
-    t0: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("standard-log", "inverse-log"):
-            raise ValueError(f"unknown cooling schedule kind {self.kind!r}")
-        if self.t0 <= 0.0:
-            raise ValueError("temperature scale t0 must be positive")
-
-    def beta(self, j: int) -> float:
-        if self.kind == "standard-log":
-            return math.log(2.0 + j) / self.t0
-        return 1.0 / (self.t0 * math.log(2.0 + j))
-
-
 @dataclass
 class ValueTable:
-    """Converged (or truncated) value estimates over a neighborhood."""
+    """Converged (or truncated) values of a box's members, in member order."""
 
-    values: dict[GridPoint, float]
-    gamma: float
+    members: tuple[GridPoint, ...]
+    values: np.ndarray
     iterations: int
     converged: bool
     history: list[float] = field(default_factory=list)
 
 
-def discounted_power_sum(
-    model: TransitionModel, rhat: np.ndarray, gamma: float, horizon: int
-) -> np.ndarray:
+def discounted_power_sum(matrix: np.ndarray, rhat: np.ndarray, gamma: float, horizon: int) -> np.ndarray:
     """sum_{t=0}^{horizon} gamma^t P^t rhat, the truncated discounted sum.
 
     It is what a horizon-step walk accumulates on average, so it is the
@@ -89,26 +66,23 @@ def discounted_power_sum(
     y = rhat.astype(float)
     g = 1.0
     for _ in range(horizon):
-        y = model.matrix @ y
+        y = matrix @ y
         g *= gamma
         acc += g * y
     return acc
 
 
-def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule):
+def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
     """The fixed-point map shared by both entry points, validated up front.
 
-    Returns (members, V_0 = Rhat, steps), where steps yields
-    (beta_j, V_{j+1}, sup delta_j) for j = 0, 1, ...: each step rebuilds the
-    kernel from V_j at inverse temperature beta_j on the box's stencil,
-    which is built once, and solves (I - gamma P_j) V_{j+1} = Rhat.
+    Returns (V_0 = Rhat, steps), where steps yields (beta_j, V_{j+1}, sup
+    delta_j) for j = 0, 1, ...: each step rebuilds the kernel from V_j at
+    inverse temperature beta_j on the box's stencil, which is built once,
+    and solves (I - gamma P_j) V_{j+1} = Rhat.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
-    states = neighborhood.members
-    if not states:
-        raise ValueError("empty neighborhood")
-    rhat = np.array([surrogate_values[s] for s in states], dtype=float)
+    rhat = _box_values(rhat, neighborhood)
     stencil = _box_stencil(neighborhood, actions)
     identity = np.eye(rhat.size)
 
@@ -121,17 +95,17 @@ def _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule):
             yield beta, v_next, float(np.max(np.abs(v_next - v)))
             v = v_next
 
-    return states, rhat, steps()
+    return rhat, steps()
 
 
 def value_fixed_point(
-    surrogate_values: dict[GridPoint, float],
+    rhat: np.ndarray,
     neighborhood: Neighborhood,
     actions: ActionSet,
     gamma: float,
     schedule: CoolingSchedule,
-    tol_v: float = 1e-6,
-    max_j: int = 60,
+    tol_v: float,
+    max_j: int,
 ) -> ValueTable:
     """Self-consistent value estimate on a neighborhood.
 
@@ -141,21 +115,18 @@ def value_fixed_point(
     """
     if tol_v <= 0.0:
         raise ValueError("tol_v must be positive")
-    states, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule)
-    v, history, converged = rhat, [], False
+    v, steps = _annealed_map(rhat, neighborhood, actions, gamma, schedule)
+    history, converged = [], False
     for _, v, delta in itertools.islice(steps, max_j):
         history.append(delta)
         if delta < tol_v:
             converged = True
             break
-    values = dict(zip(states, (float(x) for x in v)))
-    return ValueTable(
-        values=values, gamma=gamma, iterations=len(history), converged=converged, history=history
-    )
+    return ValueTable(neighborhood.members, v, len(history), converged, history)
 
 
 def fixed_point_iterates(
-    surrogate_values: dict[GridPoint, float],
+    rhat: np.ndarray,
     neighborhood: Neighborhood,
     actions: ActionSet,
     gamma: float,
@@ -167,7 +138,7 @@ def fixed_point_iterates(
     Same map as value_fixed_point but runs a fixed number of iterations and
     keeps every iterate, for the 1-d demonstration exports.
     """
-    _, rhat, steps = _annealed_map(surrogate_values, neighborhood, actions, gamma, schedule)
+    rhat, steps = _annealed_map(rhat, neighborhood, actions, gamma, schedule)
     steps = list(itertools.islice(steps, n_iters))
     iterates = [rhat] + [v for _, v, _ in steps]
     deltas = [delta for _, _, delta in steps]
@@ -176,7 +147,7 @@ def fixed_point_iterates(
 
 
 def mc_value_estimate(
-    surrogate_values: dict[GridPoint, float],
+    rhat: np.ndarray,
     neighborhood: Neighborhood,
     actions: ActionSet,
     gamma: float,
@@ -184,30 +155,23 @@ def mc_value_estimate(
     n_walks: int,
     horizon: int,
     seed: int,
-    with_stderr: bool = False,
-):
-    """Monte-Carlo estimate of sum_{t=0}^{horizon} gamma^t Rhat(X_t) per state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo estimate of sum_{t=0}^{horizon} gamma^t Rhat(X_t) per member.
 
-    Walks follow the fixed kernel built from the surrogate values at the
-    given inverse temperature.  Deterministic for a fixed seed.  With
-    ``with_stderr`` returns (values, standard errors) instead of values.
+    Walks follow the fixed kernel built from Rhat at the given inverse
+    temperature.  Deterministic for a fixed seed.  Returns the estimates
+    and their standard errors.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
-    states = neighborhood.members
-    rhat = np.array([surrogate_values[s] for s in states], dtype=float)
-
+    rhat = _box_values(rhat, neighborhood)
+    m = rhat.size
     if gamma == 0.0:
-        values = {s: float(r) for s, r in zip(states, rhat)}
-        if with_stderr:
-            return values, {s: 0.0 for s in states}
-        return values
+        return rhat, np.zeros(m)
 
-    model = transition_matrix(surrogate_values, neighborhood, actions, beta)
-    targets, cumw = _compressed_rows(model)
-    m = len(states)
+    targets, cumw = _compressed_rows(transition_matrix(rhat, neighborhood, actions, beta))
     rng = np.random.default_rng(seed)
 
     # All walks for all start states advance in lockstep.
@@ -220,23 +184,10 @@ def mc_value_estimate(
         totals += g * rhat[pos]
 
     per_state = totals.reshape(m, n_walks)
-    means = per_state.mean(axis=1)
-    values = dict(zip(states, (float(x) for x in means)))
-    if with_stderr:
-        se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
-        return values, dict(zip(states, (float(x) for x in se)))
-    return values
+    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
+    return per_state.mean(axis=1), se
 
 
 def argmin_value(table: ValueTable) -> GridPoint:
-    """Member with the smallest value; ties go to the smallest multi-index."""
-    if not table.values:
-        raise ValueError("empty value table")
-    best_point = None
-    best_value = math.inf
-    for point in sorted(table.values):
-        v = table.values[point]
-        if v < best_value:
-            best_value = v
-            best_point = point
-    return best_point
+    """Member with the smallest value; ties go to the first, the smallest multi-index."""
+    return table.members[int(np.argmin(table.values))]

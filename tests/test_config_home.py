@@ -113,7 +113,7 @@ def test_off_grid_walk_start_costs_no_evaluation(tmp_path, monkeypatch, capsys):
     assert cli.main(["walk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert sum(b.calls for b in built) == 0
     assert capsys.readouterr().err == (
-        "config error: walk.start: value 9.0 is not a grid node of step 0.1 from 1.5\n"
+        "config error: walk.start: value 9.0 lies outside the grid's bounds [1.5, 4.0]\n"
     )
 
 

@@ -15,7 +15,7 @@ def test_three_root_side_zeros():
     assert eval_side(side, 0.3) != 0.0
 
 
-def test_magnitude_reward_variant():
+def test_reward_R1_is_the_vertical_component_ratio():
     p = EvaluationProfile(
         z_samples=np.arange(4.0), u1=np.full(4, 1.0), u2=np.full(4, 0.75)
     )

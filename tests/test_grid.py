@@ -30,10 +30,13 @@ def test_grid_rejects_non_integer_span():
 
 
 def test_index_of_rejects_off_grid(grid2d):
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"value 2\.05 is not a grid node of step 0\.1 from 1\.5"):
         grid2d.index_of((2.05, 3.9))
-    with pytest.raises(GridError):
+    # 0.0 and 4.1 are lattice nodes (k = -15 and 26) past the bounds.
+    with pytest.raises(GridError, match=r"value 0\.0 lies outside the grid's bounds \[1\.5, 4\.0\]"):
         grid2d.index_of((0.0, 2.0))
+    with pytest.raises(GridError, match=r"value 4\.1 lies outside the grid's bounds \[1\.5, 4\.0\]"):
+        grid2d.index_of((2.0, 4.1))
 
 
 def test_index_of_rejects_a_wrong_number_of_coordinates(grid2d):
@@ -42,6 +45,8 @@ def test_index_of_rejects_a_wrong_number_of_coordinates(grid2d):
         line.index_of((1.0, 99.0))  # once read as (80,), dropping 99.0
     with pytest.raises(GridError, match="1 coordinates on a 2-d grid"):
         grid2d.index_of((2.0,))
+    with pytest.raises(GridError, match="2 coordinates on a 1-d grid"):
+        line.index_of((9.7, 3.9))  # the length is named before the bound
 
 
 def test_interior_neighborhood_counts(grid2d):

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import hitting_time_experiment, transition_matrix
 
+#: The walk command's default budget and temperature (``WalkSettings``).
+WALK = dict(max_steps=5000, t0=1.0)
+
 
 def _row_weights(values, state, actions, beta, contains, exp=math.exp):
     """(targets, weights) for one kernel row; stay is always a target.
@@ -80,22 +83,22 @@ def line_grid():
 def test_hand_computed_rows(line_grid):
     # Three states with v = (0, 1, 0) and beta = ln 2.
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
-    values = {(4,): 0.0, (5,): 1.0, (6,): 0.0}
-    model = transition_matrix(values, n, ActionSet(d=1), beta=math.log(2.0))
+    values = np.array([0.0, 1.0, 0.0])  # members (4,), (5,), (6,)
+    matrix = transition_matrix(values, n, ActionSet(d=1), beta=math.log(2.0))
     # Center row: both moves go downhill (weight 1), stay weight 1 -> uniform.
-    np.testing.assert_allclose(model.matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     # Left member: stay weight 1, uphill move weight 1/2, off-box move dropped.
-    np.testing.assert_allclose(model.matrix[0], [2 / 3, 1 / 3, 0.0], atol=1e-15)
+    np.testing.assert_allclose(matrix[0], [2 / 3, 1 / 3, 0.0], atol=1e-15)
 
 
 def test_beta_zero_is_uniform(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(2,))
     rng = np.random.default_rng(3)
-    values = {s: float(rng.normal()) for s in n.members}
-    model = transition_matrix(values, n, ActionSet(d=1), beta=0.0)
+    values = rng.normal(size=n.size)
+    matrix = transition_matrix(values, n, ActionSet(d=1), beta=0.0)
     # Members (3,) .. (7,): row 2 is (5,), row 0 is (3,).
-    np.testing.assert_allclose(model.matrix[2], [0, 1 / 3, 1 / 3, 1 / 3, 0], atol=1e-15)
-    np.testing.assert_allclose(model.matrix[0], [1 / 2, 1 / 2, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(matrix[2], [0, 1 / 3, 1 / 3, 1 / 3, 0], atol=1e-15)
+    np.testing.assert_allclose(matrix[0], [1 / 2, 1 / 2, 0, 0, 0], atol=1e-15)
 
 
 def test_rows_stochastic_and_supported_on_allowed_moves():
@@ -105,15 +108,15 @@ def test_rows_stochastic_and_supported_on_allowed_moves():
         center = tuple(int(c) for c in rng.integers(0, 11, size=2))
         radii = tuple(int(r) for r in rng.integers(0, 3, size=2))
         n = make_neighborhood(grid, center=center, radii=radii)
-        values = {s: float(rng.normal(scale=5.0)) for s in n.members}
+        values = rng.normal(scale=5.0, size=n.size)
         actions = ActionSet(2, {0} if trial % 3 == 0 else {0, 1})
         beta = float(rng.uniform(0.0, 10.0))
-        model = transition_matrix(values, n, actions, beta)
-        np.testing.assert_allclose(model.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(model.matrix >= 0.0)
-        for i, s in enumerate(model.states):
-            for j, t in enumerate(model.states):
-                if model.matrix[i, j] == 0.0:
+        matrix = transition_matrix(values, n, actions, beta)
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(matrix >= 0.0)
+        for i, s in enumerate(n.members):
+            for j, t in enumerate(n.members):
+                if matrix[i, j] == 0.0:
                     continue
                 delta = tuple(b - a for a, b in zip(s, t))
                 assert delta in actions.moves
@@ -121,33 +124,33 @@ def test_rows_stochastic_and_supported_on_allowed_moves():
 
 def test_downhill_ordering(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
-    values = {(4,): -2.0, (5,): 0.0, (6,): 3.0}
-    model = transition_matrix(values, n, ActionSet(d=1), beta=1.7)
-    row = model.matrix[model.states.index((5,))]
-    assert row[model.states.index((4,))] >= row[model.states.index((6,))]
+    values = np.array([-2.0, 0.0, 3.0])  # members (4,), (5,), (6,)
+    matrix = transition_matrix(values, n, ActionSet(d=1), beta=1.7)
+    row = matrix[n.members.index((5,))]
+    assert row[n.members.index((4,))] >= row[n.members.index((6,))]
 
 
 def test_tie_values_get_stay_weight(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
-    values = {(4,): 1.0, (5,): 1.0, (6,): 1.0}
-    model = transition_matrix(values, n, ActionSet(d=1), beta=50.0)
-    np.testing.assert_allclose(model.matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    values = np.array([1.0, 1.0, 1.0])
+    matrix = transition_matrix(values, n, ActionSet(d=1), beta=50.0)
+    np.testing.assert_allclose(matrix[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_missing_values_and_negative_beta_rejected(line_grid):
     n = make_neighborhood(line_grid, center=(5,), radii=(1,))
-    values = {(4,): 0.0, (5,): 0.0}
-    with pytest.raises(KeyError):
+    values = np.zeros(2)  # one value short of the box's 3 members
+    with pytest.raises(ValueError, match="2 values for a box of 3 members"):
         transition_matrix(values, n, ActionSet(d=1), beta=1.0)
     with pytest.raises(ValueError):
-        transition_matrix({s: 0.0 for s in n.members}, n, ActionSet(d=1), beta=-0.5)
+        transition_matrix(np.zeros(n.size), n, ActionSet(d=1), beta=-0.5)
 
 
 def test_walk_descends_ramp_in_greedy_limit(line_grid):
     # Uphill weights are below exp(-138) from the first step on; stay keeps
     # weight 1, so the path may dwell but never climbs.
     values = {p: float(p[0]) for p in line_grid.points()}  # strictly decreasing leftward
-    stats = hitting_time_experiment(values, line_grid, (10,), "free", n_walks=3, seed=0, t0=0.005)
+    stats = hitting_time_experiment(values, line_grid, (10,), "free", n_walks=3, seed=0, max_steps=5000, t0=0.005)
     pos = [p[0] for p in stats.path]
     assert all(b <= a for a, b in zip(pos, pos[1:]))
     assert pos[-1] == 0 and stats.target == (0,)
@@ -157,8 +160,8 @@ def test_walk_descends_ramp_in_greedy_limit(line_grid):
 def test_walk_determinism(line_grid):
     rng = np.random.default_rng(5)
     values = {p: float(rng.normal()) for p in line_grid.points()}
-    a = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60)
-    b = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60)
+    a = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60, t0=1.0)
+    b = hitting_time_experiment(values, line_grid, (5,), "free", n_walks=6, seed=42, max_steps=60, t0=1.0)
     assert (a.steps, a.hits, a.path) == (b.steps, b.hits, b.path)
     assert len(a.path) == a.steps[0] + 1
 
@@ -175,7 +178,7 @@ def test_hitting_time_zero_at_argmin():
     grid = ParameterGrid(mins=(1.5, 1.5), maxs=(4.0, 4.0), steps=(0.1, 0.1))
     values = _valley_values(grid)
     start = grid.index_of((2.0, 2.5))
-    stats = hitting_time_experiment(values, grid, start, "free", n_walks=5, seed=0)
+    stats = hitting_time_experiment(values, grid, start, "free", n_walks=5, seed=0, **WALK)
     assert stats.steps == [0] * 5
     assert all(stats.hits)
 
@@ -184,8 +187,8 @@ def test_fixed_mode_slower_than_free_small():
     grid = ParameterGrid(mins=(1.5, 1.5), maxs=(4.0, 4.0), steps=(0.1, 0.1))
     values = _valley_values(grid)
     start = grid.index_of((3.5, 3.5))
-    free = hitting_time_experiment(values, grid, start, "free", n_walks=30, seed=7)
-    fixed = hitting_time_experiment(values, grid, start, "fixed", n_walks=30, seed=7)
+    free = hitting_time_experiment(values, grid, start, "free", n_walks=30, seed=7, **WALK)
+    fixed = hitting_time_experiment(values, grid, start, "fixed", n_walks=30, seed=7, **WALK)
     assert fixed.mean_steps > free.mean_steps
 
 
@@ -193,8 +196,8 @@ def test_modes_coincide_in_one_dimension():
     grid = ParameterGrid(mins=(-3.0,), maxs=(2.0,), steps=(0.05,))
     values = {p: (grid.theta(p)[0] - 1.0) ** 2 for p in grid.points()}
     start = grid.index_of((-2.0,))
-    free = hitting_time_experiment(values, grid, start, "free", n_walks=20, seed=3)
-    fixed = hitting_time_experiment(values, grid, start, "fixed", n_walks=20, seed=3)
+    free = hitting_time_experiment(values, grid, start, "free", n_walks=20, seed=3, **WALK)
+    fixed = hitting_time_experiment(values, grid, start, "fixed", n_walks=20, seed=3, **WALK)
     assert free.steps == fixed.steps
 
 
@@ -202,7 +205,7 @@ def test_non_unique_argmin_rejected():
     grid = ParameterGrid(mins=(0.0,), maxs=(1.0,), steps=(0.5,))
     values = {(0,): 0.0, (1,): 0.0, (2,): 1.0}
     with pytest.raises(ValueError):
-        hitting_time_experiment(values, grid, (2,), "free", n_walks=1, seed=0)
+        hitting_time_experiment(values, grid, (2,), "free", n_walks=1, seed=0, **WALK)
 
 
 @st.composite
@@ -215,13 +218,12 @@ def box_kernels(draw):
     values = draw(st.lists(st.floats(-50.0, 50.0), min_size=n.size, max_size=n.size))
     actions = ActionSet(2, draw(st.sets(st.integers(0, 1))))
     beta = draw(st.floats(0.0, 20.0))
-    return transition_matrix(dict(zip(n.members, values)), n, actions, beta)
+    return transition_matrix(np.array(values), n, actions, beta)
 
 
 @settings(max_examples=60, deadline=None)
 @given(box_kernels())
-def test_property_rows_stochastic_and_stay_heaviest(model):
-    m = model.matrix
+def test_property_rows_stochastic_and_stay_heaviest(m):
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(m >= 0.0)
     # Stay carries weight 1, every move at most 1: its share is the largest.
@@ -273,7 +275,7 @@ def clipped_boxes(draw):
     n = make_neighborhood(grid, center=center, radii=radii)
     values = draw(st.lists(st.floats(-50.0, 50.0), min_size=n.size, max_size=n.size))
     actions = ActionSet(d, draw(st.sets(st.integers(0, d - 1))))
-    return dict(zip(n.members, values)), n, actions
+    return np.array(values), n, actions
 
 
 def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
@@ -293,13 +295,14 @@ def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
 def test_property_kernel_matches_row_by_row_definition(box, beta):
     # beta = 1e3 underflows exp on every uphill move steeper than 0.75.
     values, n, actions = box
-    model = transition_matrix(values, n, actions, beta)
+    matrix = transition_matrix(values, n, actions, beta)
     # numpy's vectorised exp and libm's math.exp may differ in the last bit;
     # with the same exp the two constructions agree bitwise.
-    reference = _rows_from_row_weights(values, n, actions, beta, exp=lambda x: float(np.exp(x)))
-    np.testing.assert_array_equal(model.matrix, reference)
+    by_member = dict(zip(n.members, values.tolist()))
+    reference = _rows_from_row_weights(by_member, n, actions, beta, exp=lambda x: float(np.exp(x)))
+    np.testing.assert_array_equal(matrix, reference)
     np.testing.assert_allclose(
-        model.matrix, _rows_from_row_weights(values, n, actions, beta), rtol=1e-15, atol=1e-300
+        matrix, _rows_from_row_weights(by_member, n, actions, beta), rtol=1e-15, atol=1e-300
     )
 
 
@@ -354,7 +357,7 @@ def test_long_walk_budget_holds_no_draws_in_memory():
     tracemalloc.start()
     try:
         stats = hitting_time_experiment(
-            values, grid, (1,), "free", n_walks=1, seed=0, max_steps=10**7
+            values, grid, (1,), "free", n_walks=1, seed=0, max_steps=10**7, t0=1.0
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -368,4 +371,4 @@ def test_walk_rejects_value_table_missing_a_node():
     values = {p: float(sum(p)) for p in grid.points() if p != (2, 1)}
     # The start is the argmin, so no walk would ever reach (2, 1).
     with pytest.raises(KeyError, match=r"1 grid nodes, e\.g\. \(2, 1\)"):
-        hitting_time_experiment(values, grid, (0, 0), "free", n_walks=1, seed=0)
+        hitting_time_experiment(values, grid, (0, 0), "free", n_walks=1, seed=0, **WALK)
