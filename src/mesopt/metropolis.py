@@ -7,8 +7,8 @@ inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
 
 Both the box kernels and the hitting-time walks read the targets from one
-move stencil, ``_box_stencil``.  A kernel exponentiates a whole box at once
-with numpy; a walk runs on the whole grid as one box, one step at a time,
+move stencil, ``_box_stencil``.  A box's move weights are exponentiated for
+the whole box at once with numpy; a walk runs on the whole grid as one box, one step at a time,
 and weighs a row's targets with ``math.exp`` in move order, so its steps do
 not depend on numpy's vectorised exp.  A box's values are one float array
 in ``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
@@ -92,22 +92,20 @@ def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
     return v
 
 
-def _stencil_kernel(v: np.ndarray, stencil, beta: float) -> np.ndarray:
-    """Kernel matrix from member values ``v`` on a ``_box_stencil``.
+def _stencil_weights(v: np.ndarray, stencil, beta: float) -> np.ndarray:
+    """Normalized move weights from member values ``v`` on a ``_box_stencil``.
 
-    Bitwise the rows a walk step weighs, given the same exp: the weights
-    are summed in the order of the moves, as a step sums them.
+    Shape (moves, size): entry [k, i] is the probability that move k is
+    taken from member i, 0 where the move leaves the box.  Bitwise the
+    weights a walk step gives a row, given the same exp: they are summed
+    in the order of the moves, as a step sums them.
     """
     cols, valid = stencil
     weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
     total = weights[0].copy()
     for w in weights[1:]:
         total += w
-    m = v.size
-    matrix = np.zeros((m, m))
-    rows = np.broadcast_to(np.arange(m), cols.shape)
-    matrix[rows[valid], cols[valid]] = (weights / total)[valid]
-    return matrix
+    return weights / total
 
 
 def transition_matrix(
@@ -123,7 +121,13 @@ def transition_matrix(
     """
     if beta < 0.0:
         raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
-    return _stencil_kernel(_box_values(values, neighborhood), _box_stencil(neighborhood, actions), beta)
+    v = _box_values(values, neighborhood)
+    stencil = _box_stencil(neighborhood, actions)
+    cols, valid = stencil
+    matrix = np.zeros((v.size, v.size))
+    rows = np.broadcast_to(np.arange(v.size), cols.shape)
+    matrix[rows[valid], cols[valid]] = _stencil_weights(v, stencil, beta)[valid]
+    return matrix
 
 
 def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
 from .objectives import BACKEND_FAILURES
 from .surrogate import SurrogateError, SurrogateModel, fit_surrogate
@@ -290,7 +288,7 @@ def run_optimization(
                     sample_pairs.append((grid.theta(p), v))
             surrogate = fit_surrogate(grid.theta(center), center_value, sample_pairs)
 
-            rhat = np.array([surrogate(grid.theta(p)) for p in neighborhood.members])
+            rhat = surrogate(neighborhood.thetas())
             table = value_fixed_point(
                 rhat, neighborhood, actions, config.gamma, config.schedule, config.tol_v, config.max_j
             )

@@ -5,10 +5,14 @@ Metropolis walk whose kernel is itself built from the current value
 estimate, so the definition is self-consistent and solved by fixed-point
 iteration: V_0 = Rhat, kernel P_j from V_j at inverse temperature beta_j,
 V_{j+1} = sum_t gamma^t P_j^t Rhat = (I - gamma P_j)^-1 Rhat.  Each step
-evaluates that infinite sum exactly, by one dense linear solve on the
-neighborhood's members; no horizon is chosen and no tail is closed, and
-every iterate is a convex combination of Rhat scaled by 1 / (1 - gamma), so
-it lies inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo
+evaluates that infinite sum exactly, by one banded linear solve on the
+neighborhood's members: a move is a fixed offset in member order, so
+I - gamma P_j has as many sub- and super-diagonals as the largest offset,
+the stride of the first changeable dimension (11 on an 11 x 11 box, 1 when
+only the last dimension changes, 0 when every dimension is frozen).  No
+horizon is chosen and no tail is closed, and every iterate is a convex
+combination of Rhat scaled by 1 / (1 - gamma), so it lies inside
+[min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo
 estimator of the horizon-truncated sum is kept for cross-checking, with
 the truncated matrix-power sum as its exact oracle.  Rhat, the iterates
 and the estimates are float arrays in ``Neighborhood.members`` order.
@@ -22,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from .grid import ActionSet, GridPoint, Neighborhood
 from .metropolis import (
@@ -30,7 +35,7 @@ from .metropolis import (
     _box_values,
     _compressed_rows,
     _sample_step,
-    _stencil_kernel,
+    _stencil_weights,
     transition_matrix,
 )
 
@@ -72,26 +77,53 @@ def discounted_power_sum(matrix: np.ndarray, rhat: np.ndarray, gamma: float, hor
     return acc
 
 
+def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for A with k sub- and k super-diagonals (LAPACK ``dgbsv``).
+
+    ``band`` is A in LAPACK band storage, shape (3k + 1, n): entry (i, j)
+    sits at row 2k + i - j, and the first k rows are room for the fill-in
+    of partial pivoting; it is overwritten.  A singular A raises
+    ``np.linalg.LinAlgError``.
+    """
+    _, _, x, info = dgbsv(k, k, band, rhs, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"band solve failed (LAPACK dgbsv info {info})")
+    return x
+
+
 def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
     """The fixed-point map shared by both entry points, validated up front.
 
     Returns (V_0 = Rhat, steps), where steps yields (beta_j, V_{j+1}, sup
-    delta_j) for j = 0, 1, ...: each step rebuilds the kernel from V_j at
-    inverse temperature beta_j on the box's stencil, which is built once,
-    and solves (I - gamma P_j) V_{j+1} = Rhat.
+    delta_j) for j = 0, 1, ...: each step weighs the box's moves from V_j
+    at inverse temperature beta_j and solves (I - gamma P_j) V_{j+1} = Rhat.
+    Every move is a fixed offset in member order, so I - gamma P_j is a band
+    matrix whose half-bandwidth k is the largest offset; the stencil and
+    where each move's entry sits in band storage are built once per call.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
     rhat = _box_values(rhat, neighborhood)
     stencil = _box_stencil(neighborhood, actions)
-    identity = np.eye(rhat.size)
+    cols, valid = stencil
+    m = rhat.size
+    here = np.arange(m)
+    k = int(np.max(np.abs(cols - here)))  # an invalid move points at its own member
+    height = 3 * k + 1
+    # Entry (i, j) of the matrix sits at row 2k + i - j of column j of the
+    # (height, m) band array; these are its flat column-major positions.
+    entries = np.flatnonzero(valid)
+    at = (2 * k + here - cols + cols * height).ravel()[entries]
+    diagonal = 2 * k + here * height
 
     def steps():
         v = rhat
         for j in itertools.count():
             beta = schedule.beta(j)
-            kernel = _stencil_kernel(v, stencil, beta)
-            v_next = np.linalg.solve(identity - gamma * kernel, rhat)
+            band = np.zeros(height * m)
+            band[at] = -gamma * _stencil_weights(v, stencil, beta).ravel()[entries]
+            band[diagonal] += 1.0
+            v_next = _band_solve(band.reshape(m, height).T, k, rhat)
             yield beta, v_next, float(np.max(np.abs(v_next - v)))
             v = v_next
 

@@ -1,14 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import transition_matrix
 from mesopt.objectives import fictitious_1d
+from mesopt.reduction import surrogate_sample_points
+from mesopt.surrogate import fit_surrogate, monomial_row
 from mesopt.value import (
     CoolingSchedule,
     ValueTable,
+    _band_solve,
     argmin_value,
     discounted_power_sum,
     fixed_point_iterates,
@@ -246,3 +251,77 @@ def test_property_gamma_zero_returns_rhat_exactly(inputs, n_iters):
         np.testing.assert_array_equal(v, iterates[0])
     assert deltas == [0.0] * n_iters
     np.testing.assert_array_equal(value_fixed_point(rhat, n, actions, 0.0, schedule, **FP).values, rhat)
+
+
+@dataclass(frozen=True)
+class DrawnBetas:
+    """A stand-in cooling schedule that replays drawn inverse temperatures."""
+
+    betas: tuple[float, ...]
+
+    def beta(self, j: int) -> float:
+        return self.betas[j]
+
+
+def dense_step(v, rhat, n, actions, gamma, beta):
+    """One fixed-point step as a dense solve on the whole kernel: the band solve's oracle."""
+    return np.linalg.solve(np.eye(n.size) - gamma * transition_matrix(v, n, actions, beta), rhat)
+
+
+@st.composite
+def box_in_d_dims(draw):
+    """(grid, neighborhood, actions) on a random 1- to 3-d grid, box clipped at the bounds."""
+    d = draw(st.integers(1, 3))
+    shape = [draw(st.integers(2, 7)) for _ in range(d)]
+    steps = [draw(st.sampled_from([0.05, 0.1, 0.25, 1.0])) for _ in range(d)]
+    mins = [draw(st.integers(-30, 30)) / 10.0 for _ in range(d)]
+    maxs = [lo + h * (k - 1) for lo, h, k in zip(mins, steps, shape)]
+    grid = ParameterGrid(mins=tuple(mins), maxs=tuple(maxs), steps=tuple(steps))
+    center = tuple(draw(st.integers(0, k - 1)) for k in shape)
+    radii = tuple(draw(st.integers(0, 3)) for _ in range(d))
+    actions = ActionSet(d, draw(st.sets(st.integers(0, d - 1))))  # the empty set freezes all
+    return grid, make_neighborhood(grid, center, radii), actions
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_in_d_dims(), st.floats(0.0, 0.99), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4), st.data())
+def test_property_band_iterates_match_dense_solve(box, gamma, betas, data):
+    # Each step solves (I - gamma P_j) V = Rhat in band storage; from the
+    # same V_j a dense solve on the whole kernel gives the same V_{j+1} up
+    # to roundoff, measured against the iterate's largest |V|.
+    _, n, actions = box
+    rhat = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n.size, max_size=n.size)))
+    iterates, _, drawn = fixed_point_iterates(rhat, n, actions, gamma, DrawnBetas(tuple(betas)), len(betas))
+    assert drawn == betas
+    for v, v_next, beta in zip(iterates, iterates[1:], betas):
+        oracle = dense_step(v, rhat, n, actions, gamma, beta)
+        np.testing.assert_allclose(v_next, oracle, rtol=0.0, atol=1e-12 * np.max(np.abs(oracle)))
+
+
+def test_singular_band_system_raises():
+    # One sub- and one super-diagonal, all zero, and a zero pivot on the
+    # diagonal: LAPACK reports it, and no values come back.
+    band = np.zeros((4, 3), order="F")
+    band[2] = [1.0, 0.0, 1.0]
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solve(band, 1, np.ones(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_in_d_dims(), st.data())
+def test_property_box_wide_rhat_matches_member_calls(box, data):
+    # The optimizer evaluates Rhat on the whole box in one call; only the
+    # summation order of the monomials differs from one call per member,
+    # so the two agree to roundoff of the terms they sum.
+    grid, n, _ = box
+    assume(n.size > 1)  # a one-member box has no sample to fit
+    samples = surrogate_sample_points(n)
+    draw_value = st.floats(-10.0, 10.0)
+    surrogate = fit_surrogate(
+        grid.theta(n.center), data.draw(draw_value), [(grid.theta(p), data.draw(draw_value)) for p in samples]
+    )
+    box_wide = surrogate(n.thetas())
+    per_member = np.array([surrogate(grid.theta(p)) for p in n.members])
+    disp = n.thetas() - np.array(surrogate.center)
+    terms = abs(surrogate.center_value) + np.abs(monomial_row(disp)) @ np.abs(surrogate.coeffs)
+    assert np.all(np.abs(box_wide - per_member) <= 1e-15 * terms)
