@@ -8,11 +8,12 @@ excluded from the normalization.
 
 Both the box kernels and the hitting-time walks read the targets from one
 move stencil, ``_box_stencil``.  A box's move weights are exponentiated for
-the whole box at once with numpy; a walk runs on the whole grid as one box, one step at a time,
-and weighs a row's targets with ``math.exp`` in move order, so its steps do
-not depend on numpy's vectorised exp.  A box's values are one float array
-in ``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
-rule, shared by the walks and the value fixed point.
+the whole box at once with numpy; a walk runs on the whole grid as one box,
+one step at a time, and weighs a row's targets with ``math.exp`` in move
+order, so its steps do not depend on numpy's vectorised exp.  A box's
+values are one float array in ``Neighborhood.members`` order.
+``CoolingSchedule`` is the one cooling rule, shared by the walks and the
+value fixed point.
 """
 
 from __future__ import annotations
