@@ -80,7 +80,11 @@ def _trace_rows(trace: OptimizationTrace, grid: ParameterGrid):
         )
 
 
-def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig, table_refs):
+def _value_table_ref(n: int) -> str:
+    return f"values_cycle_{n:03d}.csv"
+
+
+def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig):
     def point(p):
         return {"index": list(p), "theta": list(grid.theta(p))}
 
@@ -104,9 +108,9 @@ def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig, t
                     "coeffs": [float(v) for v in c.surrogate.coeffs],
                 },
                 "sample_points": [list(p) for p in c.sample_points],
-                "value_iterations": c.value_iterations,
-                "value_converged": c.value_converged,
-                "value_table_ref": table_refs.get(c.n),
+                "value_iterations": c.value_table.iterations,
+                "value_converged": c.value_table.converged,
+                "value_table_ref": _value_table_ref(c.n),
                 "argmin": point(c.argmin),
                 "true_objective_at_argmin": c.true_objective_at_argmin,
                 "simulations_this_cycle": c.simulations_this_cycle,
@@ -129,17 +133,12 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid
     start = _grid_index(grid, cfg.start, "optimizer.start")
     backend = build_backend(cfg)
-    trace = run_optimization(grid, start, backend, cfg.optimizer, keep_value_tables=True)
+    trace = run_optimization(grid, start, backend, cfg.optimizer)
 
     names = dim_names(grid.d)
-    table_refs = {}
     for c in trace.cycles:
-        if c.value_table is None:
-            continue
-        ref = f"values_cycle_{c.n:03d}.csv"
-        table_refs[c.n] = ref
         write_csv(
-            out / ref,
+            out / _value_table_ref(c.n),
             names + ["V"],
             ([*grid.theta(p), v] for p, v in zip(c.value_table.members, c.value_table.values)),
             comment=f"mesopt {__version__} optimize value table cycle {c.n}",
@@ -151,7 +150,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         comment=f"mesopt {__version__} optimize",
     )
     (out / "trace.json").write_text(
-        json.dumps(_trace_json(trace, grid, cfg, table_refs), indent=2, sort_keys=True) + "\n"
+        json.dumps(_trace_json(trace, grid, cfg), indent=2, sort_keys=True) + "\n"
     )
 
     if trace.terminated_reason == "converged":
@@ -408,9 +407,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed", "must be non-negative")
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)  # checked as the config's seed
         if args.backend is not None:
             if args.backend not in BACKENDS:
                 raise ConfigError("--backend", f"unknown backend {args.backend!r}")

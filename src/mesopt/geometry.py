@@ -27,7 +27,11 @@ __all__ = [
     "camber",
     "build_airfoil",
     "cosine_spacing",
+    "MIN_SAMPLES",
 ]
+
+#: The fewest surface samples ``build_airfoil`` takes.
+MIN_SAMPLES = 8
 
 
 class GeometryError(ValueError):
@@ -141,10 +145,10 @@ class AirfoilShape:
 def build_airfoil(spec: AirfoilSpec, n_samples: int) -> AirfoilShape:
     """Sample both surfaces on a cosine-clustered abscissa.
 
-    Raises GeometryError for invalid specs or fewer than 8 samples.
+    Raises GeometryError for invalid specs or fewer than MIN_SAMPLES samples.
     """
-    if n_samples < 8:
-        raise GeometryError(f"n_samples must be >= 8 (got {n_samples})")
+    if n_samples < MIN_SAMPLES:
+        raise GeometryError(f"n_samples must be >= {MIN_SAMPLES} (got {n_samples})")
     x = cosine_spacing(n_samples)
     cam = camber(spec, x)
     z_up = eval_side(spec.upper_side(), x) + cam

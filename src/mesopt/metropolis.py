@@ -7,11 +7,14 @@ inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
 
 Both the box kernels and the hitting-time walks read the targets from one
-move stencil, ``_box_stencil``.  A box's move weights are exponentiated for
-the whole box at once with numpy; a walk runs on the whole grid as one box,
-one step at a time, and weighs a row's targets with ``math.exp`` in move
-order, so its steps do not depend on numpy's vectorised exp.  A box's
-values are one float array in ``Neighborhood.members`` order.
+move stencil, ``_box_stencil``.  ``transition_matrix`` is the dense m x m
+view of a box kernel for checks; the value fixed point and its Monte-Carlo
+walks weigh the stencil directly (``_stencil_weights``) and never build it.
+A box's move weights are exponentiated for the whole box at once with
+numpy; a walk runs on the whole grid as one box, one step at a time, and
+weighs a row's targets with ``math.exp`` in move order, so its steps do not
+depend on numpy's vectorised exp.  A box's values are one float array in
+``Neighborhood.members`` order.
 ``CoolingSchedule`` is the one cooling rule, shared by the walks and the
 value fixed point.
 """
@@ -129,33 +132,6 @@ def transition_matrix(
     rows = np.broadcast_to(np.arange(v.size), cols.shape)
     matrix[rows[valid], cols[valid]] = _stencil_weights(v, stencil, beta)[valid]
     return matrix
-
-
-def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (targets, cumulative weights) over the row's nonzero columns.
-
-    Rows have at most 2d+1 nonzeros.  Targets stay in column order; short
-    rows are padded with their last target, and the last cumulative weight
-    of every row is set to 1.0 so a uniform draw u < 1 never overruns it.
-    """
-    m = matrix.shape[0]
-    width = max(int((row > 0).sum()) for row in matrix)
-    targets = np.zeros((m, width), dtype=np.intp)
-    cumw = np.ones((m, width))
-    for k, row in enumerate(matrix):
-        idx = np.flatnonzero(row)
-        targets[k, : idx.size] = idx
-        targets[k, idx.size :] = idx[-1]
-        cumw[k, : idx.size] = np.cumsum(row[idx])
-        cumw[k, idx.size - 1 :] = 1.0
-    return targets, cumw
-
-
-def _sample_step(targets: np.ndarray, cumw: np.ndarray, pos: np.ndarray, rng) -> np.ndarray:
-    """Advance every walk (state indices ``pos``) by one inverse-CDF draw."""
-    u = rng.random(pos.shape[0])
-    choice = (cumw[pos] < u[:, None]).sum(axis=1)
-    return targets[pos, choice]
 
 
 #: Uniforms a walk fetches from its generator at a time.  A block holds the

@@ -62,8 +62,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
+        if self.max_j < 0:
+            raise ValueError("max_j must be >= 0")
         if any(r < 0 for r in self.initial_radii):
             raise ValueError("radii must be non-negative")
+        if not any(self.initial_radii):
+            raise ValueError("initial_radii are all 0: a one-member box has nothing to sample")
 
 
 @dataclass
@@ -78,12 +82,10 @@ class CycleRecord:
     frozen_dims: tuple[int, ...]
     surrogate: SurrogateModel
     sample_points: tuple[GridPoint, ...]
-    value_iterations: int
-    value_converged: bool
+    value_table: ValueTable
     argmin: GridPoint
     true_objective_at_argmin: float
     simulations_this_cycle: int
-    value_table: ValueTable | None = None
 
 
 @dataclass
@@ -105,7 +107,7 @@ class OptimizationTrace:
         return [self.cycles[0].center] + [c.argmin for c in self.cycles]
 
     def total_value_iterations(self) -> int:
-        return sum(c.value_iterations for c in self.cycles)
+        return sum(c.value_table.iterations for c in self.cycles)
 
 
 def surrogate_sample_points(neighborhood: Neighborhood) -> tuple[GridPoint, ...]:
@@ -250,7 +252,6 @@ def run_optimization(
     theta0: GridPoint,
     backend,
     config: OptimizerConfig,
-    keep_value_tables: bool = False,
 ) -> OptimizationTrace:
     """Run the full mesoscopic loop from a starting grid point.
 
@@ -304,12 +305,10 @@ def run_optimization(
                 frozen_dims=actions.frozen(),
                 surrogate=surrogate,
                 sample_points=samples,
-                value_iterations=table.iterations,
-                value_converged=table.converged,
+                value_table=table,
                 argmin=new_center,
                 true_objective_at_argmin=true_at_argmin,
                 simulations_this_cycle=cache.misses_this_cycle,
-                value_table=table if keep_value_tables else None,
             )
             trace.cycles.append(record)
 

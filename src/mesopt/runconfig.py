@@ -88,6 +88,7 @@ class Exp2Settings:
     def __post_init__(self):
         if any(r < 1 for r in self.radii):
             raise ConfigError("exp2.radii", "radii must be >= 1")
+        OptimizerConfig(max_cycles=self.max_cycles)  # the optimizer's own check
 
 
 @dataclass(kw_only=True)
@@ -102,6 +103,10 @@ class RunConfig:
     fixedpoint: FixedPointSettings
     exp1: Exp1Settings
     exp2: Exp2Settings
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
 
 
 class _Section:

@@ -52,7 +52,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import AirfoilShape, AirfoilSpec
+from .geometry import MIN_SAMPLES, AirfoilShape, AirfoilSpec
 
 __all__ = [
     "FlowError",
@@ -98,6 +98,8 @@ class ChannelConfig:
             raise ValueError("solver_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.n_shape_samples < MIN_SAMPLES:
+            raise ValueError(f"n_shape_samples must be >= {MIN_SAMPLES}")
         if self.line_E_x is None:
             object.__setattr__(self, "line_E_x", self.leading_edge_x + 1.0 + 0.5)
         te = self.leading_edge_x + 1.0

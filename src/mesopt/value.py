@@ -12,11 +12,13 @@ the stride of the first changeable dimension (11 on an 11 x 11 box, 1 when
 only the last dimension changes, 0 when every dimension is frozen).  No
 horizon is chosen and no tail is closed, and every iterate is a convex
 combination of Rhat scaled by 1 / (1 - gamma), so it lies inside
-[min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo
-estimator of the horizon-truncated sum is kept for cross-checking, with
-the truncated matrix-power sum as its exact oracle.  Rhat, the iterates
-and the estimates are float arrays in ``Neighborhood.members`` order.
-``CoolingSchedule`` lives in ``metropolis`` and is re-exported here.
+[min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo estimator of the
+horizon-truncated sum is kept for cross-checking, with the truncated
+matrix-power sum as its exact oracle; its walks sample the rows of the
+same move stencil, so no program path builds an m x m kernel.  Rhat, the
+iterates and the estimates are float arrays in ``Neighborhood.members``
+order.  ``CoolingSchedule`` lives in ``metropolis`` and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import (
-    CoolingSchedule,
-    _box_stencil,
-    _box_values,
-    _compressed_rows,
-    _sample_step,
-    _stencil_weights,
-    transition_matrix,
-)
+from .metropolis import CoolingSchedule, _box_stencil, _box_values, _stencil_weights
 
 __all__ = [
     "CoolingSchedule",
@@ -191,8 +185,9 @@ def mc_value_estimate(
     """Monte-Carlo estimate of sum_{t=0}^{horizon} gamma^t Rhat(X_t) per member.
 
     Walks follow the fixed kernel built from Rhat at the given inverse
-    temperature.  Deterministic for a fixed seed.  Returns the estimates
-    and their standard errors.
+    temperature (beta >= 0), one inverse-CDF draw per step over a row's
+    positive-weight targets in member order.  Deterministic for a fixed
+    seed.  Returns the estimates and their standard errors.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -202,8 +197,21 @@ def mc_value_estimate(
     m = rhat.size
     if gamma == 0.0:
         return rhat, np.zeros(m)
+    if beta < 0.0:
+        raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
 
-    targets, cumw = _compressed_rows(transition_matrix(rhat, neighborhood, actions, beta))
+    # Per member (a row), its positive-weight moves by target member, then
+    # the zero-weight ones, so that no draw, not even u = 0.0, picks one of
+    # those; from the last positive weight on the cumulative weight is 1.0,
+    # so a draw u < 1 never runs past it.
+    stencil = _box_stencil(neighborhood, actions)
+    cols, _ = stencil
+    weights = _stencil_weights(rhat, stencil, beta)
+    order = np.lexsort((cols, weights == 0.0), axis=0)
+    targets = np.take_along_axis(cols, order, axis=0).T
+    weights = np.take_along_axis(weights, order, axis=0).T
+    cumw = np.cumsum(weights, axis=1)
+    cumw[np.arange(cumw.shape[1]) >= np.count_nonzero(weights, axis=1)[:, None] - 1] = 1.0
     rng = np.random.default_rng(seed)
 
     # All walks for all start states advance in lockstep.
@@ -211,7 +219,8 @@ def mc_value_estimate(
     totals = rhat[pos].copy()
     g = 1.0
     for _ in range(horizon):
-        pos = _sample_step(targets, cumw, pos, rng)
+        u = rng.random(pos.size)
+        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
         g *= gamma
         totals += g * rhat[pos]
 

@@ -1,10 +1,12 @@
 import csv
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mesopt import cli
 from mesopt.cli import main
 from mesopt.csvio import csv_body
 
@@ -38,7 +40,15 @@ def read_rows(path):
 
 def test_optimize_writes_trace_and_exits_zero(tmp_path):
     cfg = write_cfg(tmp_path, VALLEY)
-    rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")])
+    traces = []
+
+    def keep(*args, **kwargs):
+        traces.append(run_optimization(*args, **kwargs))
+        return traces[-1]
+
+    run_optimization = cli.run_optimization
+    with mock.patch.object(cli, "run_optimization", keep):
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     rows = read_rows(tmp_path / "o" / "trace.csv")
     assert rows[0]["cycle"] == "0"
@@ -47,9 +57,18 @@ def test_optimize_writes_trace_and_exits_zero(tmp_path):
     assert doc["schema_version"] == 1
     assert doc["terminated_reason"] == "converged"
     assert doc["total_simulations"] == sum(c["simulations_this_cycle"] for c in doc["cycles"])
-    # Per-cycle value tables referenced from the trace exist.
-    refs = [c["value_table_ref"] for c in doc["cycles"]]
-    assert all(r and (tmp_path / "o" / r).exists() for r in refs)
+    # Every cycle's record holds its value table: the trace reports the
+    # table's iterations and convergence, and the file it refers to holds
+    # the table's values.
+    (trace,) = traces
+    assert len(doc["cycles"]) == len(trace.cycles)
+    for c, record in zip(doc["cycles"], trace.cycles):
+        table = record.value_table
+        assert (c["value_iterations"], c["value_converged"]) == (table.iterations, table.converged)
+        assert c["value_table_ref"] == f"values_cycle_{c['n']:03d}.csv"
+        path = tmp_path / "o" / c["value_table_ref"]
+        assert path.exists()
+        assert [float(r["V"]) for r in read_rows(path)] == table.values.tolist()
 
 
 def test_optimize_byte_identical_reruns(tmp_path):
@@ -156,6 +175,26 @@ def test_validation_error_exit_code(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, VALLEY, "ok.json")
     assert main(["optimize", "--config", cfg, "--backend", "quantum", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section, extra_args, field",
+    [
+        ("walk", {"seed": -1}, [], "seed"),
+        ("walk", {}, ["--seed", "-1"], "seed"),
+        ("exp2", {"exp2": {"max_cycles": 0}}, [], "max_cycles"),
+        ("optimize", {"optimizer": {"start": [3.0, 2.6], "max_j": -3}}, [], "max_j"),
+        ("optimize", {"backend": "stokes", "channel": {"n_shape_samples": 4}}, [], "n_shape_samples"),
+        ("optimize", {"optimizer": {"start": [3.0, 2.6], "initial_radii": [0, 0]}}, [], "initial_radii"),
+    ],
+)
+def test_invalid_setting_is_a_config_error(tmp_path, capsys, command, section, extra_args, field):
+    # Each value used to end in a traceback (exit 1) or as a backend
+    # failure (exit 3); each is a config error that names its field.
+    cfg = write_cfg(tmp_path, dict(VALLEY, **section))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *extra_args]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and field in line
 
 
 def test_landscape_synthetic_argmin(tmp_path):

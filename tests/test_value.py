@@ -1,4 +1,7 @@
+import contextlib
+import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +102,8 @@ def test_invalid_arguments(box3x3):
         value_fixed_point(rhat, n, ActionSet(2), gamma=1.0, schedule=CoolingSchedule(), **FP)
     with pytest.raises(ValueError):
         value_fixed_point(rhat, n, ActionSet(2), gamma=0.5, schedule=CoolingSchedule(), tol_v=0.0, max_j=60)
+    with pytest.raises(ValueError, match="inverse temperature"):
+        mc_value_estimate(rhat, n, ActionSet(2), gamma=0.5, beta=-0.5, n_walks=2, horizon=3, seed=0)
 
 
 def test_mc_gamma_zero_matches_rhat_exactly(box3x3):
@@ -325,3 +330,85 @@ def test_property_box_wide_rhat_matches_member_calls(box, data):
     disp = n.thetas() - np.array(surrogate.center)
     terms = abs(surrogate.center_value) + np.abs(monomial_row(disp)) @ np.abs(surrogate.coeffs)
     assert np.all(np.abs(box_wide - per_member) <= 1e-15 * terms)
+
+
+def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (targets, cumulative weights) over the row's nonzero columns.
+
+    The oracle sampler: it reads the dense kernel one row at a time.
+    Targets stay in column order; short rows are padded with their last
+    target, and the last cumulative weight of every row is set to 1.0 so a
+    uniform draw u < 1 never overruns it.
+    """
+    m = matrix.shape[0]
+    width = max(int((row > 0).sum()) for row in matrix)
+    targets = np.zeros((m, width), dtype=np.intp)
+    cumw = np.ones((m, width))
+    for k, row in enumerate(matrix):
+        idx = np.flatnonzero(row)
+        targets[k, : idx.size] = idx
+        targets[k, idx.size :] = idx[-1]
+        cumw[k, : idx.size] = np.cumsum(row[idx])
+        cumw[k, idx.size - 1 :] = 1.0
+    return targets, cumw
+
+
+def oracle_mc_estimate(rhat, n, actions, gamma, beta, n_walks, horizon, seed):
+    """``mc_value_estimate`` driven by the dense kernel and the oracle sampler."""
+    m = n.size
+    if gamma == 0.0:
+        return rhat.copy(), np.zeros(m)
+    targets, cumw = _compressed_rows(transition_matrix(rhat, n, actions, beta))
+    rng = np.random.default_rng(seed)
+    pos = np.repeat(np.arange(m), n_walks)
+    totals = rhat[pos].copy()
+    g = 1.0
+    for _ in range(horizon):
+        u = rng.random(pos.shape[0])
+        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
+        g *= gamma
+        totals += g * rhat[pos]
+    per_state = totals.reshape(m, n_walks)
+    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
+    return per_state.mean(axis=1), se
+
+
+class _DyadicGenerator:
+    """Generator stand-in whose doubles are multiples of 1/8, 0.0 included.
+
+    A draw u = 0.0 tells a row whose first cumulative weight is that of a
+    zero-weight move from one that starts at its first positive weight.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def random(self, size=None):
+        return self._rng.integers(0, 8, size=size) / 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    box_in_d_dims(),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    st.one_of(st.just(400.0), st.floats(0.0, 400.0)),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.data(),
+)
+def test_property_mc_estimate_matches_dense_kernel_oracle(box, gamma, beta, n_walks, horizon, seed, dyadic, data):
+    # The walks sample the move stencil's rows directly; every draw picks
+    # the target the dense kernel's compressed rows pick, so estimates and
+    # standard errors agree bitwise.  beta up to 400 underflows the weights
+    # of uphill moves, and the empty action set freezes every dimension.
+    _, n, actions = box
+    scale = data.draw(st.sampled_from([1.0, 10.0, 50.0]))
+    rhat = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=n.size, max_size=n.size)))
+    generators = mock.patch("numpy.random.default_rng", _DyadicGenerator) if dyadic else contextlib.nullcontext()
+    with generators:
+        est, se = mc_value_estimate(rhat, n, actions, gamma, beta, n_walks, horizon, seed)
+        oracle_est, oracle_se = oracle_mc_estimate(rhat, n, actions, gamma, beta, n_walks, horizon, seed)
+    assert est.tobytes() == oracle_est.tobytes()
+    assert se.tobytes() == oracle_se.tobytes()
