@@ -7,12 +7,15 @@ inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
 
 Both the box kernels and the hitting-time walks read the targets from one
-move stencil, ``_box_stencil``.  ``transition_matrix`` is the dense m x m
-view of a box kernel for checks; the value fixed point and its Monte-Carlo
-walks weigh the stencil directly (``_stencil_weights``) and never build it.
-A box's move weights are exponentiated for the whole box at once with
-numpy; a walk runs on the whole grid as one box, one step at a time, and
-weighs a row's targets with ``math.exp`` in move order, so its steps do not
+move plan, ``_MovePlan``: the moves that stay in a box, built once per box
+shape and set of moves and cached, so boxes of one shape share it.
+``transition_matrix`` is the dense m x m view of a box kernel for checks;
+the value fixed point and its Monte-Carlo walks weigh the plan's moves
+directly (``_move_weights``, the one weight rule) and never build it.  A
+box's move weights are exponentiated for the whole box at once with numpy;
+a walk runs on the whole grid as one box, one step at a time, and weighs a
+row's targets with ``math.exp`` in move order, from each target's rise
+max(v(target) - v(here), 0) computed once per call, so its steps do not
 depend on numpy's vectorised exp.  A box's values are one float array in
 ``Neighborhood.members`` order.
 ``CoolingSchedule`` is the one cooling rule, shared by the walks and the
@@ -21,6 +24,7 @@ value fixed point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import median
@@ -66,26 +70,60 @@ class CoolingSchedule:
         return 1.0 / (self.t0 * math.log(2.0 + j))
 
 
-def _box_stencil(neighborhood: Neighborhood, actions: ActionSet):
-    """Where each move leads from each member, built once per box.
+#: Move plans kept at once, one per (box shape, moves); a plan is kilobytes.
+_PLANS = 128
+
+
+@dataclass(frozen=True)
+class _MovePlan:
+    """Where each in-box move leads, for every box of one shape.
 
     Members are the box's cells in C (lexicographic) order, so a move's
-    target is a fixed offset in that order, and the stencil depends on the
-    box shape and the moves but never on the values.  Returns (cols, valid),
-    each of shape (len(actions.moves), size): cols[k, i] is the member that
-    move k leads to from member i, valid[k, i] whether it lies in the box
-    (an invalid entry points back at member i).
+    target is a fixed offset in that order, and the plan depends on the box
+    shape and the moves but never on the values or the box's centre.  Only
+    the moves that stay in the box are listed, in move-major order (every
+    member's move 0, then every member's move 1, ...): ``frm`` is the member
+    a move starts from, ``to`` the member it leads to, and ``entries`` its
+    position in a flat (moves, size) array.  ``k`` is the largest offset,
+    the half-bandwidth of I - gamma P; ``at`` is where each move's entry
+    sits in the flat column-major LAPACK band storage of shape
+    (3k + 1, size), and ``diagonal`` where each member's diagonal entry
+    sits.  Every array is read-only.
     """
-    shape = np.array([b - a + 1 for a, b in zip(neighborhood.lo, neighborhood.hi)])
-    coords = np.indices(shape).reshape(len(shape), -1)
-    here = np.arange(coords.shape[1])
-    cols, valid = [], []
-    for move in actions.moves:
-        target = coords + np.array(move)[:, None]
-        inside = np.all((target >= 0) & (target < shape[:, None]), axis=0)
-        cols.append(np.where(inside, np.ravel_multi_index(target, shape, mode="clip"), here))
-        valid.append(inside)
-    return np.array(cols), np.array(valid)
+
+    size: int
+    frm: np.ndarray
+    to: np.ndarray
+    entries: np.ndarray
+    k: int
+    at: np.ndarray
+    diagonal: np.ndarray
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _move_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]) -> _MovePlan:
+    """The ``_MovePlan`` of a box of ``shape`` under ``moves``; cached."""
+    coords = np.indices(shape).reshape(len(shape), 1, -1)
+    size = coords.shape[2]
+    # Column n of ``moved`` is move n // size taken from member n % size.
+    moved = (coords + np.array(moves).T[:, :, None]).reshape(len(shape), -1)
+    entries = np.flatnonzero(np.all((moved >= 0) & (moved < np.array(shape)[:, None]), axis=0))
+    frm = entries % size
+    to = np.ravel_multi_index(tuple(moved[:, entries]), shape)
+    k = int(np.max(np.abs(to - frm)))
+    height = 3 * k + 1
+    # Entry (i, j) of the matrix sits at row 2k + i - j of column j.
+    at = 2 * k + frm - to + to * height
+    diagonal = 2 * k + np.arange(size) * height
+    for a in (frm, to, entries, at, diagonal):
+        a.flags.writeable = False
+    return _MovePlan(size, frm, to, entries, k, at, diagonal)
+
+
+def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
+    """The cached ``_MovePlan`` of a box's shape and an action set's moves."""
+    shape = tuple(b - a + 1 for a, b in zip(neighborhood.lo, neighborhood.hi))
+    return _move_plan(shape, actions.moves)
 
 
 def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
@@ -96,20 +134,21 @@ def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
     return v
 
 
-def _stencil_weights(v: np.ndarray, stencil, beta: float) -> np.ndarray:
-    """Normalized move weights from member values ``v`` on a ``_box_stencil``.
+def _move_weights(v: np.ndarray, plan: _MovePlan, beta: float) -> np.ndarray:
+    """Normalized weights of a plan's moves from member values ``v``.
 
-    Shape (moves, size): entry [k, i] is the probability that move k is
-    taken from member i, 0 where the move leaves the box.  Bitwise the
-    weights a walk step gives a row, given the same exp: they are summed
-    in the order of the moves, as a step sums them.
+    Entry n is the probability that move n of the plan is taken from its
+    member ``plan.frm[n]``: exp(-beta * max(v[to] - v[frm], 0)) over the
+    member's sum.  Each member's weights are summed in move order from
+    0.0, as a walk step sums a row, so the normalization is bitwise the
+    step's, given the same exp.
     """
-    cols, valid = stencil
-    weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
-    total = weights[0].copy()
-    for w in weights[1:]:
-        total += w
-    return weights / total
+    w = v[plan.to] - v[plan.frm]
+    np.maximum(w, 0.0, out=w)
+    w *= -beta
+    np.exp(w, out=w)
+    w /= np.bincount(plan.frm, weights=w, minlength=plan.size)[plan.frm]
+    return w
 
 
 def transition_matrix(
@@ -126,11 +165,9 @@ def transition_matrix(
     if beta < 0.0:
         raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
     v = _box_values(values, neighborhood)
-    stencil = _box_stencil(neighborhood, actions)
-    cols, valid = stencil
+    plan = _box_plan(neighborhood, actions)
     matrix = np.zeros((v.size, v.size))
-    rows = np.broadcast_to(np.arange(v.size), cols.shape)
-    matrix[rows[valid], cols[valid]] = _stencil_weights(v, stencil, beta)[valid]
+    matrix[plan.frm, plan.to] = _move_weights(v, plan, beta)
     return matrix
 
 
@@ -146,18 +183,20 @@ def _uniforms(rng):
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-def _grid_targets(grid: ParameterGrid, actions: ActionSet) -> list[list[int]]:
-    """Per grid node in ``grid.points()`` order, its in-grid targets in move order.
+def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: list[float]):
+    """Per grid node in ``grid.points()`` order, (targets, rises) in move order.
 
-    Targets are positions in that same order: the stencil of the whole grid
-    taken as one box.
+    Targets are the node's in-grid targets, as positions in that same
+    order: the move plan of the whole grid taken as one box.  The rise to a
+    target is max(v[target] - v[node], 0.0), the exponent a step scales by
+    -beta.
     """
     whole = make_neighborhood(grid, (0,) * grid.d, [n - 1 for n in grid.shape])
-    cols, valid = _box_stencil(whole, actions)
-    return [
-        [j for j, ok in zip(node_cols, node_valid) if ok]
-        for node_cols, node_valid in zip(cols.T.tolist(), valid.T.tolist())
-    ]
+    plan = _box_plan(whole, actions)
+    rows = [[] for _ in range(plan.size)]
+    for i, j in zip(plan.frm.tolist(), plan.to.tolist()):
+        rows[i].append(j)
+    return [(row, [max(v[j] - v[i], 0.0) for j in row]) for i, row in enumerate(rows)]
 
 
 @dataclass
@@ -217,8 +256,8 @@ def hitting_time_experiment(
         phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
     else:
         phases = [ActionSet(d)]
-    tables = [_grid_targets(grid, actions) for actions in phases]
     v = [values[p] for p in points]
+    tables = [_grid_rows(grid, actions, v) for actions in phases]
     index = {p: k for k, p in enumerate(points)}
     goal = index.get(target)  # None, never hit, for an argmin off the grid
     beta_at = CoolingSchedule(t0=t0).beta
@@ -231,10 +270,9 @@ def hitting_time_experiment(
         hit = i == goal
         t = 0
         while not hit and t < max_steps:
-            row = tables[(t // switch_every) % len(tables)][i]
+            row, rises = tables[(t // switch_every) % len(tables)][i]
             beta = beta_at(t)
-            v_here = v[i]
-            weights = [math.exp(-beta * max(v[j] - v_here, 0.0)) for j in row]
+            weights = [math.exp(-beta * r) for r in rises]
             u = next(draws) * sum(weights)
             acc = 0.0
             # Inverse-CDF scan; if u rounds up to the total, the last target.

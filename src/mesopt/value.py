@@ -9,13 +9,15 @@ evaluates that infinite sum exactly, by one banded linear solve on the
 neighborhood's members: a move is a fixed offset in member order, so
 I - gamma P_j has as many sub- and super-diagonals as the largest offset,
 the stride of the first changeable dimension (11 on an 11 x 11 box, 1 when
-only the last dimension changes, 0 when every dimension is frozen).  No
-horizon is chosen and no tail is closed, and every iterate is a convex
-combination of Rhat scaled by 1 / (1 - gamma), so it lies inside
-[min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo estimator of the
+only the last dimension changes, 0 when every dimension is frozen).  Where
+each move's entry sits in band storage comes with the box's cached move
+plan, so a step weighs only the moves that stay in the box, scatters them
+and solves.  No horizon is chosen and no tail is closed, and every iterate
+is a convex combination of Rhat scaled by 1 / (1 - gamma), so it lies
+inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo estimator of the
 horizon-truncated sum is kept for cross-checking, with the truncated
 matrix-power sum as its exact oracle; its walks sample the rows of the
-same move stencil, so no program path builds an m x m kernel.  Rhat, the
+same move plan, so no program path builds an m x m kernel.  Rhat, the
 iterates and the estimates are float arrays in ``Neighborhood.members``
 order.  ``CoolingSchedule`` lives in ``metropolis`` and is re-exported
 here.
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import CoolingSchedule, _box_stencil, _box_values, _stencil_weights
+from .metropolis import CoolingSchedule, _box_plan, _box_values, _move_weights
 
 __all__ = [
     "CoolingSchedule",
@@ -92,33 +94,24 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
     delta_j) for j = 0, 1, ...: each step weighs the box's moves from V_j
     at inverse temperature beta_j and solves (I - gamma P_j) V_{j+1} = Rhat.
     Every move is a fixed offset in member order, so I - gamma P_j is a band
-    matrix whose half-bandwidth k is the largest offset; the stencil and
-    where each move's entry sits in band storage are built once per call.
+    matrix whose half-bandwidth k is the largest offset; the box's cached
+    move plan says where each move's entry sits in band storage.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
     rhat = _box_values(rhat, neighborhood)
-    stencil = _box_stencil(neighborhood, actions)
-    cols, valid = stencil
-    m = rhat.size
-    here = np.arange(m)
-    k = int(np.max(np.abs(cols - here)))  # an invalid move points at its own member
-    height = 3 * k + 1
-    # Entry (i, j) of the matrix sits at row 2k + i - j of column j of the
-    # (height, m) band array; these are its flat column-major positions.
-    entries = np.flatnonzero(valid)
-    at = (2 * k + here - cols + cols * height).ravel()[entries]
-    diagonal = 2 * k + here * height
+    plan = _box_plan(neighborhood, actions)
+    m, k = plan.size, plan.k
 
     def steps():
         v = rhat
         for j in itertools.count():
             beta = schedule.beta(j)
-            band = np.zeros(height * m)
-            band[at] = -gamma * _stencil_weights(v, stencil, beta).ravel()[entries]
-            band[diagonal] += 1.0
-            v_next = _band_solve(band.reshape(m, height).T, k, rhat)
-            yield beta, v_next, float(np.max(np.abs(v_next - v)))
+            band = np.zeros(m * (3 * k + 1))
+            band[plan.at] = -gamma * _move_weights(v, plan, beta)
+            band[plan.diagonal] += 1.0
+            v_next = _band_solve(band.reshape(m, -1).T, k, rhat)
+            yield beta, v_next, float(np.abs(v_next - v).max())
             v = v_next
 
     return rhat, steps()
@@ -195,18 +188,23 @@ def mc_value_estimate(
         raise ValueError("n_walks must be >= 1")
     rhat = _box_values(rhat, neighborhood)
     m = rhat.size
-    if gamma == 0.0:
-        return rhat, np.zeros(m)
     if beta < 0.0:
         raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
+    if gamma == 0.0:
+        return rhat, np.zeros(m)
 
     # Per member (a row), its positive-weight moves by target member, then
-    # the zero-weight ones, so that no draw, not even u = 0.0, picks one of
-    # those; from the last positive weight on the cumulative weight is 1.0,
-    # so a draw u < 1 never runs past it.
-    stencil = _box_stencil(neighborhood, actions)
-    cols, _ = stencil
-    weights = _stencil_weights(rhat, stencil, beta)
+    # the zero-weight ones (the moves that leave the box point back at
+    # their member), so that no draw, not even u = 0.0, picks one of those;
+    # from the last positive weight on the cumulative weight is 1.0, so a
+    # draw u < 1 never runs past it.
+    plan = _box_plan(neighborhood, actions)
+    n_moves = len(actions.moves)
+    cols = np.tile(np.arange(m), n_moves)
+    cols[plan.entries] = plan.to
+    weights = np.zeros(n_moves * m)
+    weights[plan.entries] = _move_weights(rhat, plan, beta)
+    cols, weights = cols.reshape(n_moves, m), weights.reshape(n_moves, m)
     order = np.lexsort((cols, weights == 0.0), axis=0)
     targets = np.take_along_axis(cols, order, axis=0).T
     weights = np.take_along_axis(weights, order, axis=0).T

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import transition_matrix
+from mesopt.metropolis import _box_plan, transition_matrix
 from mesopt.objectives import fictitious_1d
 from mesopt.reduction import surrogate_sample_points
 from mesopt.surrogate import fit_surrogate, monomial_row
@@ -102,8 +102,9 @@ def test_invalid_arguments(box3x3):
         value_fixed_point(rhat, n, ActionSet(2), gamma=1.0, schedule=CoolingSchedule(), **FP)
     with pytest.raises(ValueError):
         value_fixed_point(rhat, n, ActionSet(2), gamma=0.5, schedule=CoolingSchedule(), tol_v=0.0, max_j=60)
-    with pytest.raises(ValueError, match="inverse temperature"):
-        mc_value_estimate(rhat, n, ActionSet(2), gamma=0.5, beta=-0.5, n_walks=2, horizon=3, seed=0)
+    for gamma in (0.5, 0.0):  # a negative beta is rejected even where no walk is taken
+        with pytest.raises(ValueError, match="inverse temperature"):
+            mc_value_estimate(rhat, n, ActionSet(2), gamma=gamma, beta=-0.5, n_walks=2, horizon=3, seed=0)
 
 
 def test_mc_gamma_zero_matches_rhat_exactly(box3x3):
@@ -330,6 +331,85 @@ def test_property_box_wide_rhat_matches_member_calls(box, data):
     disp = n.thetas() - np.array(surrogate.center)
     terms = abs(surrogate.center_value) + np.abs(monomial_row(disp)) @ np.abs(surrogate.coeffs)
     assert np.all(np.abs(box_wide - per_member) <= 1e-15 * terms)
+
+
+def _dense_stencil(n, actions):
+    """(cols, valid), each (moves, size): where each move leads from each member.
+
+    The stencil the fixed point read before its move plan: every move from
+    every member, an invalid one pointing back at its member.
+    """
+    shape = np.array([b - a + 1 for a, b in zip(n.lo, n.hi)])
+    coords = np.indices(shape).reshape(len(shape), -1)
+    here = np.arange(coords.shape[1])
+    cols, valid = [], []
+    for move in actions.moves:
+        target = coords + np.array(move)[:, None]
+        inside = np.all((target >= 0) & (target < shape[:, None]), axis=0)
+        cols.append(np.where(inside, np.ravel_multi_index(target, shape, mode="clip"), here))
+        valid.append(inside)
+    return np.array(cols), np.array(valid)
+
+
+def dense_weight_step(v, rhat, n, actions, gamma, beta):
+    """One fixed-point step as the value layer took it before its move plan.
+
+    Dense (moves, size) weights masked with ``np.where``, each member's
+    weights summed over the moves in move order, scattered into a zeroed
+    band with 1 added on the diagonal, and one ``dgbsv``: the bitwise
+    oracle of the plan-driven step.  Returns (V_{j+1}, sup delta).
+    """
+    cols, valid = _dense_stencil(n, actions)
+    m = v.size
+    here = np.arange(m)
+    weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
+    total = weights[0].copy()
+    for w in weights[1:]:
+        total += w
+    weights = weights / total
+    k = int(np.max(np.abs(cols - here)))
+    height = 3 * k + 1
+    entries = np.flatnonzero(valid)
+    band = np.zeros(height * m)
+    band[(2 * k + here - cols + cols * height).ravel()[entries]] = -gamma * weights.ravel()[entries]
+    band[2 * k + here * height] += 1.0
+    v_next = _band_solve(band.reshape(m, height).T, k, rhat)
+    return v_next, float(np.max(np.abs(v_next - v)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    box_in_d_dims(),
+    st.floats(0.0, 0.99),
+    st.lists(st.floats(0.0, 400.0), min_size=1, max_size=4),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.data(),
+)
+def test_property_iterates_match_dense_weight_step_bitwise(box, gamma, betas, scale, data):
+    # The plan weighs only the moves that stay in the box and sums each
+    # member's weights with one bincount; every iterate and sup delta are
+    # the bytes of the former dense-weight step from the same V_j.
+    _, n, actions = box
+    rhat = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=n.size, max_size=n.size)))
+    iterates, deltas, _ = fixed_point_iterates(rhat, n, actions, gamma, DrawnBetas(tuple(betas)), len(betas))
+    for v, v_next, delta, beta in zip(iterates, iterates[1:], deltas, betas):
+        oracle, oracle_delta = dense_weight_step(v, iterates[0], n, actions, gamma, beta)
+        assert v_next.tobytes() == oracle.tobytes()
+        assert delta == oracle_delta
+
+
+def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(1.0, 1.0), steps=(0.1, 0.1))
+    actions = ActionSet(2, {1})
+    plan = _box_plan(make_neighborhood(grid, center=(2, 3), radii=(1, 2)), actions)
+    assert _box_plan(make_neighborhood(grid, center=(7, 6), radii=(1, 2)), ActionSet(2, {1})) is plan
+    assert _box_plan(make_neighborhood(grid, center=(0, 6), radii=(1, 2)), actions) is not plan  # clipped
+    assert _box_plan(make_neighborhood(grid, center=(2, 3), radii=(1, 2)), ActionSet(2)) is not plan
+    for name in ("frm", "to", "entries", "at", "diagonal"):
+        array = getattr(plan, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
