@@ -180,8 +180,11 @@ class Neighborhood:
         )
 
     def thetas(self) -> np.ndarray:
-        """Physical coordinates of all members, shape (size, d)."""
-        return np.array([self.grid.theta(p) for p in self.members])
+        """Physical coordinates of all members, shape (size, d).
+
+        Row k is bitwise ``grid.theta(members[k])``, the same lo + i * step.
+        """
+        return np.asarray(self.grid.mins) + np.asarray(self.grid.steps) * np.array(self.members)
 
 
 def make_neighborhood(grid: ParameterGrid, center: GridPoint, radii) -> Neighborhood:

@@ -9,15 +9,14 @@ excluded from the normalization.
 Both the box kernels and the hitting-time walks read the targets from one
 move plan, ``_MovePlan``: the moves that stay in a box, built once per box
 shape and set of moves and cached, so boxes of one shape share it.
-``transition_matrix`` is the dense m x m view of a box kernel for checks;
-the value fixed point and its Monte-Carlo walks weigh the plan's moves
-directly (``_move_weights``, the one weight rule) and never build it.  A
-box's move weights are exponentiated for the whole box at once with numpy;
-a walk runs on the whole grid as one box, one step at a time, and weighs a
-row's targets with ``math.exp`` in move order, from each target's rise
-max(v(target) - v(here), 0) computed once per call, so its steps do not
-depend on numpy's vectorised exp.  A box's values are one float array in
-``Neighborhood.members`` order.
+The value fixed point and its Monte-Carlo walks weigh the plan's moves
+directly (``_move_weights``, the one weight rule); no m x m kernel is
+built.  A box's move weights are exponentiated for the whole box at once
+with numpy; a walk runs on the whole grid as one box, one step at a time,
+and weighs a row's targets with ``math.exp`` in move order, from each
+target's rise max(v(target) - v(here), 0) computed once per call, so its
+steps do not depend on numpy's vectorised exp.  A box's values are one
+float array in ``Neighborhood.members`` order.
 ``CoolingSchedule`` is the one cooling rule, shared by the walks and the
 value fixed point.
 """
@@ -36,7 +35,6 @@ from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid, make_neighb
 __all__ = [
     "CoolingSchedule",
     "NoUniqueArgmin",
-    "transition_matrix",
     "WalkStatistics",
     "hitting_time_experiment",
 ]
@@ -126,14 +124,6 @@ def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
     return _move_plan(shape, actions.moves)
 
 
-def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
-    """``values`` as a new float array; it must hold one value per member."""
-    v = np.array(values, dtype=float)
-    if v.shape != (neighborhood.size,):
-        raise ValueError(f"{v.size} values for a box of {neighborhood.size} members")
-    return v
-
-
 def _move_weights(v: np.ndarray, plan: _MovePlan, beta: float) -> np.ndarray:
     """Normalized weights of a plan's moves from member values ``v``.
 
@@ -149,26 +139,6 @@ def _move_weights(v: np.ndarray, plan: _MovePlan, beta: float) -> np.ndarray:
     np.exp(w, out=w)
     w /= np.bincount(plan.frm, weights=w, minlength=plan.size)[plan.frm]
     return w
-
-
-def transition_matrix(
-    values: np.ndarray,
-    neighborhood: Neighborhood,
-    actions: ActionSet,
-    beta: float,
-) -> np.ndarray:
-    """The row-stochastic kernel over a neighborhood's members, in member order.
-
-    ``values`` holds one value per member.  ``beta`` is the inverse
-    temperature; beta = 0 gives the uniform kernel on the allowed targets.
-    """
-    if beta < 0.0:
-        raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
-    v = _box_values(values, neighborhood)
-    plan = _box_plan(neighborhood, actions)
-    matrix = np.zeros((v.size, v.size))
-    matrix[plan.frm, plan.to] = _move_weights(v, plan, beta)
-    return matrix
 
 
 #: Uniforms a walk fetches from its generator at a time.  A block holds the

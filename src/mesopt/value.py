@@ -15,12 +15,11 @@ plan, so a step weighs only the moves that stay in the box, scatters them
 and solves.  No horizon is chosen and no tail is closed, and every iterate
 is a convex combination of Rhat scaled by 1 / (1 - gamma), so it lies
 inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo estimator of the
-horizon-truncated sum is kept for cross-checking, with the truncated
-matrix-power sum as its exact oracle; its walks sample the rows of the
-same move plan, so no program path builds an m x m kernel.  Rhat, the
-iterates and the estimates are float arrays in ``Neighborhood.members``
-order.  ``CoolingSchedule`` lives in ``metropolis`` and is re-exported
-here.
+horizon-truncated sum is kept for cross-checking; its walks sample the
+rows of the same move plan, so the program builds no m x m kernel.  Rhat,
+the iterates and the estimates are float arrays in
+``Neighborhood.members`` order.  ``CoolingSchedule`` lives in
+``metropolis`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import CoolingSchedule, _box_plan, _box_values, _move_weights
+from .metropolis import CoolingSchedule, _box_plan, _move_weights
 
 __all__ = [
     "CoolingSchedule",
     "ValueTable",
-    "discounted_power_sum",
     "value_fixed_point",
     "fixed_point_iterates",
     "mc_value_estimate",
@@ -57,20 +55,12 @@ class ValueTable:
     history: list[float] = field(default_factory=list)
 
 
-def discounted_power_sum(matrix: np.ndarray, rhat: np.ndarray, gamma: float, horizon: int) -> np.ndarray:
-    """sum_{t=0}^{horizon} gamma^t P^t rhat, the truncated discounted sum.
-
-    It is what a horizon-step walk accumulates on average, so it is the
-    exact oracle for ``mc_value_estimate``.
-    """
-    acc = rhat.astype(float).copy()
-    y = rhat.astype(float)
-    g = 1.0
-    for _ in range(horizon):
-        y = matrix @ y
-        g *= gamma
-        acc += g * y
-    return acc
+def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
+    """``values`` as a new float array; it must hold one value per member."""
+    v = np.array(values, dtype=float)
+    if v.shape != (neighborhood.size,):
+        raise ValueError(f"{v.size} values for a box of {neighborhood.size} members")
+    return v
 
 
 def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:

@@ -1,0 +1,246 @@
+"""Reference implementations the tests compare the program against.
+
+Each is a slow or dense form of something the program computes another
+way: the m x m Metropolis kernel of a box and its truncated discounted
+power sum, the kernel and the hitting-time walk taken one row at a time,
+the Monte-Carlo sampler driven by the dense kernel, the fixed-point step as
+a dense solve and as the dense-weight band step the move plan replaced, a
+generator stand-in with dyadic draws, and the local argmins of a 1-d table.
+None of them is part of ``mesopt``: the program builds no m x m kernel.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from mesopt.grid import ActionSet
+from mesopt.metropolis import _box_plan, _move_weights
+from mesopt.value import _band_solve, _box_values
+
+
+def transition_matrix(values, neighborhood, actions, beta):
+    """The row-stochastic kernel over a neighborhood's members, in member order.
+
+    A scatter of the program's weight rule (``_move_weights``) on the box's
+    cached move plan, so checks on it check the rule the value layer uses.
+    ``values`` holds one value per member; ``beta`` is the inverse
+    temperature, and beta = 0 gives the uniform kernel on the allowed
+    targets.
+    """
+    if beta < 0.0:
+        raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
+    v = _box_values(values, neighborhood)
+    plan = _box_plan(neighborhood, actions)
+    matrix = np.zeros((v.size, v.size))
+    matrix[plan.frm, plan.to] = _move_weights(v, plan, beta)
+    return matrix
+
+
+def discounted_power_sum(matrix, rhat, gamma, horizon):
+    """sum_{t=0}^{horizon} gamma^t P^t rhat, the truncated discounted sum.
+
+    It is what a horizon-step walk accumulates on average, so it is the
+    exact oracle for ``mc_value_estimate``.
+    """
+    acc = rhat.astype(float).copy()
+    y = rhat.astype(float)
+    g = 1.0
+    for _ in range(horizon):
+        y = matrix @ y
+        g *= gamma
+        acc += g * y
+    return acc
+
+
+def _row_weights(values, state, actions, beta, contains, exp=math.exp):
+    """(targets, weights) for one kernel row; stay is always a target.
+
+    The row-by-row definition of the kernel, the oracle for both the box
+    kernels and the table-driven walk.
+    """
+    v_here = values[state]
+    targets, weights = [], []
+    for move in actions.moves:
+        target = tuple(s + m for s, m in zip(state, move))
+        if not contains(target):
+            continue
+        dv = values[target] - v_here
+        weights.append(exp(-beta * max(dv, 0.0)))
+        targets.append(target)
+    return targets, weights
+
+
+def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
+    """The kernel built one row at a time, as a walk step weighs it."""
+    index = {s: k for k, s in enumerate(n.members)}
+    matrix = np.zeros((n.size, n.size))
+    for k, state in enumerate(n.members):
+        targets, weights = _row_weights(values, state, actions, beta, n.contains, exp)
+        total = sum(weights)
+        for target, w in zip(targets, weights):
+            matrix[k, index[target]] = w / total
+    return matrix
+
+
+def _lazy_step(values, grid, state, actions, beta, rng):
+    """One Metropolis step without materializing the full kernel."""
+    targets, weights = _row_weights(values, state, actions, beta, grid.contains)
+    total = sum(weights)
+    u = rng.random() * total
+    acc = 0.0
+    for target, w in zip(targets, weights):
+        acc += w
+        if u < acc:
+            return target
+    return targets[-1]
+
+
+def _reference_walks(values, grid, start, mode, n_walks, seed, max_steps, t0):
+    """(steps, hits, walk-0 path) of the walks taken one ``_lazy_step`` at a time."""
+    target = min(values, key=lambda p: (values[p], p))
+    d = grid.d
+    switch_every = max(grid.shape)
+    if mode == "fixed" and d >= 2:
+        phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
+    else:
+        phases = [ActionSet(d)]
+    steps_out, hits, path = [], [], [start]
+    for walk_id in range(n_walks):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
+        state = start
+        hit = state == target
+        t = 0
+        while not hit and t < max_steps:
+            actions = phases[(t // switch_every) % len(phases)]
+            beta = math.log(2.0 + t) / t0
+            state = _lazy_step(values, grid, state, actions, beta, rng)
+            t += 1
+            hit = state == target
+            if walk_id == 0:
+                path.append(state)
+        steps_out.append(t)
+        hits.append(hit)
+    return steps_out, hits, path
+
+
+def dense_step(v, rhat, n, actions, gamma, beta):
+    """One fixed-point step as a dense solve on the whole kernel: the band solve's oracle."""
+    return np.linalg.solve(np.eye(n.size) - gamma * transition_matrix(v, n, actions, beta), rhat)
+
+
+def _dense_stencil(n, actions):
+    """(cols, valid), each (moves, size): where each move leads from each member.
+
+    The stencil the fixed point read before its move plan: every move from
+    every member, an invalid one pointing back at its member.
+    """
+    shape = np.array([b - a + 1 for a, b in zip(n.lo, n.hi)])
+    coords = np.indices(shape).reshape(len(shape), -1)
+    here = np.arange(coords.shape[1])
+    cols, valid = [], []
+    for move in actions.moves:
+        target = coords + np.array(move)[:, None]
+        inside = np.all((target >= 0) & (target < shape[:, None]), axis=0)
+        cols.append(np.where(inside, np.ravel_multi_index(target, shape, mode="clip"), here))
+        valid.append(inside)
+    return np.array(cols), np.array(valid)
+
+
+def dense_weight_step(v, rhat, n, actions, gamma, beta):
+    """One fixed-point step as the value layer took it before its move plan.
+
+    Dense (moves, size) weights masked with ``np.where``, each member's
+    weights summed over the moves in move order, scattered into a zeroed
+    band with 1 added on the diagonal, and one ``dgbsv``: the bitwise
+    oracle of the plan-driven step.  Returns (V_{j+1}, sup delta).
+    """
+    cols, valid = _dense_stencil(n, actions)
+    m = v.size
+    here = np.arange(m)
+    weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
+    total = weights[0].copy()
+    for w in weights[1:]:
+        total += w
+    weights = weights / total
+    k = int(np.max(np.abs(cols - here)))
+    height = 3 * k + 1
+    entries = np.flatnonzero(valid)
+    band = np.zeros(height * m)
+    band[(2 * k + here - cols + cols * height).ravel()[entries]] = -gamma * weights.ravel()[entries]
+    band[2 * k + here * height] += 1.0
+    v_next = _band_solve(band.reshape(m, height).T, k, rhat)
+    return v_next, float(np.max(np.abs(v_next - v)))
+
+
+def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (targets, cumulative weights) over the row's nonzero columns.
+
+    The oracle sampler: it reads the dense kernel one row at a time.
+    Targets stay in column order; short rows are padded with their last
+    target, and the last cumulative weight of every row is set to 1.0 so a
+    uniform draw u < 1 never overruns it.
+    """
+    m = matrix.shape[0]
+    width = max(int((row > 0).sum()) for row in matrix)
+    targets = np.zeros((m, width), dtype=np.intp)
+    cumw = np.ones((m, width))
+    for k, row in enumerate(matrix):
+        idx = np.flatnonzero(row)
+        targets[k, : idx.size] = idx
+        targets[k, idx.size :] = idx[-1]
+        cumw[k, : idx.size] = np.cumsum(row[idx])
+        cumw[k, idx.size - 1 :] = 1.0
+    return targets, cumw
+
+
+def oracle_mc_estimate(rhat, n, actions, gamma, beta, n_walks, horizon, seed):
+    """``mc_value_estimate`` driven by the dense kernel and the oracle sampler."""
+    m = n.size
+    if gamma == 0.0:
+        return rhat.copy(), np.zeros(m)
+    targets, cumw = _compressed_rows(transition_matrix(rhat, n, actions, beta))
+    rng = np.random.default_rng(seed)
+    pos = np.repeat(np.arange(m), n_walks)
+    totals = rhat[pos].copy()
+    g = 1.0
+    for _ in range(horizon):
+        u = rng.random(pos.shape[0])
+        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
+        g *= gamma
+        totals += g * rhat[pos]
+    per_state = totals.reshape(m, n_walks)
+    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
+    return per_state.mean(axis=1), se
+
+
+class _DyadicGenerator:
+    """Generator stand-in whose doubles are multiples of 1/8, 0.0 included.
+
+    Scalar and block draws come from one unbounded stream, as numpy's do.
+    Such a draw times a total of whole weights often lands exactly on a
+    cumulative weight, the case that tells ``<`` from ``<=`` in a scan, and
+    a draw u = 0.0 tells a row whose first cumulative weight is that of a
+    zero-weight move from one that starts at its first positive weight.
+    """
+
+    def __init__(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        self._draws = itertools.chain.from_iterable(
+            (rng.integers(0, 8, size=256) / 8).tolist() for _ in itertools.count()
+        )
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._draws)
+        return np.array(list(itertools.islice(self._draws, size)))
+
+
+def _local_argmins(vals):
+    """Indices of a 1-d table's local minima, each end and plateaus included."""
+    return [
+        i
+        for i in range(len(vals))
+        if (i == 0 or vals[i] <= vals[i - 1])
+        and (i == len(vals) - 1 or vals[i] <= vals[i + 1])
+    ]

@@ -28,7 +28,7 @@ from mesopt.cli import main
 from mesopt.csvio import csv_body
 from mesopt.geometry import AirfoilSpec
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import hitting_time_experiment, transition_matrix
+from mesopt.metropolis import hitting_time_experiment
 from mesopt.objectives import (
     StokesObjective,
     SyntheticValleyObjective,
@@ -41,11 +41,11 @@ from mesopt.stokes import ChannelConfig, sample_line, solve_stokes
 from mesopt.surrogate import fit_surrogate
 from mesopt.value import (
     CoolingSchedule,
-    discounted_power_sum,
     fixed_point_iterates,
     mc_value_estimate,
     value_fixed_point,
 )
+from oracles import _local_argmins, discounted_power_sum, transition_matrix
 
 
 def report(n, name, ok, elapsed, budget, detail=""):
@@ -151,15 +151,6 @@ def test_criterion_04_mc_oracle_equivalence():
     ok = max(devs) <= 3.0
     report(4, "mc-matches-matrix-power", ok, time.time() - t0, 30.0,
            f"max deviation {max(devs):.2f} standard errors over {hood.size} states")
-
-
-def _local_argmins(vals):
-    return [
-        i
-        for i in range(len(vals))
-        if (i == 0 or vals[i] <= vals[i - 1])
-        and (i == len(vals) - 1 or vals[i] <= vals[i + 1])
-    ]
 
 
 def test_criterion_05_well_sharpening():

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import mesopt
 from mesopt.geometry import ReducedParsecSide, eval_side
 from mesopt.objectives import SyntheticValleyObjective, reward_R1
 from mesopt.stokes import EvaluationProfile
@@ -42,3 +45,13 @@ def test_budget_counter_thread_safety():
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda i: backend((2.0 + 0.01 * i, 2.5)), range(200)))
     assert backend.calls == 200
+
+
+def test_every_module_export_resolves():
+    # A name left in a module's __all__ after its definition moved away fails here.
+    modules = [importlib.import_module(f"mesopt.{m.name}") for m in pkgutil.iter_modules(mesopt.__path__)]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert exporting
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__} exports names it does not define: {missing}"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,3 +107,17 @@ def test_property_index_of_inverts_theta(data):
     grid = ParameterGrid(mins, [lo + k * s for lo, k, s in zip(mins, counts, steps)], steps)
     point = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
     assert grid.index_of(grid.theta(point)) == point
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_property_box_thetas_are_the_bytes_of_member_thetas(data):
+    d = data.draw(st.integers(1, 3))
+    mins = [data.draw(st.floats(-50.0, 50.0)) for _ in range(d)]
+    steps = [data.draw(st.floats(0.01, 1.0)) for _ in range(d)]
+    counts = [data.draw(st.integers(1, 12)) for _ in range(d)]
+    grid = ParameterGrid(mins, [lo + k * s for lo, k, s in zip(mins, counts, steps)], steps)
+    center = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
+    radii = tuple(data.draw(st.integers(0, 4)) for _ in range(d))
+    n = make_neighborhood(grid, center, radii)
+    assert n.thetas().tobytes() == np.array([grid.theta(p) for p in n.members]).tobytes()

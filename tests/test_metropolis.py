@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -10,69 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import hitting_time_experiment, transition_matrix
+from mesopt.metropolis import hitting_time_experiment
+from oracles import _DyadicGenerator, _reference_walks, _rows_from_row_weights, transition_matrix
 
 #: The walk command's default budget and temperature (``WalkSettings``).
 WALK = dict(max_steps=5000, t0=1.0)
-
-
-def _row_weights(values, state, actions, beta, contains, exp=math.exp):
-    """(targets, weights) for one kernel row; stay is always a target.
-
-    The row-by-row definition of the kernel, the oracle for both the box
-    kernels and the table-driven walk.
-    """
-    v_here = values[state]
-    targets, weights = [], []
-    for move in actions.moves:
-        target = tuple(s + m for s, m in zip(state, move))
-        if not contains(target):
-            continue
-        dv = values[target] - v_here
-        weights.append(exp(-beta * max(dv, 0.0)))
-        targets.append(target)
-    return targets, weights
-
-
-def _lazy_step(values, grid, state, actions, beta, rng):
-    """One Metropolis step without materializing the full kernel."""
-    targets, weights = _row_weights(values, state, actions, beta, grid.contains)
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    for target, w in zip(targets, weights):
-        acc += w
-        if u < acc:
-            return target
-    return targets[-1]
-
-
-def _reference_walks(values, grid, start, mode, n_walks, seed, max_steps, t0):
-    """(steps, hits, walk-0 path) of the walks taken one ``_lazy_step`` at a time."""
-    target = min(values, key=lambda p: (values[p], p))
-    d = grid.d
-    switch_every = max(grid.shape)
-    if mode == "fixed" and d >= 2:
-        phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
-    else:
-        phases = [ActionSet(d)]
-    steps_out, hits, path = [], [], [start]
-    for walk_id in range(n_walks):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
-        state = start
-        hit = state == target
-        t = 0
-        while not hit and t < max_steps:
-            actions = phases[(t // switch_every) % len(phases)]
-            beta = math.log(2.0 + t) / t0
-            state = _lazy_step(values, grid, state, actions, beta, rng)
-            t += 1
-            hit = state == target
-            if walk_id == 0:
-                path.append(state)
-        steps_out.append(t)
-        hits.append(hit)
-    return steps_out, hits, path
 
 
 @pytest.fixture
@@ -278,18 +219,6 @@ def clipped_boxes(draw):
     return np.array(values), n, actions
 
 
-def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
-    """The kernel built one row at a time, as a walk step weighs it."""
-    index = {s: k for k, s in enumerate(n.members)}
-    matrix = np.zeros((n.size, n.size))
-    for k, state in enumerate(n.members):
-        targets, weights = _row_weights(values, state, actions, beta, n.contains, exp)
-        total = sum(weights)
-        for target, w in zip(targets, weights):
-            matrix[k, index[target]] = w / total
-    return matrix
-
-
 @settings(max_examples=80, deadline=None)
 @given(clipped_boxes(), st.sampled_from([0.0, 0.9, 1e3]))
 def test_property_kernel_matches_row_by_row_definition(box, beta):
@@ -304,24 +233,6 @@ def test_property_kernel_matches_row_by_row_definition(box, beta):
     np.testing.assert_allclose(
         matrix, _rows_from_row_weights(by_member, n, actions, beta), rtol=1e-15, atol=1e-300
     )
-
-
-class _DyadicGenerator:
-    """Generator stand-in whose doubles are multiples of 1/8.
-
-    Scalar and block draws come from one stream, as numpy's do.  Such a
-    draw times a total of whole weights often lands exactly on a cumulative
-    weight, the case that tells ``<`` from ``<=`` in the scan.
-    """
-
-    def __init__(self, seed_seq):
-        eighths = np.random.Generator(np.random.PCG64(seed_seq)).integers(0, 8, size=4096) / 8
-        self._draws = iter(eighths.tolist())
-
-    def random(self, size=None):
-        if size is None:
-            return next(self._draws)
-        return np.array(list(itertools.islice(self._draws, size)))
 
 
 @settings(max_examples=150, deadline=None)

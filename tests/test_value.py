@@ -1,5 +1,4 @@
 import contextlib
-import math
 from dataclasses import dataclass
 from unittest import mock
 
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import _box_plan, transition_matrix
+from mesopt.metropolis import _box_plan
 from mesopt.objectives import fictitious_1d
 from mesopt.reduction import surrogate_sample_points
 from mesopt.surrogate import fit_surrogate, monomial_row
@@ -18,10 +17,18 @@ from mesopt.value import (
     ValueTable,
     _band_solve,
     argmin_value,
-    discounted_power_sum,
     fixed_point_iterates,
     mc_value_estimate,
     value_fixed_point,
+)
+from oracles import (
+    _DyadicGenerator,
+    _local_argmins,
+    dense_step,
+    dense_weight_step,
+    discounted_power_sum,
+    oracle_mc_estimate,
+    transition_matrix,
 )
 
 
@@ -163,15 +170,6 @@ def test_argmin_value_tie_breaking():
         argmin_value(ValueTable(members=(), values=np.array([]), iterations=0, converged=False))
 
 
-def _local_argmins(vals):
-    return [
-        i
-        for i in range(len(vals))
-        if (i == 0 or vals[i] <= vals[i - 1])
-        and (i == len(vals) - 1 or vals[i] <= vals[i + 1])
-    ]
-
-
 def test_fictitious_demo_sharpens_and_keeps_argmins():
     # 1-d run over [-3, 2], delta 0.05: converged V has the same local
     # argmins as the objective and larger discrete curvature there.
@@ -269,11 +267,6 @@ class DrawnBetas:
         return self.betas[j]
 
 
-def dense_step(v, rhat, n, actions, gamma, beta):
-    """One fixed-point step as a dense solve on the whole kernel: the band solve's oracle."""
-    return np.linalg.solve(np.eye(n.size) - gamma * transition_matrix(v, n, actions, beta), rhat)
-
-
 @st.composite
 def box_in_d_dims(draw):
     """(grid, neighborhood, actions) on a random 1- to 3-d grid, box clipped at the bounds."""
@@ -333,50 +326,6 @@ def test_property_box_wide_rhat_matches_member_calls(box, data):
     assert np.all(np.abs(box_wide - per_member) <= 1e-15 * terms)
 
 
-def _dense_stencil(n, actions):
-    """(cols, valid), each (moves, size): where each move leads from each member.
-
-    The stencil the fixed point read before its move plan: every move from
-    every member, an invalid one pointing back at its member.
-    """
-    shape = np.array([b - a + 1 for a, b in zip(n.lo, n.hi)])
-    coords = np.indices(shape).reshape(len(shape), -1)
-    here = np.arange(coords.shape[1])
-    cols, valid = [], []
-    for move in actions.moves:
-        target = coords + np.array(move)[:, None]
-        inside = np.all((target >= 0) & (target < shape[:, None]), axis=0)
-        cols.append(np.where(inside, np.ravel_multi_index(target, shape, mode="clip"), here))
-        valid.append(inside)
-    return np.array(cols), np.array(valid)
-
-
-def dense_weight_step(v, rhat, n, actions, gamma, beta):
-    """One fixed-point step as the value layer took it before its move plan.
-
-    Dense (moves, size) weights masked with ``np.where``, each member's
-    weights summed over the moves in move order, scattered into a zeroed
-    band with 1 added on the diagonal, and one ``dgbsv``: the bitwise
-    oracle of the plan-driven step.  Returns (V_{j+1}, sup delta).
-    """
-    cols, valid = _dense_stencil(n, actions)
-    m = v.size
-    here = np.arange(m)
-    weights = np.where(valid, np.exp(-beta * np.maximum(v[cols] - v, 0.0)), 0.0)
-    total = weights[0].copy()
-    for w in weights[1:]:
-        total += w
-    weights = weights / total
-    k = int(np.max(np.abs(cols - here)))
-    height = 3 * k + 1
-    entries = np.flatnonzero(valid)
-    band = np.zeros(height * m)
-    band[(2 * k + here - cols + cols * height).ravel()[entries]] = -gamma * weights.ravel()[entries]
-    band[2 * k + here * height] += 1.0
-    v_next = _band_solve(band.reshape(m, height).T, k, rhat)
-    return v_next, float(np.max(np.abs(v_next - v)))
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     box_in_d_dims(),
@@ -410,61 +359,6 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-
-
-def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (targets, cumulative weights) over the row's nonzero columns.
-
-    The oracle sampler: it reads the dense kernel one row at a time.
-    Targets stay in column order; short rows are padded with their last
-    target, and the last cumulative weight of every row is set to 1.0 so a
-    uniform draw u < 1 never overruns it.
-    """
-    m = matrix.shape[0]
-    width = max(int((row > 0).sum()) for row in matrix)
-    targets = np.zeros((m, width), dtype=np.intp)
-    cumw = np.ones((m, width))
-    for k, row in enumerate(matrix):
-        idx = np.flatnonzero(row)
-        targets[k, : idx.size] = idx
-        targets[k, idx.size :] = idx[-1]
-        cumw[k, : idx.size] = np.cumsum(row[idx])
-        cumw[k, idx.size - 1 :] = 1.0
-    return targets, cumw
-
-
-def oracle_mc_estimate(rhat, n, actions, gamma, beta, n_walks, horizon, seed):
-    """``mc_value_estimate`` driven by the dense kernel and the oracle sampler."""
-    m = n.size
-    if gamma == 0.0:
-        return rhat.copy(), np.zeros(m)
-    targets, cumw = _compressed_rows(transition_matrix(rhat, n, actions, beta))
-    rng = np.random.default_rng(seed)
-    pos = np.repeat(np.arange(m), n_walks)
-    totals = rhat[pos].copy()
-    g = 1.0
-    for _ in range(horizon):
-        u = rng.random(pos.shape[0])
-        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
-        g *= gamma
-        totals += g * rhat[pos]
-    per_state = totals.reshape(m, n_walks)
-    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
-    return per_state.mean(axis=1), se
-
-
-class _DyadicGenerator:
-    """Generator stand-in whose doubles are multiples of 1/8, 0.0 included.
-
-    A draw u = 0.0 tells a row whose first cumulative weight is that of a
-    zero-weight move from one that starts at its first positive weight.
-    """
-
-    def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-
-    def random(self, size=None):
-        return self._rng.integers(0, 8, size=size) / 8
 
 
 @settings(max_examples=150, deadline=None)
