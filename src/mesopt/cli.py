@@ -48,12 +48,6 @@ def build_backend(cfg: RunConfig) -> CountingObjective:
     return backend()
 
 
-def _require_backend_dim(cfg: RunConfig) -> None:
-    backend_d = BACKENDS[cfg.backend].d
-    if cfg.grid.d != backend_d:
-        raise ConfigError("grid", f"backend {cfg.backend!r} needs a {backend_d}-d grid")
-
-
 def _grid_index(grid: ParameterGrid, theta, path: str):
     """Index of the configured point ``theta``; off the grid is a config error."""
     try:
@@ -88,10 +82,6 @@ def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig):
     def point(p):
         return {"index": list(p), "theta": list(grid.theta(p))}
 
-    # The run's optimizer settings under their config keys.
-    optimizer = dataclasses.asdict(cfg.optimizer)
-    optimizer["cooling"] = optimizer.pop("schedule")
-
     cycles = []
     for c in trace.cycles:
         cycles.append(
@@ -121,7 +111,7 @@ def _trace_json(trace: OptimizationTrace, grid: ParameterGrid, cfg: RunConfig):
         "backend": cfg.backend,
         "seed": cfg.seed,
         "grid": {"mins": list(grid.mins), "maxs": list(grid.maxs), "steps": list(grid.steps)},
-        "optimizer": optimizer,
+        "optimizer": dataclasses.asdict(cfg.optimizer),
         "terminated_reason": trace.terminated_reason,
         "error": trace.error,
         "total_simulations": trace.total_simulations,
@@ -268,7 +258,7 @@ def cmd_fixedpoint(cfg: RunConfig, out: Path) -> int:
     rhat = np.array([backend(grid.theta(p)) for p in hood.members])
     fp = cfg.fixedpoint
     iterates, deltas, betas = fixed_point_iterates(
-        rhat, hood, ActionSet(1), fp.gamma, fp.schedule, fp.iterations
+        rhat, hood, ActionSet(1), fp.gamma, fp.cooling, fp.iterations
     )
 
     xs = [grid.theta(p)[0] for p in hood.members]
@@ -404,22 +394,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)  # checked as the config's seed
-        if args.backend is not None:
-            if args.backend not in BACKENDS:
-                raise ConfigError("--backend", f"unknown backend {args.backend!r}")
-            cfg.backend = args.backend
-        _require_backend_dim(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        cfg = load_config(args.config, seed=args.seed, backend=args.backend)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", str(exc)) from None
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

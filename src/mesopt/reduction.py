@@ -44,7 +44,7 @@ class OptimizerConfig:
 
     gamma: float = 0.9
     epsilon: float = 0.1
-    schedule: CoolingSchedule = field(default_factory=CoolingSchedule)
+    cooling: CoolingSchedule = field(default_factory=CoolingSchedule)
     initial_radii: tuple[int, ...] = (3, 3)
     tol_v: float = 1e-6
     max_cycles: int = 40
@@ -291,7 +291,7 @@ def run_optimization(
 
             rhat = surrogate(neighborhood.thetas())
             table = value_fixed_point(
-                rhat, neighborhood, actions, config.gamma, config.schedule, config.tol_v, config.max_j
+                rhat, neighborhood, actions, config.gamma, config.cooling, config.tol_v, config.max_j
             )
             new_center = argmin_value(table)
             true_at_argmin = cache.value(new_center)

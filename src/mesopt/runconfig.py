@@ -6,12 +6,14 @@ drift between experiment configs and the code surfaces immediately.
 
 Every setting has one home, its settings dataclass field: a section's keys
 are the field names, each read as the JSON kind its annotation names, and a
-missing key takes the field's own default.  A ``CoolingSchedule`` field
-(``metropolis.CoolingSchedule``) is the nested section ``cooling``.  Only
-the defaults that depend on the grid are set here:
-``optimizer.initial_radii`` (3 per dimension), ``optimizer.start`` (2.0
-per coordinate) and ``walk.start`` (the grid's last node).  Every section
-present is parsed and checked, whatever the command.
+missing key takes the field's own default.  A field whose type is itself a
+settings dataclass is the nested section of the field's name (so
+``OptimizerConfig.cooling`` is ``optimizer.cooling``).  Only the defaults
+that depend on the grid are set here: ``optimizer.initial_radii`` (3 per
+dimension), ``optimizer.start`` (2.0 per coordinate) and ``walk.start``
+(the grid's last node).  Every section present is parsed and checked,
+whatever the command.  Command-line flags are written into the document
+before it is parsed, so a flag passes exactly the checks of its key.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ class FixedPointSettings:
     iterations: int = 30
     gamma: float = 0.9
     tol_v: float = 1e-6
-    schedule: CoolingSchedule = field(
-        default_factory=lambda: CoolingSchedule(t0=1e-3)
-    )
+    cooling: CoolingSchedule = field(default_factory=lambda: CoolingSchedule(t0=1e-3))
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -91,7 +91,7 @@ class Exp2Settings:
         OptimizerConfig(max_cycles=self.max_cycles)  # the optimizer's own check
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     backend: str = "synthetic-valley"
     seed: int = 0
@@ -107,6 +107,11 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
+        if self.backend not in BACKENDS:
+            raise ConfigError("backend", f"must be one of {', '.join(BACKENDS)}")
+        d = BACKENDS[self.backend].d
+        if self.grid.d != d:
+            raise ConfigError("grid", f"backend {self.backend!r} needs a {d}-d grid")
 
 
 class _Section:
@@ -178,17 +183,17 @@ def _build(cls, sec: _Section, **defaults):
     """Settings class ``cls`` read from ``sec``, one key per field.
 
     A missing key takes its value from ``defaults``, else the field's own
-    default.  A ``CoolingSchedule`` field is the nested section ``cooling``,
-    whose missing keys keep the values of that field's default.  A
-    ``ValueError`` from the class's own checks names the section.
+    default.  A field whose type is a dataclass is the nested section of
+    its name, whose missing keys keep the values of that field's default.
+    A ``ValueError`` from the class's own checks names the section.
     """
     kinds = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         default = f.default if f.default_factory is MISSING else f.default_factory()
         default = defaults.get(f.name, default)
-        if kinds[f.name] is CoolingSchedule:
-            kwargs[f.name] = _build(CoolingSchedule, sec.section("cooling"), **dataclasses.asdict(default))
+        if dataclasses.is_dataclass(kinds[f.name]):
+            kwargs[f.name] = _build(kinds[f.name], sec.section(f.name), **dataclasses.asdict(default))
         else:
             kwargs[f.name] = sec.get(f.name, kinds[f.name], default)
     sec.finish()
@@ -204,8 +209,6 @@ def parse_config(raw: dict) -> RunConfig:
     root = _Section(raw, "")
 
     backend = root.get("backend", str, RunConfig.backend)
-    if backend not in BACKENDS:
-        raise ConfigError("backend", f"must be one of {', '.join(BACKENDS)}")
     seed = root.get("seed", int, RunConfig.seed)
 
     if root.data.get("grid") is None:
@@ -221,8 +224,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("optimizer.initial_radii", f"expected {grid.d} radii")
 
     channel = _build(ChannelConfig, root.section("channel"))
-    if len(channel.inflow) != 2:
-        raise ConfigError("channel.inflow", "expected [u_in, w_in]")
 
     last_node = tuple(grid.theta(tuple(n - 1 for n in grid.shape)))
     walk = _build(WalkSettings, root.section("walk"), start=last_node)
@@ -245,13 +246,23 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """The run configuration in the JSON file ``path``.
+
+    Each ``overrides`` value that is not None replaces its top-level key
+    before the document is parsed, so it passes that key's checks.
+    """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("<config>", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError("<config>", f"not UTF-8 text: {path}") from None
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be an object")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
     return parse_config(raw)

@@ -88,6 +88,8 @@ class ChannelConfig:
     n_shape_samples: int = 257  # surface samples per blade
 
     def __post_init__(self):
+        if len(self.inflow) != 2:
+            raise ValueError("inflow must be two numbers [u_in, w_in]")
         if self.Lx <= 0 or self.Lz <= 0:
             raise ValueError("channel dimensions must be positive")
         if self.nx < 4 or self.nz < 4:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from mesopt import cli
 from mesopt.cli import main
 from mesopt.csvio import csv_body
+from mesopt.runconfig import parse_config
 
 VALLEY = {
     "backend": "synthetic-valley",
@@ -195,6 +197,73 @@ def test_invalid_setting_is_a_config_error(tmp_path, capsys, command, section, e
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *extra_args]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error:") and field in line
+
+
+@pytest.mark.parametrize(
+    "key, value, flag, line",
+    [
+        ("seed", -1, ["--seed", "-1"], "config error: seed: must be non-negative"),
+        (
+            "backend",
+            "quantum",
+            ["--backend", "quantum"],
+            "config error: backend: must be one of stokes, synthetic-valley, fictitious-1d",
+        ),
+        (
+            "backend",
+            "fictitious-1d",
+            ["--backend", "fictitious-1d"],
+            "config error: grid: backend 'fictitious-1d' needs a 1-d grid",
+        ),
+    ],
+    ids=["seed", "unknown-backend", "backend-of-another-dimension"],
+)
+def test_a_flag_behaves_like_its_key(tmp_path, capsys, key, value, flag, line):
+    # The flag and the same value written into the document meet one check.
+    outcomes = []
+    for doc, args in ((dict(VALLEY, **{key: value}), []), (VALLEY, flag)):
+        cfg = write_cfg(tmp_path, doc)
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"), *args])
+        outcomes.append((rc, capsys.readouterr().err.splitlines()))
+    assert outcomes == [(2, [line])] * 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("backend", ["magic", "fictitious-1d"])
+def test_a_flag_rescues_an_invalid_file_value(tmp_path, backend):
+    # The flag replaces the file's value before any check reads it: an
+    # unknown name and a backend of another dimension alike.
+    cfg = write_cfg(tmp_path, dict(VALLEY, backend=backend))
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["optimize", "--config", cfg, "--backend", "synthetic-valley", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_run_config_is_frozen():
+    cfg = parse_config(VALLEY)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.backend = "stokes"
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+        expected = f"config error: <config>: cannot read {path}: Is a directory"
+    else:
+        path.write_bytes(json.dumps(VALLEY).replace("valley", "vall\xe9e").encode("latin-1"))
+        expected = f"config error: <config>: not UTF-8 text: {path}"
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [expected]
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, VALLEY)
+    out = tmp_path / "o"
+    out.write_text("")
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: --out: ") and "File exists" in line
 
 
 def test_landscape_synthetic_argmin(tmp_path):

@@ -66,8 +66,8 @@ def test_section_extras_and_grid_dependent_defaults():
 def test_cooling_keys_default_to_the_field_default():
     # Each CoolingSchedule field keeps its own default t0 for missing keys.
     cfg = parse_config(dict(BASE, optimizer={"cooling": {}}, fixedpoint={"cooling": {"kind": "inverse-log"}}))
-    assert cfg.optimizer.schedule == CoolingSchedule()
-    assert cfg.fixedpoint.schedule == CoolingSchedule(kind="inverse-log", t0=1e-3)
+    assert cfg.optimizer.cooling == CoolingSchedule()
+    assert cfg.fixedpoint.cooling == CoolingSchedule(kind="inverse-log", t0=1e-3)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)

@@ -105,7 +105,7 @@ def test_stokes_objective_deterministic_and_counted():
 
 def test_backend_registry():
     # One map from config name to objective class; each class declares d,
-    # and parse_config, --backend and cli.build_backend all read this map.
+    # and RunConfig's checks and cli.build_backend read this map.
     from mesopt.cli import build_backend
     from mesopt.runconfig import ConfigError, parse_config
 

@@ -57,7 +57,7 @@ def test_type_errors_name_the_field():
 
 
 def test_invalid_backend():
-    with pytest.raises(ConfigError, match="backend"):
+    with pytest.raises(ConfigError, match=r"^backend: must be one of stokes, synthetic-valley, fictitious-1d$"):
         parse_config(minimal(backend="magic"))
 
 
@@ -70,12 +70,17 @@ def test_dimension_mismatches():
     raw["optimizer"] = {"initial_radii": [3]}
     with pytest.raises(ConfigError, match=r"optimizer\.initial_radii"):
         parse_config(raw)
+    with pytest.raises(ConfigError, match=r"^grid: backend 'fictitious-1d' needs a 1-d grid$"):
+        parse_config(minimal(backend="fictitious-1d"))
 
 
 def test_channel_validation_propagates():
     raw = minimal(backend="stokes")
     raw["channel"] = {"line_E_x": 1.0}
     with pytest.raises(ConfigError, match="channel"):
+        parse_config(raw)
+    raw["channel"] = {"inflow": [1.0]}
+    with pytest.raises(ConfigError, match=r"^channel: inflow must be two numbers"):
         parse_config(raw)
 
 
@@ -113,7 +118,7 @@ def test_cooling_section():
     raw = minimal()
     raw["optimizer"] = {"cooling": {"kind": "inverse-log", "t0": 2.0}}
     cfg = parse_config(raw)
-    assert cfg.optimizer.schedule.kind == "inverse-log"
+    assert cfg.optimizer.cooling.kind == "inverse-log"
     raw["optimizer"] = {"cooling": {"kind": "warmish"}}
     with pytest.raises(ConfigError, match=r"optimizer\.cooling"):
         parse_config(raw)

@@ -34,6 +34,13 @@ def test_empty_channel_recovers_uniform_inflow():
     np.testing.assert_allclose(field.u2, 0.75, atol=1e-8)
 
 
+@pytest.mark.parametrize("inflow", [(1.0,), (1.0, 0.75, 0.5)])
+def test_channel_config_takes_two_inflow_numbers(inflow):
+    # Built directly, as by the config reader: the rule is the class's own.
+    with pytest.raises(ValueError, match=r"inflow must be two numbers \[u_in, w_in\]"):
+        ChannelConfig(nx=8, nz=8, inflow=inflow)
+
+
 def test_empty_channel_horizontal_inflow_has_no_vertical_component():
     cfg = ChannelConfig(inflow=(1.0, 0.0), **SMALL)
     profile = sample_line(solve_stokes(None, cfg), cfg)
