@@ -12,11 +12,15 @@ shape and set of moves and cached, so boxes of one shape share it.
 The value fixed point and its Monte-Carlo walks weigh the plan's moves
 directly (``_move_weights``, the one weight rule); no m x m kernel is
 built.  A box's move weights are exponentiated for the whole box at once
-with numpy; a walk runs on the whole grid as one box, one step at a time,
-and weighs a row's targets with ``math.exp`` in move order, from each
-target's rise max(v(target) - v(here), 0) computed once per call, so its
-steps do not depend on numpy's vectorised exp.  A box's values are one
-float array in ``Neighborhood.members`` order.
+with numpy.  A walk runs on the whole grid as one box, whose per-node
+targets are cached per grid shape and moves, and once per call lists
+each target's rise max(v(target) - v(here), 0).  It runs one phase at a
+time, the steps that share an action set, reading that phase's -beta(t)
+from one cached tuple that every walk shares; a step weighs its row with
+``math.exp`` in move order and picks its target by bisecting the row's
+running sums at its draw times the row's ``sum``, so its steps do not
+depend on numpy's vectorised exp and are those of the row-by-row scan.
+A box's values are one float array in ``Neighborhood.members`` order.
 ``CoolingSchedule`` is the one cooling rule, shared by the walks and the
 value fixed point.
 """
@@ -25,12 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import median
 
 import numpy as np
 
-from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
+from .grid import ActionSet, GridPoint, Neighborhood, ParameterGrid
 
 __all__ = [
     "CoolingSchedule",
@@ -82,11 +88,12 @@ class _MovePlan:
     the moves that stay in the box are listed, in move-major order (every
     member's move 0, then every member's move 1, ...): ``frm`` is the member
     a move starts from, ``to`` the member it leads to, and ``entries`` its
-    position in a flat (moves, size) array.  ``k`` is the largest offset,
-    the half-bandwidth of I - gamma P; ``at`` is where each move's entry
-    sits in the flat column-major LAPACK band storage of shape
-    (3k + 1, size), and ``diagonal`` where each member's diagonal entry
-    sits.  Every array is read-only.
+    position in a flat (moves, size) array.  Stay is move 0 and never
+    leaves the box, so the first ``size`` entries are every member's stay,
+    in member order.  ``k`` is the largest offset, the half-bandwidth of
+    I - gamma P; ``at`` is where each move's entry sits in the flat
+    column-major LAPACK band storage of shape (3k + 1, size).  Every array
+    is read-only.
     """
 
     size: int
@@ -95,7 +102,6 @@ class _MovePlan:
     entries: np.ndarray
     k: int
     at: np.ndarray
-    diagonal: np.ndarray
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -112,10 +118,9 @@ def _move_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]) -> _MovePla
     height = 3 * k + 1
     # Entry (i, j) of the matrix sits at row 2k + i - j of column j.
     at = 2 * k + frm - to + to * height
-    diagonal = 2 * k + np.arange(size) * height
-    for a in (frm, to, entries, at, diagonal):
+    for a in (frm, to, entries, at):
         a.flags.writeable = False
-    return _MovePlan(size, frm, to, entries, k, at, diagonal)
+    return _MovePlan(size, frm, to, entries, k, at)
 
 
 def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
@@ -153,20 +158,53 @@ def _uniforms(rng):
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: list[float]):
+@functools.lru_cache(maxsize=_PLANS)
+def _grid_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]):
+    """Node-by-node rows of the move plan of a whole grid of ``shape``; cached.
+
+    Returns (targets, frm, to, bounds).  The plan's moves, sorted stably by
+    the node they start from, run from ``frm[n]`` to ``to[n]``; node i's
+    are n = bounds[i] .. bounds[i + 1] - 1, in move order.  ``targets[i]``
+    is the tuple of those ``to`` with the last one repeated, where a draw
+    that runs off the row's running sums lands.  Nodes are in C order, the
+    order of ``ParameterGrid.points``.
+    """
+    plan = _move_plan(shape, moves)
+    order = np.argsort(plan.frm, kind="stable")
+    frm, to = plan.frm[order], plan.to[order]
+    bounds = tuple(np.searchsorted(frm, np.arange(plan.size + 1)).tolist())
+    flat = to.tolist()
+    targets = tuple(tuple(flat[a:b] + flat[b - 1 : b]) for a, b in zip(bounds, bounds[1:]))
+    for a in (frm, to):
+        a.flags.writeable = False
+    return targets, frm, to, bounds
+
+
+def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: np.ndarray):
     """Per grid node in ``grid.points()`` order, (targets, rises) in move order.
 
-    Targets are the node's in-grid targets, as positions in that same
-    order: the move plan of the whole grid taken as one box.  The rise to a
-    target is max(v[target] - v[node], 0.0), the exponent a step scales by
-    -beta.
+    The targets, as positions in that same order, come from the grid's
+    cached plan (``_grid_plan``), with the last one repeated; ``v`` holds
+    the nodes' values in that order.  The rise to a target is
+    max(v[target] - v[node], 0.0), the exponent a step scales by -beta;
+    the repeated target has no rise.
     """
-    whole = make_neighborhood(grid, (0,) * grid.d, [n - 1 for n in grid.shape])
-    plan = _box_plan(whole, actions)
-    rows = [[] for _ in range(plan.size)]
-    for i, j in zip(plan.frm.tolist(), plan.to.tolist()):
-        rows[i].append(j)
-    return [(row, [max(v[j] - v[i], 0.0) for j in row]) for i, row in enumerate(rows)]
+    targets, frm, to, bounds = _grid_plan(grid.shape, actions.moves)
+    rises = v[to] - v[frm]
+    rises = np.maximum(rises, 0.0, out=rises).tolist()
+    return [(row, rises[a:b]) for row, a, b in zip(targets, bounds, bounds[1:])]
+
+
+#: -beta blocks kept at once, one per (schedule, phase length, phase); a
+#: block holds one float per step of its phase.  Walks on one grid and
+#: schedule share every block while none runs past this many phases.
+_BETA_BLOCKS = 256
+
+
+@functools.lru_cache(maxsize=_BETA_BLOCKS)
+def _minus_betas(schedule: CoolingSchedule, length: int, phase: int) -> tuple[float, ...]:
+    """-beta(t) for the ``length`` steps of one phase, t = phase * length, ...; cached."""
+    return tuple(-schedule.beta(t) for t in range(phase * length, (phase + 1) * length))
 
 
 @dataclass
@@ -226,34 +264,37 @@ def hitting_time_experiment(
         phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
     else:
         phases = [ActionSet(d)]
-    v = [values[p] for p in points]
+    v = np.array([values[p] for p in points], dtype=float)
     tables = [_grid_rows(grid, actions, v) for actions in phases]
     index = {p: k for k, p in enumerate(points)}
     goal = index.get(target)  # None, never hit, for an argmin off the grid
-    beta_at = CoolingSchedule(t0=t0).beta
+    schedule = CoolingSchedule(t0=t0)
+    exp = math.exp
 
     steps_out, hits, path = [], [], [start]
     for walk_id in range(n_walks):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
-        draws = _uniforms(rng)
+        draw = _uniforms(rng).__next__
+        record = walk_id == 0
         i = index[start]
         hit = i == goal
         t = 0
+        # One phase at a time: its steps share an action set and a -beta block.
         while not hit and t < max_steps:
-            row, rises = tables[(t // switch_every) % len(tables)][i]
-            beta = beta_at(t)
-            weights = [math.exp(-beta * r) for r in rises]
-            u = next(draws) * sum(weights)
-            acc = 0.0
-            # Inverse-CDF scan; if u rounds up to the total, the last target.
-            for i, w in zip(row, weights):
-                acc += w
-                if u < acc:
+            phase = t // switch_every
+            rows = tables[phase % len(tables)]
+            for nb in _minus_betas(schedule, switch_every, phase)[: max_steps - t]:
+                targets, rises = rows[i]
+                weights = [exp(nb * r) for r in rises]
+                # The inverse-CDF draw; one that rounds up to the total takes
+                # the repeated last target.
+                i = targets[bisect_right(list(accumulate(weights)), draw() * sum(weights))]
+                t += 1
+                if record:
+                    path.append(points[i])
+                if i == goal:
+                    hit = True
                     break
-            t += 1
-            hit = i == goal
-            if walk_id == 0:
-                path.append(points[i])
         steps_out.append(t)
         hits.append(hit)
     return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=target, path=path)

@@ -28,10 +28,11 @@ solve is substructured.  The strip is a set of cells that holds every solid
 face; all other cells form the exterior, whose equations are the same for
 every blade.  A solve takes its strip as ``envelope``: the
 ``blade_envelope`` of the blades a run can visit, or by default every cell
-column that touches the chord band plus one on either side.  Once per grid
-(nx, nz, dx, dz) and strip, on its first solve, the exterior block is
-factored with sparse LU and its effect on the strip is condensed into a
-dense correction on the few strip unknowns that touch it; one set-up is
+column that touches the chord band plus one on either side (no cell at
+all for the empty channel).  Once per grid (nx, nz, dx, dz) and strip, on
+its first solve, the exterior block is factored with sparse LU and its
+effect on the strip is condensed into a dense correction on the few strip
+unknowns that touch it; one set-up is
 kept, whatever the inflow, along with the exterior solve of b for each
 inflow.  Each blade then factors the strip's Schur complement, either as
 a sparse LU or, when the set-up can afford a dense inverse on the strip's
@@ -470,11 +471,18 @@ def solve_stokes(
     ``envelope`` is the strip, an (nx, nz) cell mask such as
     ``blade_envelope`` returns, and must hold every solid face of the blade
     (ValueError otherwise); it defaults to ``_column_strip``, every cell
-    column that touches the chord band plus one on either side.
+    column that touches the chord band plus one on either side.  The empty
+    channel has no solid face, so its default strip is empty: the whole
+    channel is exterior, and the set-up is one LU of A0.
     """
     nx, nz = config.nx, config.nz
     d = _brinkman_diagonal(shape, config)
-    envelope = _column_strip(config) if envelope is None else np.asarray(envelope, dtype=bool)
+    if envelope is not None:
+        envelope = np.asarray(envelope, dtype=bool)
+    elif shape is None:
+        envelope = np.zeros((nx, nz), dtype=bool)
+    else:
+        envelope = _column_strip(config)
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
     _check_inside(shape, d, envelope)

@@ -97,11 +97,15 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
         v = rhat
         for j in itertools.count():
             beta = schedule.beta(j)
+            # The plan's first m entries are the stays, the diagonal.
+            w = _move_weights(v, plan, beta)
+            w *= -gamma
+            w[:m] += 1.0
             band = np.zeros(m * (3 * k + 1))
-            band[plan.at] = -gamma * _move_weights(v, plan, beta)
-            band[plan.diagonal] += 1.0
+            band[plan.at] = w
             v_next = _band_solve(band.reshape(m, -1).T, k, rhat)
-            yield beta, v_next, float(np.abs(v_next - v).max())
+            delta = v_next - v
+            yield beta, v_next, float(np.maximum.reduce(np.abs(delta, out=delta)))
             v = v_next
 
     return rhat, steps()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from unittest import mock
@@ -497,3 +498,21 @@ def test_every_command_exits_with_a_documented_code(tmp_path, config):
         codes[command] = main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / command)])
         assert codes[command] in (0, 2, 3, 4)
     assert codes == SMOKE_EXIT_CODES[config]
+
+
+#: sha256 of each body (``csv_body``) that `mesopt walk --config
+#: configs/valley.json` writes: 100 walks per mode and walk 0's paths.
+WALK_BODY_SHA256 = {
+    "walks.csv": "e78bdb1b5969077352307ebbfa7abc26a1b6ef7ddf401813ec1013a1d7133f96",
+    "walk_summary.csv": "05a9337fb06feb22f772c30edd620779f5a8247d2f2173231b326f5fc8a1804f",
+    "walk_paths.csv": "bfb33388769cec9381219d3d1f159b79899ab9c9a5f7aedc6dedb7a165638752",
+}
+
+
+def test_shipped_walk_bodies_are_pinned(tmp_path):
+    # Every step, hit and path of the shipped walk, against stored digests:
+    # a rewrite of the sampler may change its speed, never a walk.
+    out = tmp_path / "walk"
+    assert main(["walk", "--config", str(CONFIGS / "valley.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(csv_body(out / name).encode()).hexdigest() for name in WALK_BODY_SHA256}
+    assert digests == WALK_BODY_SHA256

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -275,6 +276,27 @@ def test_long_walk_budget_holds_no_draws_in_memory():
         tracemalloc.stop()
     assert stats.hits == [True]
     assert peak < 2**20
+
+
+def test_long_censored_walks_keep_only_walk_zero_path():
+    # (2,) is a local minimum; at t0 = 1e-3 every uphill weight underflows
+    # to 0 from the first step on, so both walks stay there for the whole
+    # budget.  Besides walk 0's path, memory must not grow with the budget:
+    # no -beta table as long as the walk, no visited list for walk 1.
+    grid = ParameterGrid(mins=(0.0,), maxs=(3.0,), steps=(1.0,))
+    values = {(0,): 0.0, (1,): 5.0, (2,): 1.0, (3,): 5.0}
+    tracemalloc.start()
+    try:
+        stats = hitting_time_experiment(
+            values, grid, (2,), "free", n_walks=2, seed=0, max_steps=200_000, t0=1e-3
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.steps == [200_000, 200_000]
+    assert stats.hits == [False, False]
+    assert stats.path == [(2,)] * 200_001
+    assert peak < sys.getsizeof(stats.path) + 2**20
 
 
 def test_walk_rejects_value_table_missing_a_node():

@@ -354,7 +354,12 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
     assert _box_plan(make_neighborhood(grid, center=(7, 6), radii=(1, 2)), ActionSet(2, {1})) is plan
     assert _box_plan(make_neighborhood(grid, center=(0, 6), radii=(1, 2)), actions) is not plan  # clipped
     assert _box_plan(make_neighborhood(grid, center=(2, 3), radii=(1, 2)), ActionSet(2)) is not plan
-    for name in ("frm", "to", "entries", "at", "diagonal"):
+    # Stay is move 0: the first entries are every member's stay, the diagonal.
+    stays = np.arange(plan.size)
+    np.testing.assert_array_equal(plan.frm[: plan.size], stays)
+    np.testing.assert_array_equal(plan.to[: plan.size], stays)
+    np.testing.assert_array_equal(plan.entries[: plan.size], stays)
+    for name in ("frm", "to", "entries", "at"):
         array = getattr(plan, name)
         assert not array.flags.writeable
         with pytest.raises(ValueError):
