@@ -6,15 +6,17 @@ stay, which always carries weight 1) and normalizes over the targets that lie
 inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
 
-Both the box kernels and the hitting-time walks read the targets from one
-move plan, ``_MovePlan``: the moves that stay in a box, built once per box
-shape and set of moves and cached, so boxes of one shape share it.
-The value fixed point and its Monte-Carlo walks weigh the plan's moves
-directly (``_move_weights``, the one weight rule); no m x m kernel is
-built.  A box's move weights are exponentiated for the whole box at once
-with numpy.  A walk runs on the whole grid as one box, whose per-node
-targets are cached per grid shape and moves, and once per call lists
-each target's rise max(v(target) - v(here), 0).  It runs one phase at a
+The value fixed point, its Monte-Carlo walks and the hitting-time walks
+read their targets from one move plan, ``_MovePlan``: the moves that stay
+in a box, member by member and each member's in move order, built once
+per box shape and set of moves and kept in one cache, so boxes of one
+shape share it.  The value fixed point and its Monte-Carlo walks weigh
+the plan's moves directly (``_move_weights``, the one weight rule); no
+m x m kernel is built.  A box's move weights are exponentiated for the
+whole box at once with numpy.  A hitting-time walk runs on the whole grid
+as one box, reads each node's targets from that box's plan (its
+``rows``), and once per call lists each target's rise
+max(v(target) - v(here), 0).  It runs one phase at a
 time, the steps that share an action set, reading that phase's -beta(t)
 from one cached tuple that every walk shares; a step weighs its row with
 ``math.exp`` in move order and picks its target by bisecting the row's
@@ -74,7 +76,8 @@ class CoolingSchedule:
         return 1.0 / (self.t0 * math.log(2.0 + j))
 
 
-#: Move plans kept at once, one per (box shape, moves); a plan is kilobytes.
+#: Move plans kept at once, one per (box shape, moves); a plan holds about
+#: 300 bytes per member (32 KB for an 11 x 11 box).
 _PLANS = 128
 
 
@@ -85,12 +88,14 @@ class _MovePlan:
     Members are the box's cells in C (lexicographic) order, so a move's
     target is a fixed offset in that order, and the plan depends on the box
     shape and the moves but never on the values or the box's centre.  Only
-    the moves that stay in the box are listed, in move-major order (every
-    member's move 0, then every member's move 1, ...): ``frm`` is the member
-    a move starts from, ``to`` the member it leads to, and ``entries`` its
-    position in a flat (moves, size) array.  Stay is move 0 and never
-    leaves the box, so the first ``size`` entries are every member's stay,
-    in member order.  ``k`` is the largest offset, the half-bandwidth of
+    the moves that stay in the box are listed, member by member and each
+    member's in move order: ``frm`` is the member a move starts from, ``to``
+    the member it leads to, and ``entries`` its position in a flat
+    (size, moves) array.  Member i's moves are ``bounds[i]:bounds[i + 1]``;
+    stay is move 0 and never leaves the box, so entry ``bounds[i]`` is its
+    stay.  ``rows[i]`` is the tuple of its targets with the last one
+    repeated, where a walk's draw that runs off the row's running sums
+    lands.  ``k`` is the largest offset, the half-bandwidth of
     I - gamma P; ``at`` is where each move's entry sits in the flat
     column-major LAPACK band storage of shape (3k + 1, size).  Every array
     is read-only.
@@ -100,6 +105,8 @@ class _MovePlan:
     frm: np.ndarray
     to: np.ndarray
     entries: np.ndarray
+    bounds: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
     k: int
     at: np.ndarray
 
@@ -107,20 +114,23 @@ class _MovePlan:
 @functools.lru_cache(maxsize=_PLANS)
 def _move_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]) -> _MovePlan:
     """The ``_MovePlan`` of a box of ``shape`` under ``moves``; cached."""
-    coords = np.indices(shape).reshape(len(shape), 1, -1)
-    size = coords.shape[2]
-    # Column n of ``moved`` is move n // size taken from member n % size.
-    moved = (coords + np.array(moves).T[:, :, None]).reshape(len(shape), -1)
+    coords = np.indices(shape).reshape(len(shape), -1, 1)
+    size = coords.shape[1]
+    # Column n of ``moved`` is move n % len(moves) taken from member n // len(moves).
+    moved = (coords + np.array(moves).T[:, None, :]).reshape(len(shape), -1)
     entries = np.flatnonzero(np.all((moved >= 0) & (moved < np.array(shape)[:, None]), axis=0))
-    frm = entries % size
+    frm = entries // len(moves)
     to = np.ravel_multi_index(tuple(moved[:, entries]), shape)
+    bounds = np.searchsorted(frm, np.arange(size + 1))
+    flat, ends = to.tolist(), bounds.tolist()
+    rows = tuple(tuple(flat[a:b] + flat[b - 1 : b]) for a, b in zip(ends, ends[1:]))
     k = int(np.max(np.abs(to - frm)))
     height = 3 * k + 1
     # Entry (i, j) of the matrix sits at row 2k + i - j of column j.
     at = 2 * k + frm - to + to * height
-    for a in (frm, to, entries, at):
+    for a in (frm, to, entries, bounds, at):
         a.flags.writeable = False
-    return _MovePlan(size, frm, to, entries, k, at)
+    return _MovePlan(size, frm, to, entries, bounds, rows, k, at)
 
 
 def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
@@ -158,41 +168,21 @@ def _uniforms(rng):
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-@functools.lru_cache(maxsize=_PLANS)
-def _grid_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]):
-    """Node-by-node rows of the move plan of a whole grid of ``shape``; cached.
-
-    Returns (targets, frm, to, bounds).  The plan's moves, sorted stably by
-    the node they start from, run from ``frm[n]`` to ``to[n]``; node i's
-    are n = bounds[i] .. bounds[i + 1] - 1, in move order.  ``targets[i]``
-    is the tuple of those ``to`` with the last one repeated, where a draw
-    that runs off the row's running sums lands.  Nodes are in C order, the
-    order of ``ParameterGrid.points``.
-    """
-    plan = _move_plan(shape, moves)
-    order = np.argsort(plan.frm, kind="stable")
-    frm, to = plan.frm[order], plan.to[order]
-    bounds = tuple(np.searchsorted(frm, np.arange(plan.size + 1)).tolist())
-    flat = to.tolist()
-    targets = tuple(tuple(flat[a:b] + flat[b - 1 : b]) for a, b in zip(bounds, bounds[1:]))
-    for a in (frm, to):
-        a.flags.writeable = False
-    return targets, frm, to, bounds
-
-
 def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: np.ndarray):
     """Per grid node in ``grid.points()`` order, (targets, rises) in move order.
 
-    The targets, as positions in that same order, come from the grid's
-    cached plan (``_grid_plan``), with the last one repeated; ``v`` holds
-    the nodes' values in that order.  The rise to a target is
+    The whole grid is one box, so its targets, as positions in that same
+    order with the last one repeated, are the ``rows`` of the grid shape's
+    cached ``_MovePlan``, the plan every box of that shape reads; ``v``
+    holds the nodes' values in that order.  The rise to a target is
     max(v[target] - v[node], 0.0), the exponent a step scales by -beta;
     the repeated target has no rise.
     """
-    targets, frm, to, bounds = _grid_plan(grid.shape, actions.moves)
-    rises = v[to] - v[frm]
+    plan = _move_plan(grid.shape, actions.moves)
+    rises = v[plan.to] - v[plan.frm]
     rises = np.maximum(rises, 0.0, out=rises).tolist()
-    return [(row, rises[a:b]) for row, a, b in zip(targets, bounds, bounds[1:])]
+    bounds = plan.bounds.tolist()
+    return [(row, rises[a:b]) for row, a, b in zip(plan.rows, bounds, bounds[1:])]
 
 
 #: -beta blocks kept at once, one per (schedule, phase length, phase); a
@@ -243,8 +233,9 @@ def hitting_time_experiment(
     dimension every max(grid.shape) steps.  For 1-d grids both modes
     coincide.  Walks that never hit within max_steps are censored at
     max_steps with hit=False.  The path of walk 0 is kept for path exports.
-    ``values`` maps every grid node to its value; a missing one raises
-    KeyError before any walk starts.  Step t cools by ``CoolingSchedule``.
+    ``values`` maps every grid node, and nothing else, to its value; a
+    missing node raises KeyError and a key off the grid ValueError, both
+    before any walk starts.  Step t cools by ``CoolingSchedule``.
     """
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown walk mode {mode!r}")
@@ -253,9 +244,12 @@ def hitting_time_experiment(
     missing = [p for p in points if p not in values]
     if missing:
         raise KeyError(f"value table missing {len(missing)} grid nodes, e.g. {missing[0]}")
-    ordered = sorted(values.items(), key=lambda kv: (kv[1], kv[0]))
-    target, best = ordered[0]
-    if len(ordered) > 1 and ordered[1][1] == best:
+    if len(values) > len(points):  # every node is a key, so the rest are off the grid
+        off = [p for p in values if not grid.contains(p)]
+        raise ValueError(f"value table has {len(off)} keys off the grid, e.g. {off[0]}")
+    v = np.array([values[p] for p in points], dtype=float)
+    goal = int(np.argmin(v))
+    if np.count_nonzero(v == v[goal]) > 1:
         raise NoUniqueArgmin("objective has no unique global argmin on the grid")
 
     d = grid.d
@@ -264,10 +258,8 @@ def hitting_time_experiment(
         phases = [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
     else:
         phases = [ActionSet(d)]
-    v = np.array([values[p] for p in points], dtype=float)
     tables = [_grid_rows(grid, actions, v) for actions in phases]
-    index = {p: k for k, p in enumerate(points)}
-    goal = index.get(target)  # None, never hit, for an argmin off the grid
+    first = int(np.ravel_multi_index(start, grid.shape))
     schedule = CoolingSchedule(t0=t0)
     exp = math.exp
 
@@ -276,7 +268,7 @@ def hitting_time_experiment(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(walk_id,)))
         draw = _uniforms(rng).__next__
         record = walk_id == 0
-        i = index[start]
+        i = first
         hit = i == goal
         t = 0
         # One phase at a time: its steps share an action set and a -beta block.
@@ -297,4 +289,4 @@ def hitting_time_experiment(
                     break
         steps_out.append(t)
         hits.append(hit)
-    return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=target, path=path)
+    return WalkStatistics(mode=mode, steps=steps_out, hits=hits, target=points[goal], path=path)

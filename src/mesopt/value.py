@@ -97,12 +97,11 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
         v = rhat
         for j in itertools.count():
             beta = schedule.beta(j)
-            # The plan's first m entries are the stays, the diagonal.
             w = _move_weights(v, plan, beta)
             w *= -gamma
-            w[:m] += 1.0
             band = np.zeros(m * (3 * k + 1))
             band[plan.at] = w
+            band[2 * k :: 3 * k + 1] += 1.0  # row 2k of the band storage, the diagonal
             v_next = _band_solve(band.reshape(m, -1).T, k, rhat)
             delta = v_next - v
             yield beta, v_next, float(np.maximum.reduce(np.abs(delta, out=delta)))
@@ -194,14 +193,13 @@ def mc_value_estimate(
     # draw u < 1 never runs past it.
     plan = _box_plan(neighborhood, actions)
     n_moves = len(actions.moves)
-    cols = np.tile(np.arange(m), n_moves)
-    cols[plan.entries] = plan.to
-    weights = np.zeros(n_moves * m)
-    weights[plan.entries] = _move_weights(rhat, plan, beta)
-    cols, weights = cols.reshape(n_moves, m), weights.reshape(n_moves, m)
-    order = np.lexsort((cols, weights == 0.0), axis=0)
-    targets = np.take_along_axis(cols, order, axis=0).T
-    weights = np.take_along_axis(weights, order, axis=0).T
+    cols = np.repeat(np.arange(m)[:, None], n_moves, axis=1)
+    np.put(cols, plan.entries, plan.to)
+    weights = np.zeros((m, n_moves))
+    np.put(weights, plan.entries, _move_weights(rhat, plan, beta))
+    order = np.lexsort((cols, weights == 0.0), axis=1)
+    targets = np.take_along_axis(cols, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
     cumw = np.cumsum(weights, axis=1)
     cumw[np.arange(cumw.shape[1]) >= np.count_nonzero(weights, axis=1)[:, None] - 1] = 1.0
     rng = np.random.default_rng(seed)

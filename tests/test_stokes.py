@@ -124,6 +124,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(line_E_x=4.0)  # not inside the outflow boundary
     with pytest.raises(ValueError):
+        ChannelConfig(leading_edge_x=3.5)  # the chord ends past the outflow boundary
+    with pytest.raises(ValueError):
         ChannelConfig(penalization=0.0)
     with pytest.raises(ValueError):
         ChannelConfig(solver_tol=-1.0)

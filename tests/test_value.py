@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import _box_plan
+from mesopt.metropolis import _box_plan, _grid_rows
 from mesopt.objectives import fictitious_1d
 from mesopt.reduction import surrogate_sample_points
 from mesopt.surrogate import fit_surrogate, monomial_row
@@ -354,12 +354,21 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
     assert _box_plan(make_neighborhood(grid, center=(7, 6), radii=(1, 2)), ActionSet(2, {1})) is plan
     assert _box_plan(make_neighborhood(grid, center=(0, 6), radii=(1, 2)), actions) is not plan  # clipped
     assert _box_plan(make_neighborhood(grid, center=(2, 3), radii=(1, 2)), ActionSet(2)) is not plan
-    # Stay is move 0: the first entries are every member's stay, the diagonal.
+    # Member by member: entry bounds[i] is member i's stay (move 0), and its
+    # row is its targets in move order with the last one repeated.
     stays = np.arange(plan.size)
-    np.testing.assert_array_equal(plan.frm[: plan.size], stays)
-    np.testing.assert_array_equal(plan.to[: plan.size], stays)
-    np.testing.assert_array_equal(plan.entries[: plan.size], stays)
-    for name in ("frm", "to", "entries", "at"):
+    np.testing.assert_array_equal(plan.frm[plan.bounds[:-1]], stays)
+    np.testing.assert_array_equal(plan.to[plan.bounds[:-1]], stays)
+    np.testing.assert_array_equal(plan.entries[plan.bounds[:-1]], stays * len(actions.moves))
+    assert np.all(np.diff(plan.frm) >= 0)
+    for i, row in enumerate(plan.rows):
+        targets = plan.to[plan.bounds[i] : plan.bounds[i + 1]].tolist()
+        assert row == tuple(targets + targets[-1:])
+    # The walks read the plan of a box covering the whole grid: one cache entry serves both.
+    whole = _box_plan(make_neighborhood(grid, center=(5, 5), radii=(5, 5)), actions)
+    walk_rows = _grid_rows(grid, actions, np.zeros(whole.size))
+    assert len(walk_rows) == len(whole.rows) and all(r is q for (r, _), q in zip(walk_rows, whole.rows))
+    for name in ("frm", "to", "entries", "bounds", "at"):
         array = getattr(plan, name)
         assert not array.flags.writeable
         with pytest.raises(ValueError):
