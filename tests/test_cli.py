@@ -489,30 +489,32 @@ SMOKE_EXIT_CODES = {
 }
 
 
+#: sha256 of all that each of those runs writes, by config and command: each
+#: file's body (``csv_body`` for a CSV, the whole ``trace.json``), stdout and
+#: stderr.  A change that moves a digest updates this manifest, and
+#: CHANGES.md names each body that moved and why.
+SMOKE_SHA256 = json.loads(Path(__file__).with_name("smoke_sha256.json").read_text())
+
+
+def smoke_digests(out: Path, stdout: str, stderr: str) -> dict[str, str]:
+    """One run's manifest entry: the files it wrote under ``out``, its stdout and its stderr."""
+    bodies = {"stdout": stdout.encode(), "stderr": stderr.encode()}
+    if out.exists():
+        for path in out.iterdir():
+            bodies[path.name] = csv_body(path).encode() if path.suffix == ".csv" else path.read_bytes()
+    return {name: hashlib.sha256(body).hexdigest() for name, body in bodies.items()}
+
+
 @pytest.mark.parametrize("config", sorted(SMOKE_EXIT_CODES))
-def test_every_command_exits_with_a_documented_code(tmp_path, config):
+def test_every_command_exits_with_a_documented_code(tmp_path, capsys, config):
     # Each command returns one of the codes the CLI documents and raises
-    # nothing, whatever the config's backend and dimension.
-    codes = {}
+    # nothing, whatever the config's backend and dimension; every step,
+    # value, hit and path it writes matches the manifest.
+    codes, digests = {}, {}
     for command in sorted(SMOKE_EXIT_CODES[config]):
-        codes[command] = main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / command)])
+        out = tmp_path / command
+        codes[command] = main([command, "--config", str(CONFIGS / config), "--out", str(out)])
         assert codes[command] in (0, 2, 3, 4)
+        digests[command] = smoke_digests(out, *capsys.readouterr())
     assert codes == SMOKE_EXIT_CODES[config]
-
-
-#: sha256 of each body (``csv_body``) that `mesopt walk --config
-#: configs/valley.json` writes: 100 walks per mode and walk 0's paths.
-WALK_BODY_SHA256 = {
-    "walks.csv": "e78bdb1b5969077352307ebbfa7abc26a1b6ef7ddf401813ec1013a1d7133f96",
-    "walk_summary.csv": "05a9337fb06feb22f772c30edd620779f5a8247d2f2173231b326f5fc8a1804f",
-    "walk_paths.csv": "bfb33388769cec9381219d3d1f159b79899ab9c9a5f7aedc6dedb7a165638752",
-}
-
-
-def test_shipped_walk_bodies_are_pinned(tmp_path):
-    # Every step, hit and path of the shipped walk, against stored digests:
-    # a rewrite of the sampler may change its speed, never a walk.
-    out = tmp_path / "walk"
-    assert main(["walk", "--config", str(CONFIGS / "valley.json"), "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256(csv_body(out / name).encode()).hexdigest() for name in WALK_BODY_SHA256}
-    assert digests == WALK_BODY_SHA256
+    assert digests == SMOKE_SHA256[config]

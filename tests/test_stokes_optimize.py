@@ -46,6 +46,8 @@ def test_stokes_backend_reaches_minimum_region():
 def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
     # Every solve of configs/stokes_optimize.json runs in the envelope of
     # its grid's blades and meets solver_tol with the direct solve alone.
+    # The exit code, center path and solve count are pinned; the bytes are
+    # not, as the BLAS thread count moves a field's last bits.
     from mesopt import objectives
     from mesopt.cli import main
 
@@ -58,9 +60,11 @@ def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
 
     monkeypatch.setattr(objectives, "solve_stokes", recording)
     config = Path(__file__).resolve().parents[1] / "configs" / "stokes_optimize.json"
-    assert main(["optimize", "--config", str(config), "--out", str(tmp_path)]) in (0, 4)
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path)]) == 0
     trace = json.loads((tmp_path / "trace.json").read_text())
-    assert len(solves) == trace["total_simulations"] > 0
+    centers = [c["center"]["index"] for c in trace["cycles"]]
+    assert centers == [[24, 11], [21, 8], [18, 5], [15, 2], [12, 0], [0, 0]]
+    assert len(solves) == trace["total_simulations"] == 20
     assert solves == [(True, 0)] * len(solves)
 
 
