@@ -1,8 +1,7 @@
-"""Root-factorized airfoil surfaces with a superimposed camber line.
+"""The two-parameter airfoil family: root-factorized surfaces plus a camber line.
 
-Each surface is the product of ``sqrt(x)`` with a polynomial given by its
-real roots and a leading coefficient.  The two-parameter family used by the
-channel experiments keeps degree-two polynomials on both sides,
+Each surface is ``sqrt(x)`` times a degree-two polynomial with roots 1 and
+b and a leading coefficient tied to b,
 
     z_up(x) =  sqrt(x) * c_up * (x - 1)(x - b) + e*x*(f - x)
     z_lo(x) = -sqrt(x) * c_lo * (x - 1)(x - b) + e*x*(f - x)
@@ -20,13 +19,10 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "ReducedParsecSide",
     "AirfoilSpec",
     "AirfoilShape",
-    "eval_side",
     "camber",
     "build_airfoil",
-    "cosine_spacing",
     "MIN_SAMPLES",
 ]
 
@@ -35,39 +31,7 @@ MIN_SAMPLES = 8
 
 
 class GeometryError(ValueError):
-    """Invalid airfoil parameters or evaluation outside the chord."""
-
-
-@dataclass(frozen=True)
-class ReducedParsecSide:
-    """One surface polynomial, stored as its real roots and leading coefficient.
-
-    Represents ``p(x) = leading_coeff * prod_i (x - roots[i])``; the surface
-    itself is ``sqrt(x) * p(x)``, which vanishes at x = 0 and at every root
-    inside the chord.
-    """
-
-    roots: tuple[float, ...]
-    leading_coeff: float
-
-    def __init__(self, roots, leading_coeff: float):
-        object.__setattr__(self, "roots", tuple(float(r) for r in roots))
-        object.__setattr__(self, "leading_coeff", float(leading_coeff))
-
-    def poly(self, x):
-        x = np.asarray(x, dtype=float)
-        p = np.full_like(x, self.leading_coeff)
-        for r in self.roots:
-            p = p * (x - r)
-        return p
-
-
-def eval_side(side: ReducedParsecSide, x):
-    """Evaluate ``sqrt(x) * p(x)`` for chord-normalized x in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise GeometryError("surface abscissa outside [0, 1]")
-    return np.sqrt(x) * side.poly(x)
+    """Invalid airfoil parameters or too few surface samples."""
 
 
 @dataclass(frozen=True)
@@ -101,23 +65,20 @@ class AirfoilSpec:
     def c_lo(self) -> float:
         return self.b / 2.0
 
-    def upper_side(self) -> ReducedParsecSide:
-        return ReducedParsecSide(roots=(1.0, self.b), leading_coeff=self.c_up)
+    def surface(self, x, c: float) -> np.ndarray:
+        """``sqrt(x) * c * (x - 1)(x - b)`` at chord-normalized x, before the camber line.
 
-    def lower_side(self) -> ReducedParsecSide:
-        # Negative leading coefficient: see module docstring.
-        return ReducedParsecSide(roots=(1.0, self.b), leading_coeff=-self.c_lo)
+        c is ``c_up`` for the upper surface and ``-c_lo`` for the lower one
+        (see module docstring).
+        """
+        x = np.asarray(x, dtype=float)
+        return np.sqrt(x) * (c * (x - 1.0) * (x - self.b))
 
 
 def camber(spec: AirfoilSpec, x):
     """Camber line ``e * x * (f - x)``, added to both surfaces."""
     x = np.asarray(x, dtype=float)
     return spec.e * x * (spec.f - x)
-
-
-def cosine_spacing(n: int) -> np.ndarray:
-    """n abscissae in [0, 1] clustered near 0, where sqrt(x) is steepest."""
-    return 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
 
 
 @dataclass(frozen=True)
@@ -143,14 +104,14 @@ class AirfoilShape:
 
 
 def build_airfoil(spec: AirfoilSpec, n_samples: int) -> AirfoilShape:
-    """Sample both surfaces on a cosine-clustered abscissa.
+    """Sample both surfaces on cosine-spaced x, clustered near 0 where sqrt(x) is steepest.
 
     Raises GeometryError for invalid specs or fewer than MIN_SAMPLES samples.
     """
     if n_samples < MIN_SAMPLES:
         raise GeometryError(f"n_samples must be >= {MIN_SAMPLES} (got {n_samples})")
-    x = cosine_spacing(n_samples)
+    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n_samples)))
     cam = camber(spec, x)
-    z_up = eval_side(spec.upper_side(), x) + cam
-    z_lo = eval_side(spec.lower_side(), x) + cam
+    z_up = spec.surface(x, spec.c_up) + cam
+    z_lo = spec.surface(x, -spec.c_lo) + cam
     return AirfoilShape(x_samples=x, z_upper=z_up, z_lower=z_lo, spec=spec)

@@ -27,12 +27,11 @@ The blade enters the system only as a diagonal term on its solid faces
 solve is substructured.  The strip is a set of cells that holds every solid
 face; all other cells form the exterior, whose equations are the same for
 every blade.  A solve takes its strip as ``envelope``: the
-``blade_envelope`` of the blades a run can visit, or by default every cell
-column that touches the chord band plus one on either side (no cell at
-all for the empty channel).  Once per grid (nx, nz, dx, dz) and strip, on
-its first solve, the exterior block is factored with sparse LU and its
-effect on the strip is condensed into a dense correction on the few strip
-unknowns that touch it; one set-up is
+``blade_envelope`` of the blades a run can visit, or by default the
+blade's own solid cells (none for the empty channel).  Once per grid
+(nx, nz, dx, dz) and strip, on its first solve, the exterior block is
+factored with sparse LU and its effect on the strip is condensed into a
+dense correction on the few strip unknowns that touch it; one set-up is
 kept, whatever the inflow, along with the exterior solve of b for each
 inflow.  Each blade then factors the strip's Schur complement, either as
 a sparse LU or, when the set-up can afford a dense inverse on the strip's
@@ -317,14 +316,6 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
 _CHUNK = 64
 
 
-def _column_strip(config: ChannelConfig) -> np.ndarray:
-    """Cells, (nx, nz), of every column with a face in the chord band plus one on either side."""
-    xu, xw = _face_x(config)
-    on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
-    in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
-    return np.repeat(in_strip[:, None], config.nz, axis=1)
-
-
 class _Substructure:
     """The shape-free part of one channel's system, factored once.
 
@@ -449,10 +440,15 @@ def _substructure(grid: tuple[int, int, float, float], cells: bytes) -> _Substru
     return _Substructure(grid, np.frombuffer(cells, dtype=bool).reshape(nx, nz))
 
 
-def _check_inside(shape: AirfoilShape | None, d: np.ndarray, envelope: np.ndarray) -> None:
-    """Raise ValueError when the blade has a solid face outside the strip cells."""
-    n = envelope.size
-    outside = ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)) & ~envelope.ravel()
+def _solid_cells(d: np.ndarray, config: ChannelConfig) -> np.ndarray:
+    """Cells, (nx, nz), whose u or w face the Brinkman diagonal d makes solid."""
+    n = config.nx * config.nz
+    return ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)).reshape(config.nx, config.nz)
+
+
+def _check_inside(shape: AirfoilShape | None, cells: np.ndarray, envelope: np.ndarray) -> None:
+    """Raise ValueError when one of the blade's solid cells lies outside the strip."""
+    outside = cells & ~envelope
     if outside.any():
         blade = shape.spec if shape.spec is not None else f"with z extent {shape.z_extent()}"
         raise ValueError(
@@ -468,22 +464,18 @@ def solve_stokes(
 
     ``envelope`` is the strip, an (nx, nz) cell mask such as
     ``blade_envelope`` returns, and must hold every solid face of the blade
-    (ValueError otherwise); it defaults to ``_column_strip``, every cell
-    column that touches the chord band plus one on either side.  The empty
-    channel has no solid face, so its default strip is empty: the whole
-    channel is exterior, and the set-up is one LU of A0.
+    (ValueError otherwise); it defaults to the blade's own solid cells, so
+    each blade solved without one pays its own set-up.  The empty channel
+    has no solid face, so its default strip is empty: the whole channel is
+    exterior, and the set-up is one LU of A0.
     """
     nx, nz = config.nx, config.nz
     d = _brinkman_diagonal(shape, config)
-    if envelope is not None:
-        envelope = np.asarray(envelope, dtype=bool)
-    elif shape is None:
-        envelope = np.zeros((nx, nz), dtype=bool)
-    else:
-        envelope = _column_strip(config)
+    cells = _solid_cells(d, config)
+    envelope = cells if envelope is None else np.asarray(envelope, dtype=bool)
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
-    _check_inside(shape, d, envelope)
+    _check_inside(shape, cells, envelope)
     sub = _substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
     solve = sub.factor(d)
     b, y_b = sub.rhs(config)

@@ -6,7 +6,9 @@ power sum, the kernel and the hitting-time walk taken one row at a time,
 the Monte-Carlo sampler driven by the dense kernel, the fixed-point step as
 a dense solve and as the dense-weight band step the move plan replaced, a
 generator stand-in with dyadic draws, and the local argmins of a 1-d table.
-None of them is part of ``mesopt``: the program builds no m x m kernel.
+The column strip is a Stokes strip far wider than any blade's own.
+None of them is part of ``mesopt``: the program builds no m x m kernel and
+solves in no column strip.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import numpy as np
 
 from mesopt.grid import ActionSet
 from mesopt.metropolis import _box_plan, _move_weights
+from mesopt.stokes import _chord_coordinate, _face_x
 from mesopt.value import _band_solve, _box_values
 
 
@@ -244,3 +247,16 @@ def _local_argmins(vals):
         if (i == 0 or vals[i] <= vals[i - 1])
         and (i == len(vals) - 1 or vals[i] <= vals[i + 1])
     ]
+
+
+def column_strip(config):
+    """Cells, (nx, nz), of every column with a face in the chord band plus one on either side.
+
+    It holds every blade's solid faces, so one set-up serves every blade,
+    and at 48x24 its strip is too wide for the capacitance solve: the
+    tests reach the strip LU through it.
+    """
+    xu, xw = _face_x(config)
+    on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
+    in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
+    return np.repeat(in_strip[:, None], config.nz, axis=1)

@@ -219,12 +219,10 @@ def test_criterion_07_channel_landscape():
     # Expected argmin: the thinnest blade (smallest b) whose trailing edge
     # comes closest to horizontal.  A surface sqrt(x) * c * (x - 1)(x - b)
     # has slope c * (1 - b) at x = 1 and the camber line e*x*(f - x) adds
-    # e * (f - 2) to both sides, so the bisector is horizontal where
-    # e * (f - 2) = (b - 1)(c_up + c_lo)/2, with c_lo the lower side's signed
-    # coefficient; for the documented airfoil f = 2 - (b - 1)(c_lo - c_up)/(2e).
+    # e * (f - 2) to both sides, so with c = c_up above and c = -c_lo below
+    # the bisector is horizontal where f = 2 + (b - 1)(c_up - c_lo)/(2e).
     spec = AirfoilSpec(f=float(fs[0]), b=float(bs[0]), e=sweep_cfg.airfoil_e)
-    c_sum = spec.upper_side().leading_coeff + spec.lower_side().leading_coeff
-    f_flat = 2.0 + (spec.b - 1.0) * c_sum / (2.0 * spec.e)
+    f_flat = 2.0 + (spec.b - 1.0) * (spec.c_up - spec.c_lo) / (2.0 * spec.e)
     f_exp, b_exp = float(fs[np.argmin(np.abs(fs - f_flat))]), spec.b
     cheb = max(round(abs(fmin - f_exp) / 0.1), round(abs(bmin - b_exp) / 0.2))
     argmin_ok = cheb <= 2

@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 import mesopt
-from mesopt.geometry import ReducedParsecSide, eval_side
 from mesopt.objectives import SyntheticValleyObjective, reward_R1
 from mesopt.stokes import EvaluationProfile
-
-
-def test_three_root_side_zeros():
-    side = ReducedParsecSide(roots=[0.1, 0.6, 1.0], leading_coeff=2.0)
-    for root in (0.1, 0.6, 1.0):
-        assert eval_side(side, root) == pytest.approx(0.0, abs=1e-15)
-    assert eval_side(side, 0.3) != 0.0
 
 
 def test_reward_R1_is_the_vertical_component_ratio():

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from mesopt.geometry import (
-    AirfoilSpec,
-    GeometryError,
-    ReducedParsecSide,
-    build_airfoil,
-    cosine_spacing,
-    eval_side,
-)
+from mesopt.geometry import AirfoilSpec, GeometryError, build_airfoil
 
 
 def test_trailing_edge_closure():
@@ -30,25 +23,19 @@ def test_upper_surface_hand_value():
     # c_up = 1/(2*4) = 0.125; at x = 0.25:
     # 0.5*0.125*(-0.75)*(-1.75) + 0.3*0.25*1.75 = 0.08203125 + 0.13125
     spec = AirfoilSpec(f=2.0, b=2.0, e=0.3)
-    z = eval_side(spec.upper_side(), 0.25) + 0.3 * 0.25 * (2.0 - 0.25)
+    z = spec.surface(0.25, spec.c_up) + 0.3 * 0.25 * (2.0 - 0.25)
     assert z == pytest.approx(0.21328125, abs=1e-15)
 
 
-def test_eval_side_hand_values():
-    side = ReducedParsecSide(roots=[1.0, 2.0], leading_coeff=0.125)
-    assert eval_side(side, 0.25) == pytest.approx(0.08203125, abs=1e-16)
-    assert eval_side(side, 0.0) == 0.0
-    # A root inside [0, 1] forces a zero regardless of the other roots.
-    fig_side = ReducedParsecSide(roots=[1.0, 8.9], leading_coeff=1.0)
-    assert eval_side(fig_side, 1.0) == 0.0
-
-
-def test_eval_side_rejects_out_of_chord():
-    side = ReducedParsecSide(roots=[1.0, 2.0], leading_coeff=1.0)
-    with pytest.raises(GeometryError):
-        eval_side(side, 1.5)
-    with pytest.raises(GeometryError):
-        eval_side(side, -0.01)
+def test_surface_hand_values():
+    # b = 2: c_up = 0.125 and c_lo = 1; at x = 0.25, (x - 1)(x - b) = 1.3125.
+    spec = AirfoilSpec(f=2.0, b=2.0)
+    assert (spec.c_up, spec.c_lo) == (0.125, 1.0)
+    assert spec.surface(0.25, spec.c_up) == pytest.approx(0.08203125, abs=1e-16)
+    assert spec.surface(0.25, -spec.c_lo) == pytest.approx(-0.65625, abs=1e-15)
+    # Both roots of the family close the profile: sqrt(x) at 0, (x - 1) at 1.
+    for x in (0.0, 1.0):
+        assert spec.surface(x, spec.c_up) == 0.0 and spec.surface(x, -spec.c_lo) == 0.0
 
 
 @pytest.mark.parametrize("f,b", [(1.0, 1.1), (2.0, 2.0), (2.8, 4.0), (9.7, 3.9)])
@@ -92,7 +79,7 @@ def test_refinement_preserves_shared_abscissae():
 
 
 def test_cosine_spacing_clusters_at_leading_edge():
-    x = cosine_spacing(65)
+    x = build_airfoil(AirfoilSpec(f=2.0, b=2.0), n_samples=65).x_samples
     assert x[0] == 0.0 and x[-1] == 1.0
     assert np.all(np.diff(x) > 0.0)
     # Denser near x=0 than near mid-chord.

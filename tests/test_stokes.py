@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import column_strip
 
 from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
@@ -17,6 +18,19 @@ from mesopt.stokes import (
 )
 
 SMALL = dict(nx=48, nz=24)
+
+
+@pytest.fixture
+def strips(monkeypatch):
+    """The strip cells of each set-up the solves ask for, in call order."""
+    setup, cells_seen = stokes._substructure, []
+
+    def recording(grid, cells):
+        cells_seen.append(np.frombuffer(cells, dtype=bool).reshape(grid[:2]))
+        return setup(grid, cells)
+
+    monkeypatch.setattr(stokes, "_substructure", recording)
+    return cells_seen
 
 
 @pytest.fixture(scope="module")
@@ -204,13 +218,13 @@ def test_configs_differing_in_inflow_share_one_setup():
     assert stokes._substructure.cache_info().misses == 2
 
 
-def test_blade_at_inflow_face_solves():
-    # leading_edge_x = 0 puts the strip against the inflow: no exterior
-    # lies upstream of it.
+def test_blade_at_inflow_face_solves(strips):
+    # leading_edge_x = 0 puts the default strip against the inflow: it
+    # holds cells of column 0, so no exterior lies upstream of them.
     cfg = ChannelConfig(leading_edge_x=0.0, **SMALL)
     field = solve_stokes(build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257), cfg)
-    sub = stokes._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._column_strip(cfg).tobytes())
-    assert sub.strip[0] == 0
+    (cells,) = strips
+    assert cells[0].any()
     assert field.converged
     assert np.abs(field.divergence(cfg)).max() <= 1e-6 * np.hypot(*cfg.inflow)
 
@@ -239,7 +253,7 @@ def _check_envelope_against_column_strip(cfg, grid, interior):
     corners = [(i, j) for i in (0, n_f - 1) for j in (0, n_b - 1)]
     nodes = corners + [interior]
     in_envelope = [solve_stokes(shapes[p], cfg, envelope=envelope) for p in nodes]
-    in_columns = [solve_stokes(shapes[p], cfg) for p in nodes]
+    in_columns = [solve_stokes(shapes[p], cfg, envelope=column_strip(cfg)) for p in nodes]
     for a, b in zip(in_envelope, in_columns):
         assert a.converged and a.residual <= cfg.solver_tol
         assert b.converged and b.residual <= cfg.solver_tol
@@ -381,16 +395,20 @@ def test_property_kron_operator_is_the_loop_operator(nx, nz, Lx, Lz):
         np.testing.assert_array_equal(a, b)
 
 
-def test_default_strip_is_the_column_strip():
-    # No envelope means the column strip: the same set-up and the same bits.
+def test_default_strip_is_the_blades_own_cells(strips):
+    # No envelope means the blade's own solid cells, and no cell at all for
+    # the empty channel; the field matches the column strip's.
     cfg = ChannelConfig(**SMALL)
     shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
-    stokes._substructure.cache_clear()
     default = solve_stokes(shape, cfg)
-    explicit = solve_stokes(shape, cfg, envelope=stokes._column_strip(cfg))
-    assert stokes._substructure.cache_info().misses == 1
-    np.testing.assert_array_equal(_stacked(default), _stacked(explicit))
-    assert default.residual == explicit.residual
+    solve_stokes(None, cfg)
+    columns = solve_stokes(shape, cfg, envelope=column_strip(cfg))
+    own, empty, _ = strips
+    np.testing.assert_array_equal(own, _node_cells(shape, cfg))
+    assert not empty.any()
+    assert default.converged and columns.converged
+    xa, xb = _stacked(default), _stacked(columns)
+    assert np.abs(xa - xb).max() <= 1e-8 * np.abs(xb).max()
 
 
 @pytest.mark.parametrize(
@@ -426,7 +444,7 @@ def both_blade_solvers():
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
     envelope = stokes._Substructure(grid, _grid_envelope(CAPACITANCE_GRID, cfg))
-    columns = stokes._Substructure(grid, stokes._column_strip(cfg))
+    columns = stokes._Substructure(grid, column_strip(cfg))
     return envelope, columns
 
 
@@ -441,7 +459,7 @@ def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip
         assert (sub.strip_base is None) is capacitance
     assert envelope.G.shape == (2 * envelope.strip.size // 3,) * 2
     cfg = ChannelConfig(**SMALL)
-    small = stokes._Substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._column_strip(cfg))
+    small = stokes._Substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), column_strip(cfg))
     assert small.G is None
 
 

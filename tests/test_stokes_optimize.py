@@ -19,7 +19,7 @@ def test_stokes_backend_reaches_minimum_region():
     grid = ParameterGrid(mins=(1.5, 1.5), maxs=(4.0, 4.0), steps=(0.1, 0.1))
     channel = ChannelConfig(Lx=4.0, Lz=6.0, nx=64, nz=48)
 
-    sweep = StokesObjective(channel)
+    sweep = StokesObjective(channel, grid=grid)
     coarse = {}
     for f in np.arange(1.5, 4.01, 0.5):
         for b in np.arange(1.5, 4.01, 0.5):
@@ -28,7 +28,7 @@ def test_stokes_backend_reaches_minimum_region():
     best_val = coarse[best_cell]
     spread = max(coarse.values()) - best_val
 
-    backend = StokesObjective(channel)
+    backend = StokesObjective(channel, grid=grid)
     trace = run_optimization(
         grid, grid.index_of((3.9, 2.6)), backend, OptimizerConfig(max_cycles=12)
     )
