@@ -24,21 +24,23 @@ divergence contract.
 
 The blade enters the system only as a diagonal term on its solid faces
 (``_solid_faces``, the one rule for which faces are solid), so the direct
-solve is substructured.  The strip is a set of cells that holds every solid
-face; all other cells form the exterior, whose equations are the same for
-every blade.  A solve takes its strip as ``envelope``: the
-``blade_envelope`` of the blades a run can visit, or by default the
-blade's own solid cells (none for the empty channel).  Once per grid
-(nx, nz, dx, dz) and strip, on its first solve, the exterior block is
-factored with sparse LU and its effect on the strip is condensed into a
-dense correction on the few strip unknowns that touch it; one set-up is
-kept, whatever the inflow, along with the exterior solve of b for each
-inflow.  Each blade then factors the strip's Schur complement, either as
-a sparse LU or, when the set-up can afford a dense inverse on the strip's
-velocity unknowns, as a dense capacitance matrix on the blade's solid
-faces alone (``_Substructure`` gives the rule), and takes a strip and an
-exterior triangular solve.  README's notes on the solver give the sizes
-and timings.
+solve splits into a shape-free part, set up once, and a small per-blade
+part.  A solve takes a strip of cells that holds every solid face as
+``envelope``: the ``blade_envelope`` of the blades a run can visit, or by
+default the blade's own solid cells (none for the empty channel).  One
+set-up is kept per grid (nx, nz, dx, dz) and strip, whatever the inflow,
+along with its first solve of b for each inflow.  A size rule
+(``_takes_capacitance``) picks one of two set-ups:
+
+- ``_Capacitance`` solves on the whole channel.  The empty channel's
+  operator A0 is circulant in z, so a DFT along z inverts it (``_Fourier``);
+  the set-up keeps G, A0^-1 on the strip's velocity faces, and each blade
+  factors a dense capacitance matrix on its solid faces alone.
+- ``_Substructure`` factors the exterior, all cells outside the strip,
+  with sparse LU, condenses it into a dense correction on the strip
+  unknowns that touch it, and factors each blade's strip with sparse LU.
+
+README's notes on the solver give the sizes and timings.
 """
 
 from __future__ import annotations
@@ -262,23 +264,17 @@ def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.
     return d
 
 
-def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
-    """A0 = [[Lu, 0, Gx], [0, Lw, Gz], [-Gx^T, -Gz^T, 0]], the empty channel's operator.
+def _stencils(nx: int, nz: int, dx: float, dz: float) -> list:
+    """A0 = [[Lu, 0, Gx], [0, Lw, Gz], [-Gx^T, -Gz^T, 0]] as 1-d stencils.
 
     Lu and Lw are -laplacians, G the pressure gradient; continuity is -G^T.
-    A blade adds ``_brinkman_diagonal`` to A0's diagonal; the inflow enters
-    only ``_rhs``.
+    Each of the 3x3 blocks is None or a list of terms (X, Z) that stand for
+    kron(X, Z): X (nx, nx) acts along x, over the cell columns, and Z
+    (nz, nz) along z, over the rows.  The walls are periodic, so every Z is
+    circulant.
     """
     idx2, idz2 = 1.0 / dx**2, 1.0 / dz**2
-
-    # The u, w and p blocks each run over (column, row).  format="csr" keeps
-    # kron from storing a small stencil as dense blocks with explicit zeros.
-    def along_x(m):
-        return sp.kron(m, sp.identity(nz), format="csr")
-
-    def along_z(m):
-        return sp.kron(sp.identity(nx), m, format="csr")
-
+    eye_x, eye_z = sp.identity(nx), sp.identity(nz)
     # -d2/dx2 on u faces i = 1..nx: u[0] is the Dirichlet inflow face (in b),
     # and the outflow ghost u[nx+1] = u[nx-1] doubles the last row's neighbour.
     xx_u = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nx, nx), format="lil")
@@ -288,14 +284,70 @@ def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
     xx_w[0, 0], xx_w[nx - 1, nx - 1] = 3.0, 1.0
     # Periodic -d2/dz2.
     zz = sp.diags([-1.0, -1.0, 2.0, -1.0, -1.0], [1 - nz, -1, 0, 1, nz - 1], shape=(nz, nz))
-    lap_z = along_z(zz * idz2)
-    lu = along_x(xx_u * idx2) + lap_z
-    lw = along_x(xx_w * idx2) + lap_z
+    lap_z = (eye_x, zz * idz2)
     # u face i lies between cells i-1 and i, with the outflow pressure p[nx]
     # pinned to 0; w face j between rows j-1 and j (periodic).
-    gx = along_x(sp.diags([-1.0, 1.0], [0, 1], shape=(nx, nx)) * (1.0 / dx))
-    gz = along_z(sp.diags([1.0, -1.0, -1.0], [0, -1, nz - 1], shape=(nz, nz)) * (1.0 / dz))
-    return sp.bmat([[lu, None, gx], [None, lw, gz], [-gx.T, -gz.T, None]], format="csc")
+    gx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx, nx)) * (1.0 / dx)
+    gz = sp.diags([1.0, -1.0, -1.0], [0, -1, nz - 1], shape=(nz, nz)) * (1.0 / dz)
+    return [
+        [[(xx_u * idx2, eye_z), lap_z], None, [(gx, eye_z)]],
+        [None, [(xx_w * idx2, eye_z), lap_z], [(eye_x, gz)]],
+        [[(-gx.T, eye_z)], [(eye_x, -gz.T)], None],
+    ]
+
+
+def _assemble(blocks: list, along_z) -> sp.csc_matrix:
+    """The block operator of ``_stencils``, each term kron(X, along_z(Z))."""
+
+    def block(terms):
+        if terms is None:
+            return None
+        total = None
+        for X, Z in terms:
+            # format="csr" keeps kron from storing a small stencil as dense
+            # blocks with explicit zeros.
+            term = sp.kron(X, along_z(Z), format="csr")
+            total = term if total is None else total + term
+        return total
+
+    return sp.bmat([[block(terms) for terms in row] for row in blocks], format="csc")
+
+
+def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
+    """A0, the empty channel's operator, with u, w and p each over (column, row).
+
+    A blade adds ``_brinkman_diagonal`` to A0's diagonal; the inflow enters
+    only ``_rhs``.
+    """
+    return _assemble(_stencils(nx, nz, dx, dz), lambda Z: Z)
+
+
+def _dft_diagonal(Z: sp.spmatrix) -> sp.dia_matrix:
+    """The eigenvalues of the circulant Z on the frequencies 0..nz//2 of a real DFT."""
+    return sp.diags(np.fft.rfft(Z.toarray()[:, 0]))
+
+
+class _Fourier:
+    """A0^-1 by a DFT along z, factored once per grid.
+
+    A0 is circulant in z, so a DFT along z turns each kron(X, Z) of its
+    stencils into kron(X, diag(fft(Z[:, 0]))): one decoupled complex system
+    of 3 nx unknowns per frequency.  A real right-hand side needs only the
+    frequencies 0..nz//2 (the others are their conjugates), and they are
+    factored together as one sparse LU.
+    """
+
+    def __init__(self, grid: tuple[int, int, float, float]):
+        nx, nz = grid[:2]
+        self.shape = (3 * nx, nz)  # a vector's unknowns as (block and column, row)
+        self.lu = spla.splu(_assemble(_stencils(*grid), _dft_diagonal), permc_spec="COLAMD")
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A0^-1 r for r of shape (3 nx nz,) or (3 nx nz, k)."""
+        cols = r.shape[1:]
+        r_hat = np.fft.rfft(r.reshape(self.shape + cols), axis=1)
+        x_hat = self.lu.solve(r_hat.reshape((-1,) + cols)).reshape(r_hat.shape)
+        return np.fft.irfft(x_hat, n=self.shape[1], axis=1).reshape(r.shape)
 
 
 def _rhs(config: ChannelConfig) -> np.ndarray:
@@ -312,12 +364,110 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
 
 
 #: Right-hand sides per blocked solve while building the interface
-#: correction and G; bounds the dense block to n_exterior x _CHUNK floats.
+#: correction or G; bounds the dense block to 3 nx nz x _CHUNK floats.
 _CHUNK = 64
 
+#: The capacitance path keeps G, |V|^2 floats, when that is at most this
+#: many floats per unknown of the channel.
+_G_FLOATS_PER_UNKNOWN = 128
 
-class _Substructure:
-    """The shape-free part of one channel's system, factored once.
+
+def _takes_capacitance(cells: np.ndarray) -> bool:
+    """Whether the strip ``cells``, (nx, nz), is solved by capacitance, else by strip LU."""
+    n_v = 2 * int(np.count_nonzero(cells))
+    return n_v**2 <= _G_FLOATS_PER_UNKNOWN * 3 * cells.size
+
+
+class _SetUp:
+    """The shape-free part of one channel's system: A0 and the solve of b per inflow."""
+
+    def __init__(self, grid: tuple[int, int, float, float]):
+        self.A = _matrix(*grid)
+        self._solved_b = {}  # inflow -> first solve of b, which no shape changes
+
+    def rhs(self, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+        """b for the config's inflow and its first solve, made once per inflow.
+
+        b depends only on the grid, which keys this set-up, and the inflow.
+        """
+        b, key = _rhs(config), tuple(config.inflow)
+        y = self._solved_b.get(key)
+        if y is None:
+            y = self._solved_b[key] = self._solve_b(b)
+        return b, y
+
+
+class _Capacitance(_SetUp):
+    """Solves on the whole channel: A0 by ``_Fourier``, a blade by capacitance.
+
+    The strip's cells give V, the u and w faces a blade on this strip can
+    make solid, in the order the unknowns run.  The set-up keeps G =
+    A0^-1[V, V], dense.  A blade adds diag(d) on its m solid faces F, a
+    subset of V, and factors only the m x m capacitance matrix C = G[F, F]
+    + diag(1/d_F) (Buzbee, Dorr, George & Golub, 1971).  A solve of r is
+    then w = A0^-1 r, z = C^-1 w[F], x = A0^-1 (r - e_F z) and x[F] =
+    z / d_F; the empty channel takes one A0 solve.
+    """
+
+    def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
+        super().__init__(grid)
+        nx, nz = grid[:2]
+        self.fourier = _Fourier(grid)
+        self.V = np.flatnonzero(np.tile(cells.ravel(), 2))
+        # Face v of V sits at z row j[v] of line lines[v], its velocity
+        # component and x column (a row of the Fourier layout).
+        lines, j = np.divmod(self.V, nz)
+        self.G = np.empty((self.V.size, self.V.size))
+        # A0 commutes with shifts along z, so a unit at row j of a line has
+        # the solve of a unit at row 0 shifted by j: one solve per line.
+        distinct, line_of = np.unique(lines, return_inverse=True)
+        H = np.empty((distinct.size, nz, distinct.size))  # [line a, z shift, line b]
+        for k in range(0, distinct.size, _CHUNK):
+            units = np.zeros((3 * nx * nz, min(_CHUNK, distinct.size - k)))
+            units[distinct[k : k + _CHUNK] * nz, np.arange(units.shape[1])] = 1.0
+            H[:, :, k : k + _CHUNK] = self.fourier.solve(units).reshape(3 * nx, nz, -1)[distinct]
+        for k in range(distinct.size):
+            cols = line_of == k
+            self.G[:, cols] = H[line_of[:, None], (j[:, None] - j[cols][None, :]) % nz, k]
+
+    def _solve_b(self, b: np.ndarray) -> np.ndarray:
+        return self.fourier.solve(b)
+
+    def factor(self, d: np.ndarray):
+        """Solver for A0 + diag(d), given d zero outside V.
+
+        It takes r and, if the caller has it, y = A0^-1 r.
+        """
+        solve_0 = self.fourier.solve
+        d_V = d[self.V]
+        F = np.flatnonzero(d_V)
+        if F.size == 0:
+            return lambda r, y=None: solve_0(r) if y is None else y.copy()
+        d_F, faces = d_V[F], self.V[F]
+        C = self.G[np.ix_(F, F)]
+        C[np.diag_indices_from(C)] += 1.0 / d_F
+        # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
+        # then solves with C itself.  Unchecked, a non-finite value
+        # reaches the residual and the solve reports no convergence.
+        lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+
+        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+            if y is None:
+                y = solve_0(r)
+            z = la.lu_solve(lu_C, y[faces], trans=1, check_finite=False)
+            r = r.copy()
+            r[faces] -= z
+            x = solve_0(r)
+            # x_F = z / d_F exactly; recovering it by subtraction, as the
+            # A0 solve gives it, loses about log10(K) digits.
+            x[faces] = z / d_F
+            return x
+
+        return solve
+
+
+class _Substructure(_SetUp):
+    """Solves by strip LU: the exterior factored once, the strip per blade.
 
     Unknowns split into the strip S, the u, w and p of the given cells (a
     cell owns its east u face and its w face), and the exterior E, all
@@ -325,21 +475,12 @@ class _Substructure:
     A0[E, E] and the interface correction A0[S, E] A0[E, E]^-1 A0[E, S]
     (dense, nonzero only on the strip unknowns that touch E) do not depend
     on the shape; nor does the strip's Schur complement S0 of the empty
-    channel.  A shape adds diag(d) on its solid faces F to S0, and
-    ``factor`` solves S0 + diag(d) in one of two ways:
-
-    - capacitance: S0 is factored once here, with G = S0^-1 restricted to
-      the strip's velocity unknowns V (the first |V| strip unknowns, as
-      they run u, w, p), and a blade factors only the dense m x m
-      capacitance matrix G[F, F] + diag(1/d_F), m = |F|;
-    - strip LU: each blade factors S0 + diag(d) with sparse LU.
-
-    G holds |V|^2 floats, so the capacitance path is taken only when that
-    is no more than the exterior LU already holds, |V|^2 <= nnz(L + U).
+    channel.  A shape adds diag(d) on its solid faces to S0, and each blade
+    factors S0 + diag(d) with sparse LU.
     """
 
     def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
-        self.A = _matrix(*grid)
+        super().__init__(grid)
         # The u, w and p blocks of the unknowns each run over (column, row).
         in_strip = np.tile(cells.ravel(), 3)
         self.strip = np.flatnonzero(in_strip)
@@ -365,32 +506,10 @@ class _Substructure:
             (correction.ravel(), (np.repeat(iface, iface.size), np.tile(iface, iface.size))),
             shape=(self.strip.size, self.strip.size),
         )
-        strip_base = (rows_S[:, self.strip] - dense).tocsc()
-        del A_rows, rows_S, rows_E, correction, dense
+        self.strip_base = (rows_S[:, self.strip] - dense).tocsc()
 
-        n_v = 2 * int(cells.sum())
-        self.strip_base = self.lu_S = self.G = None
-        if n_v**2 <= self.lu_E.nnz:
-            self.lu_S = spla.splu(strip_base)
-            del strip_base
-            self.G = np.empty((n_v, n_v))
-            unit = sp.identity(self.strip.size, format="csc")[:, :n_v]
-            for k in range(0, n_v, _CHUNK):
-                self.G[:, k : k + _CHUNK] = self.lu_S.solve(unit[:, k : k + _CHUNK].toarray())[:n_v]
-        else:
-            self.strip_base = strip_base
-        self._exterior_b = {}  # inflow -> lu_E.solve(b[E]), which no shape changes
-
-    def rhs(self, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-        """b for the config's inflow and its exterior solve, made once per inflow.
-
-        b depends only on the grid, which keys this set-up, and the inflow.
-        """
-        b, key = _rhs(config), tuple(config.inflow)
-        y = self._exterior_b.get(key)
-        if y is None:
-            y = self._exterior_b[key] = self.lu_E.solve(b[self.exterior])
-        return b, y
+    def _solve_b(self, b: np.ndarray) -> np.ndarray:
+        return self.lu_E.solve(b[self.exterior])
 
     def factor(self, d: np.ndarray):
         """Solver for A0 + diag(d), given d zero outside the strip.
@@ -398,29 +517,7 @@ class _Substructure:
         It takes r and, if the caller has it, y = lu_E.solve(r[E]).
         """
         S, E = self.strip, self.exterior
-        d_S = d[S]
-        F = np.flatnonzero(d_S)
-        if self.G is None:
-            solve_S = spla.splu((self.strip_base + sp.diags(d_S)).tocsc()).solve
-        elif F.size == 0:
-            solve_S = self.lu_S.solve
-        else:
-            d_F = d_S[F]
-            C = self.G[np.ix_(F, F)]
-            C[np.diag_indices_from(C)] += 1.0 / d_F
-            # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
-            # then solves with C itself.  Unchecked, a non-finite value
-            # reaches the residual and the solve reports no convergence.
-            lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
-
-            def solve_S(rS: np.ndarray) -> np.ndarray:
-                z = la.lu_solve(lu_C, self.lu_S.solve(rS)[F], trans=1, check_finite=False)
-                rS[F] -= z
-                x_S = self.lu_S.solve(rS)
-                # x_F = z / d_F exactly; recovering it by subtraction, as
-                # lu_S gives it, loses about log10(K) digits.
-                x_S[F] = z / d_F
-                return x_S
+        solve_S = spla.splu((self.strip_base + sp.diags(d[S])).tocsc()).solve
 
         def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
             if y is None:
@@ -434,10 +531,11 @@ class _Substructure:
 
 
 @functools.lru_cache(maxsize=1)
-def _substructure(grid: tuple[int, int, float, float], cells: bytes) -> _Substructure:
+def _substructure(grid: tuple[int, int, float, float], cells: bytes) -> _SetUp:
     """The last set-up: the grid (nx, nz, dx, dz) ``_matrix`` reads and the packed strip cells."""
     nx, nz = grid[:2]
-    return _Substructure(grid, np.frombuffer(cells, dtype=bool).reshape(nx, nz))
+    cells = np.frombuffer(cells, dtype=bool).reshape(nx, nz)
+    return (_Capacitance if _takes_capacitance(cells) else _Substructure)(grid, cells)
 
 
 def _solid_cells(d: np.ndarray, config: ChannelConfig) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_criterion_07_channel_landscape():
     # thickest profile in the sweep (b = 4.0) is 2.88 chords thick and must
     # fit inside the period.  The sweep is configs/stokes_landscape.json's
     # grid and channel, so its solves factor that grid's blade envelope as
-    # `mesopt landscape` does; the control above keeps the full strip.
+    # `mesopt landscape` does; the control above solves with an empty strip.
     sweep_cfg = ChannelConfig(Lx=4.0, Lz=3.0, nx=192, nz=96)
     obj = StokesObjective(sweep_cfg, grid=ParameterGrid(mins=(1.5, 2.0), maxs=(2.8, 4.0), steps=(0.1, 0.2)))
     fs = np.round(np.arange(1.5, 2.8 + 1e-9, 0.1), 10)

@@ -161,7 +161,7 @@ def test_capacitance_solve_that_fails_raises(monkeypatch):
     misses = stokes._substructure.cache_info().misses
     sub = stokes._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel).tobytes())
     assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
-    assert sub.G is not None
+    assert isinstance(sub, stokes._Capacitance)
 
     monkeypatch.setattr(stokes.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
     with pytest.raises(FlowError, match="residual nan"):

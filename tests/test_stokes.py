@@ -438,29 +438,85 @@ CAPACITANCE_GRID = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.1, 0.1))
 
 @pytest.fixture(scope="module")
 def both_blade_solvers():
-    """Set-ups of one 48x36 channel on the grid's envelope and on the column strip."""
+    """Set-ups of one 48x36 channel: capacitance on the grid's envelope, strip LU on the column strip."""
     from mesopt.objectives import _grid_envelope
 
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
-    envelope = stokes._Substructure(grid, _grid_envelope(CAPACITANCE_GRID, cfg))
+    envelope = stokes._Capacitance(grid, _grid_envelope(CAPACITANCE_GRID, cfg))
     columns = stokes._Substructure(grid, column_strip(cfg))
     return envelope, columns
 
 
-def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip(both_blade_solvers):
-    # G = S0^-1 on the strip's |V| velocity unknowns is built only when
-    # |V|^2 <= nnz(L + U) of the exterior LU.
-    envelope, columns = both_blade_solvers
-    for sub, capacitance in ((envelope, True), (columns, False)):
-        n_v = 2 * sub.strip.size // 3
-        assert (n_v**2 <= sub.lu_E.nnz) is capacitance
-        assert (sub.G is not None) is capacitance
-        assert (sub.strip_base is None) is capacitance
-    assert envelope.G.shape == (2 * envelope.strip.size // 3,) * 2
-    cfg = ChannelConfig(**SMALL)
-    small = stokes._Substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), column_strip(cfg))
-    assert small.G is None
+@settings(max_examples=12, deadline=None)
+@given(st.integers(4, 40), st.integers(4, 40), st.floats(0.5, 9.0), st.floats(0.5, 9.0), st.integers(0, 2**32 - 1))
+@example(48, 35, 4.0, 6.0, 0)  # odd nz: no Nyquist frequency
+@example(20, 5, 4.0, 2.0, 1)
+@example(96, 72, 4.0, 6.0, 2)
+def test_property_fourier_solve_is_the_lu_solve_of_a0(nx, nz, Lx, Lz, seed):
+    grid = (nx, nz, Lx / nx, Lz / nz)
+    A0 = stokes._matrix(*grid)
+    r = np.random.default_rng(seed).standard_normal((A0.shape[0], 2))
+    direct = spla.splu(A0).solve(r)
+    fourier = stokes._Fourier(grid)
+    got = fourier.solve(r)
+    assert got.shape == r.shape and got.dtype == np.float64
+    assert np.abs(got - direct).max() <= 1e-10 * np.abs(direct).max()
+    np.testing.assert_array_equal(fourier.solve(r[:, 1]), got[:, 1])  # one column as a vector
+
+
+def test_g_is_a0_inverse_on_the_envelope_faces(both_blade_solvers):
+    # G is gathered from one Fourier solve per face line; every 7th of its
+    # columns against a column of one splu of A0.
+    envelope, _ = both_blade_solvers
+    lu = spla.splu(envelope.A)
+    assert envelope.G.shape == (envelope.V.size,) * 2
+    for b in range(0, envelope.V.size, 7):
+        unit = np.zeros(envelope.A.shape[0])
+        unit[envelope.V[b]] = 1.0
+        column = lu.solve(unit)[envelope.V]
+        assert np.abs(envelope.G[:, b] - column).max() <= 1e-10 * np.abs(column).max()
+
+
+def _rule_strips():
+    from mesopt.objectives import _grid_envelope
+    from mesopt.runconfig import load_config
+
+    def own(cfg, f, b):
+        return stokes._solid_cells(stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(f, b), 257), cfg), cfg)
+
+    optimize, landscape = load_config("configs/stokes_optimize.json"), load_config("configs/stokes_landscape.json")
+    small = ChannelConfig(**SMALL)
+    return {
+        "96x72 envelope": (optimize.channel, _grid_envelope(optimize.grid, optimize.channel), 92, True),
+        "192x96 own (2, 2)": (landscape.channel, own(landscape.channel, 2.0, 2.0), 40, True),
+        "48x24 columns": (small, column_strip(small), 150, False),
+        "48x36 columns": (CAPACITANCE_CFG, column_strip(CAPACITANCE_CFG), 225, False),
+        "192x96 envelope": (landscape.channel, _grid_envelope(landscape.grid, landscape.channel), 809, False),
+        "192x96 own (4, 4)": (landscape.channel, own(landscape.channel, 4.0, 4.0), 655, False),
+    }
+
+
+def test_path_rule_is_a_size_rule_on_the_shipped_strips():
+    # Capacitance iff |V|^2 <= 128 * 3 nx nz: G may hold up to 128 floats
+    # per unknown of the channel.  No set-up is built.
+    for name, (cfg, cells, per_unknown, capacitance) in _rule_strips().items():
+        n_v = 2 * int(cells.sum())
+        assert round(n_v**2 / (3 * cfg.nx * cfg.nz)) == per_unknown, name
+        assert stokes._takes_capacitance(cells) is capacitance, name
+
+
+def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip():
+    # The cached set-up is the one the size rule picks; the capacitance
+    # set-up keeps G on the strip's u and w faces.
+    from mesopt.objectives import _grid_envelope
+
+    cfg = CAPACITANCE_CFG
+    grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
+    envelope = _grid_envelope(CAPACITANCE_GRID, cfg)
+    for cells, kind in ((envelope, stokes._Capacitance), (column_strip(cfg), stokes._Substructure)):
+        assert type(stokes._substructure(grid, cells.tobytes())) is kind
+    assert stokes._substructure(grid, envelope.tobytes()).G.shape == (2 * int(envelope.sum()),) * 2
 
 
 @settings(max_examples=10, deadline=None)
@@ -489,6 +545,20 @@ def test_property_capacitance_and_strip_lu_solves_agree(both_blade_solvers, i, j
     assert np.abs(capacitance - strip_lu).max() <= 1e-8 * scale
     assert np.abs(capacitance - direct).max() <= 1e-8 * scale
     assert np.abs(strip_lu - direct).max() <= 1e-8 * scale
+
+
+def test_capacitance_solve_without_y_makes_its_own_first_solve(both_blade_solvers):
+    # Refinement passes y = None, so the solve makes its own A0^-1 r; with
+    # the caller's y it must give the same bits.
+    envelope, _ = both_blade_solvers
+    cfg = CAPACITANCE_CFG
+    d = stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(2.0, 2.0), 257), cfg)
+    r = np.random.default_rng(5).standard_normal(d.size)
+    solve = envelope.factor(d)
+    refined = solve(r)
+    np.testing.assert_array_equal(refined, solve(r, envelope.fourier.solve(r)))
+    direct = spla.splu((envelope.A + sp.diags(d)).tocsc()).solve(r)
+    assert np.abs(refined - direct).max() <= 1e-8 * np.abs(direct).max()
 
 
 def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_solvers):
