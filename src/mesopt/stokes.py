@@ -34,8 +34,10 @@ along with its first solve of b for each inflow.  A size rule
 
 - ``_Capacitance`` solves on the whole channel.  The empty channel's
   operator A0 is circulant in z, so a DFT along z inverts it (``_Fourier``);
-  the set-up keeps G, A0^-1 on the strip's velocity faces, and each blade
-  factors a dense capacitance matrix on its solid faces alone.
+  the set-up keeps A0^-1 between the strip's velocity faces as a table over
+  face lines and row shifts.  Each blade factors a dense capacitance matrix
+  on its solid faces alone or, when it fills most of the strip, one on the
+  strip faces it leaves open.
 - ``_Substructure`` factors the exterior, all cells outside the strip,
   with sparse LU, condenses it into a dense correction on the strip
   unknowns that touch it, and factors each blade's strip with sparse LU.
@@ -363,19 +365,31 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
     return b
 
 
-#: Right-hand sides per blocked solve while building the interface
-#: correction or G; bounds the dense block to 3 nx nz x _CHUNK floats.
+#: Columns per block while building the interface correction, the
+#: capacitance table or its inverse T; bounds each dense block to
+#: 3 nx nz x _CHUNK floats.
 _CHUNK = 64
 
-#: The capacitance path keeps G, |V|^2 floats, when that is at most this
-#: many floats per unknown of the channel.
-_G_FLOATS_PER_UNKNOWN = 128
+#: The capacitance path may build T, |V|^2 floats, when that is at most
+#: this many floats per unknown of the channel.
+_T_FLOATS_PER_UNKNOWN = 128
+
+
+def _takes_complement(m: int, n_v: int) -> bool:
+    """Whether a blade with m of the n_v faces V solid factors T[N, N] rather than C.
+
+    It does when N, the n_v - m faces it leaves open, is under 8/9 of m.
+    At 96x72 (n_v = 1,382) the two took the same time near m = 730, where
+    |N| is about 0.89 m: there the gathers and products with T make up for
+    the smaller LU.
+    """
+    return 9 * (n_v - m) < 8 * m
 
 
 def _takes_capacitance(cells: np.ndarray) -> bool:
     """Whether the strip ``cells``, (nx, nz), is solved by capacitance, else by strip LU."""
     n_v = 2 * int(np.count_nonzero(cells))
-    return n_v**2 <= _G_FLOATS_PER_UNKNOWN * 3 * cells.size
+    return n_v**2 <= _T_FLOATS_PER_UNKNOWN * 3 * cells.size
 
 
 class _SetUp:
@@ -401,12 +415,23 @@ class _Capacitance(_SetUp):
     """Solves on the whole channel: A0 by ``_Fourier``, a blade by capacitance.
 
     The strip's cells give V, the u and w faces a blade on this strip can
-    make solid, in the order the unknowns run.  The set-up keeps G =
-    A0^-1[V, V], dense.  A blade adds diag(d) on its m solid faces F, a
-    subset of V, and factors only the m x m capacitance matrix C = G[F, F]
-    + diag(1/d_F) (Buzbee, Dorr, George & Golub, 1971).  A solve of r is
-    then w = A0^-1 r, z = C^-1 w[F], x = A0^-1 (r - e_F z) and x[F] =
-    z / d_F; the empty channel takes one A0 solve.
+    make solid, in the order the unknowns run.  A blade adds diag(d) on its
+    m solid faces F, a subset of V, and needs only the m x m capacitance
+    matrix C = G[F, F] + diag(1/d_F), with G = A0^-1[V, V] (Buzbee, Dorr,
+    George & Golub, 1971).  A solve of r is then w = A0^-1 r, z = C^-1 w[F],
+    x = A0^-1 (r - e_F z) and x[F] = z / d_F; the empty channel takes one
+    A0 solve.
+
+    G itself is not stored.  A0 commutes with shifts along z, so an entry of
+    G depends only on the face lines of its two faces and on their row
+    difference: the set-up keeps that table, H, and ``g`` gathers any block
+    of G from it.  A thin blade factors C.  Every solid face carries the
+    same K, so C = P[F, F] for one P = G + I/K shared by all.  A thick
+    blade (``_takes_complement``) factors T[N, N] instead, for T = P^-1 and
+    N the faces of V it leaves open (Hager, 1989).  T is one dense |V| x |V|
+    inverse, built on the first thick blade and kept for its K.  A blade
+    that fills the strip is solved on its own cells, a strip no other blade
+    uses, so T would never pay back there and it factors C.
     """
 
     def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
@@ -417,24 +442,67 @@ class _Capacitance(_SetUp):
         # Face v of V sits at z row j[v] of line lines[v], its velocity
         # component and x column (a row of the Fourier layout).
         lines, j = np.divmod(self.V, nz)
-        self.G = np.empty((self.V.size, self.V.size))
         # A0 commutes with shifts along z, so a unit at row j of a line has
         # the solve of a unit at row 0 shifted by j: one solve per line.
         distinct, line_of = np.unique(lines, return_inverse=True)
-        H = np.empty((distinct.size, nz, distinct.size))  # [line a, z shift, line b]
-        for k in range(0, distinct.size, _CHUNK):
-            units = np.zeros((3 * nx * nz, min(_CHUNK, distinct.size - k)))
+        n_lines = distinct.size
+        # H[a, s, b]: line a at row s (mod nz) of the solve of line b's unit
+        # at row 0, doubled along s so that s = j_a - j_b + nz needs no mod.
+        self.H = np.empty((n_lines, 2 * nz, n_lines))
+        for k in range(0, n_lines, _CHUNK):
+            units = np.zeros((3 * nx * nz, min(_CHUNK, n_lines - k)))
             units[distinct[k : k + _CHUNK] * nz, np.arange(units.shape[1])] = 1.0
-            H[:, :, k : k + _CHUNK] = self.fourier.solve(units).reshape(3 * nx, nz, -1)[distinct]
-        for k in range(distinct.size):
-            cols = line_of == k
-            self.G[:, cols] = H[line_of[:, None], (j[:, None] - j[cols][None, :]) % nz, k]
+            self.H[:, :nz, k : k + _CHUNK] = self.fourier.solve(units).reshape(3 * nx, nz, -1)[distinct]
+        self.H[:, nz:] = self.H[:, :nz]
+        # G[v, w] is the flat entry at_row[v] + at_col[w] of H.
+        self._at_row = (line_of * 2 * nz + j + nz) * n_lines
+        self._at_col = line_of - j * n_lines
+        self.T, self.T_penalization = None, None
 
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
         return self.fourier.solve(b)
 
+    def g(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """G[rows][:, cols] for positions into V, gathered from H."""
+        return np.take(self.H, self._at_row[rows][:, None] + self._at_col[cols])
+
+    def _inverse(self, K: float) -> np.ndarray:
+        """T = (G + I/K)^-1, kept for one K at a time."""
+        if self.T_penalization != K:
+            self.T = None  # the old T goes before the new one is built
+            n_v = self.V.size
+            every = np.arange(n_v)
+            # Built column block by column block in Fortran order, P is
+            # inverted in place.
+            P = np.empty((n_v, n_v), order="F")
+            for k in range(0, n_v, _CHUNK):
+                P[:, k : k + _CHUNK] = self.g(every, every[k : k + _CHUNK])
+            P[every, every] += 1.0 / K
+            self.T = la.inv(P, overwrite_a=True, check_finite=False)
+            self.T_penalization = K
+        return self.T
+
+    def _complement(self, F: np.ndarray, K: float):
+        """Solve with C through T and N, the faces of V the blade leaves open.
+
+        With u = T[:, F] w and s = T[N, N]^-1 u[N], C^-1 w = u[F] - T[F, N] s.
+        """
+        T = self._inverse(K)
+        N = np.setdiff1d(np.arange(self.V.size), F, assume_unique=True)
+        T_N = T[:, N]  # whole columns of the Fortran-ordered T
+        lu_N = la.lu_factor(T_N[N].T, overwrite_a=True, check_finite=False)
+
+        def solve_C(w: np.ndarray) -> np.ndarray:
+            v = np.zeros(self.V.size)
+            v[F] = w
+            u = T @ v
+            s = la.lu_solve(lu_N, u[N], trans=1, check_finite=False)
+            return (u - T_N @ s)[F]
+
+        return solve_C
+
     def factor(self, d: np.ndarray):
-        """Solver for A0 + diag(d), given d zero outside V.
+        """Solver for A0 + diag(d), given d zero outside V and one K on its nonzeros.
 
         It takes r and, if the caller has it, y = A0^-1 r.
         """
@@ -444,17 +512,26 @@ class _Capacitance(_SetUp):
         if F.size == 0:
             return lambda r, y=None: solve_0(r) if y is None else y.copy()
         d_F, faces = d_V[F], self.V[F]
-        C = self.G[np.ix_(F, F)]
-        C[np.diag_indices_from(C)] += 1.0 / d_F
-        # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
-        # then solves with C itself.  Unchecked, a non-finite value
-        # reaches the residual and the solve reports no convergence.
-        lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+        # Faces k and k + cells of V share a cell; a blade that leaves no
+        # cell of the strip open is solved on its own cells.
+        cells = self.V.size // 2
+        if _takes_complement(F.size, self.V.size) and np.unique(F % cells).size < cells:
+            solve_C = self._complement(F, d_F[0])
+        else:
+            C = self.g(F, F)
+            C[np.diag_indices_from(C)] += 1.0 / d_F
+            # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
+            # then solves with C itself.  Unchecked, a non-finite value
+            # reaches the residual and the solve reports no convergence.
+            lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+
+            def solve_C(w: np.ndarray) -> np.ndarray:
+                return la.lu_solve(lu_C, w, trans=1, check_finite=False)
 
         def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
             if y is None:
                 y = solve_0(r)
-            z = la.lu_solve(lu_C, y[faces], trans=1, check_finite=False)
+            z = solve_C(y[faces])
             r = r.copy()
             r[faces] -= z
             x = solve_0(r)

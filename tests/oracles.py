@@ -6,9 +6,10 @@ power sum, the kernel and the hitting-time walk taken one row at a time,
 the Monte-Carlo sampler driven by the dense kernel, the fixed-point step as
 a dense solve and as the dense-weight band step the move plan replaced, a
 generator stand-in with dyadic draws, and the local argmins of a 1-d table.
-The column strip is a Stokes strip far wider than any blade's own.
-None of them is part of ``mesopt``: the program builds no m x m kernel and
-solves in no column strip.
+The column strip is a Stokes strip far wider than any blade's own, and the
+dense G is the capacitance set-up's A0^-1 on its strip faces, scattered
+whole.  None of them is part of ``mesopt``: the program builds no m x m
+kernel, solves in no column strip and stores no G.
 """
 
 import itertools
@@ -260,3 +261,20 @@ def column_strip(config):
     on_band = _chord_coordinate(config, xu)[1] | _chord_coordinate(config, xw)[1]
     in_strip = np.convolve(on_band, np.ones(3), mode="same") > 0
     return np.repeat(in_strip[:, None], config.nz, axis=1)
+
+
+def dense_g(setup):
+    """G = A0^-1[V, V] of a ``_Capacitance`` set-up, scattered whole from its table.
+
+    The set-up's former G, built one face line of columns at a time with the
+    row shift taken mod nz: the bitwise oracle of the set-up's gather ``g``.
+    """
+    nz = setup.H.shape[1] // 2
+    lines, j = np.divmod(setup.V, nz)
+    distinct, line_of = np.unique(lines, return_inverse=True)
+    H = setup.H[:, :nz]  # the table's first period along the row shift
+    G = np.empty((setup.V.size, setup.V.size))
+    for k in range(distinct.size):
+        cols = line_of == k
+        G[:, cols] = H[line_of[:, None], (j[:, None] - j[cols][None, :]) % nz, k]
+    return G

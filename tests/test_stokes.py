@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import column_strip
+from oracles import column_strip, dense_g
 
 from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
@@ -470,12 +472,27 @@ def test_g_is_a0_inverse_on_the_envelope_faces(both_blade_solvers):
     # columns against a column of one splu of A0.
     envelope, _ = both_blade_solvers
     lu = spla.splu(envelope.A)
-    assert envelope.G.shape == (envelope.V.size,) * 2
+    every = np.arange(envelope.V.size)
     for b in range(0, envelope.V.size, 7):
         unit = np.zeros(envelope.A.shape[0])
         unit[envelope.V[b]] = 1.0
         column = lu.solve(unit)[envelope.V]
-        assert np.abs(envelope.G[:, b] - column).max() <= 1e-10 * np.abs(column).max()
+        gathered = envelope.g(every, np.array([b]))
+        assert gathered.shape == (envelope.V.size, 1)
+        assert np.abs(gathered[:, 0] - column).max() <= 1e-10 * np.abs(column).max()
+
+
+def test_table_gather_is_the_dense_g_scatter(both_blade_solvers):
+    # C = G[F, F] gathered from the table holds exactly the bits of the
+    # dense G scattered whole, for random solid faces F and a rectangle.
+    envelope, _ = both_blade_solvers
+    G = dense_g(envelope)
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 17, 150, envelope.V.size // 2, envelope.V.size - 1, envelope.V.size):
+        F = np.sort(rng.choice(envelope.V.size, m, replace=False))
+        np.testing.assert_array_equal(envelope.g(F, F), G[np.ix_(F, F)])
+    rows, cols = rng.choice(envelope.V.size, 40), rng.choice(envelope.V.size, 9)
+    np.testing.assert_array_equal(envelope.g(rows, cols), G[np.ix_(rows, cols)])
 
 
 def _rule_strips():
@@ -498,7 +515,7 @@ def _rule_strips():
 
 
 def test_path_rule_is_a_size_rule_on_the_shipped_strips():
-    # Capacitance iff |V|^2 <= 128 * 3 nx nz: G may hold up to 128 floats
+    # Capacitance iff |V|^2 <= 128 * 3 nx nz: T may hold up to 128 floats
     # per unknown of the channel.  No set-up is built.
     for name, (cfg, cells, per_unknown, capacitance) in _rule_strips().items():
         n_v = 2 * int(cells.sum())
@@ -508,7 +525,8 @@ def test_path_rule_is_a_size_rule_on_the_shipped_strips():
 
 def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip():
     # The cached set-up is the one the size rule picks; the capacitance
-    # set-up keeps G on the strip's u and w faces.
+    # set-up keeps no G, only its table over the strip's face lines, each
+    # line's rows doubled along the row shift.
     from mesopt.objectives import _grid_envelope
 
     cfg = CAPACITANCE_CFG
@@ -516,7 +534,10 @@ def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip
     envelope = _grid_envelope(CAPACITANCE_GRID, cfg)
     for cells, kind in ((envelope, stokes._Capacitance), (column_strip(cfg), stokes._Substructure)):
         assert type(stokes._substructure(grid, cells.tobytes())) is kind
-    assert stokes._substructure(grid, envelope.tobytes()).G.shape == (2 * int(envelope.sum()),) * 2
+    sub = stokes._substructure(grid, envelope.tobytes())
+    assert not hasattr(sub, "G")
+    n_lines = np.unique(sub.V // cfg.nz).size
+    assert sub.H.shape == (n_lines, 2 * cfg.nz, n_lines)
 
 
 @settings(max_examples=10, deadline=None)
@@ -568,3 +589,42 @@ def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_so
     direct = spla.splu(envelope.A).solve(r)
     for sub in (envelope, columns):
         assert np.abs(sub.factor(d)(r) - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def _solid_face_count(sub, d):
+    return int(np.count_nonzero(d[sub.V]))
+
+
+def test_thick_blade_on_its_own_cells_builds_no_inverse():
+    # The blade fills its own cells, a strip no other blade uses, so a
+    # thick one factors C there and T is never built.
+    cfg = CAPACITANCE_CFG
+    shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
+    field = solve_stokes(shape, cfg)
+    d = stokes._brinkman_diagonal(shape, cfg)
+    misses = stokes._substructure.cache_info().misses
+    sub = stokes._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), _node_cells(shape, cfg).tobytes())
+    assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
+    assert isinstance(sub, stokes._Capacitance)
+    assert stokes._takes_complement(_solid_face_count(sub, d), sub.V.size)
+    assert sub.T is None
+    A = (sub.A + sp.diags(d)).tocsc()
+    direct = spla.splu(A).solve(stokes._rhs(cfg))
+    assert field.converged
+    assert np.abs(_stacked(field) - direct).max() <= 1e-8 * np.abs(direct).max()
+
+
+def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
+    # One thick blade on the shared envelope at K = 1e6, 1e5 and 1e6 again:
+    # T is kept for one K, each solve matches splu of its own system.
+    envelope, _ = both_blade_solvers
+    shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
+    for K in (1e6, 1e5, 1e6):
+        d = stokes._brinkman_diagonal(shape, dataclasses.replace(CAPACITANCE_CFG, penalization=K))
+        assert stokes._takes_complement(_solid_face_count(envelope, d), envelope.V.size)
+        r = np.random.default_rng(7).standard_normal(d.size)
+        x = envelope.factor(d)(r)
+        assert envelope.T_penalization == K
+        assert envelope.T.shape == (envelope.V.size,) * 2
+        direct = spla.splu((envelope.A + sp.diags(d)).tocsc()).solve(r)
+        assert np.abs(x - direct).max() <= 1e-8 * np.abs(direct).max()
