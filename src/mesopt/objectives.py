@@ -17,6 +17,8 @@ metric the optimizer is meant to minimize.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .stokes import (
     ChannelConfig,
     EvaluationProfile,
     FlowError,
-    blade_envelope,
+    blade_faces,
     sample_line,
     solve_stokes,
 )
@@ -111,10 +113,15 @@ def _blade(f: float, b: float, channel: ChannelConfig):
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_envelope(grid: ParameterGrid, channel: ChannelConfig) -> np.ndarray:
-    """Strip cells that hold the solid faces of every blade on the grid.
+def _grid_envelope(
+    grid: ParameterGrid, channel: ChannelConfig
+) -> tuple[np.ndarray, Mapping[AirfoilSpec, np.ndarray]]:
+    """Strip cells that hold the solid faces of every blade on the grid, and those faces.
 
-    A node whose spec or fit is invalid is skipped: it raises at its own
+    The table maps each grid blade's spec to its solid faces, as
+    ``blade_faces`` gives them, so a solve on the grid need not run the
+    rule again; the cache hands it to every caller, so it is read-only.  A node whose spec or fit is invalid is left out of both,
+    and so is a blade whose mask selects no face: each raises at its own
     solve.  Built on the first solve and cached on everything it reads, so
     the backends of one process that share a grid and channel (every
     ``optimize`` builds a fresh one) pay for it once.
@@ -128,9 +135,17 @@ def _grid_envelope(grid: ParameterGrid, channel: ChannelConfig) -> np.ndarray:
             except GeometryError:
                 continue
 
-    cells = blade_envelope(blades(), channel)
+    n = channel.nx * channel.nz
+    cells = np.zeros(n, dtype=bool)
+    table = {}
+    for shape, faces in blade_faces(blades(), channel):
+        if faces.size:
+            cells[faces % n] = True
+            faces.flags.writeable = False
+            table[shape.spec] = faces
+    cells = cells.reshape(channel.nx, channel.nz)
     cells.flags.writeable = False
-    return cells
+    return cells, MappingProxyType(table)
 
 
 class StokesObjective(CountingObjective):
@@ -139,7 +154,9 @@ class StokesObjective(CountingObjective):
     A solve that misses ``solver_tol``, or a non-finite field or profile,
     raises FlowError instead of yielding a reward.  Given the parameter
     grid, the solves factor only the grid blades' envelope (built on the
-    first solve); a blade off the grid that leaves it raises ValueError.
+    first solve), and a grid blade's solve reads its faces from the
+    envelope's table; a blade off the grid runs the rule, and raises
+    ValueError if it leaves the envelope.
     """
 
     d = 2
@@ -153,10 +170,11 @@ class StokesObjective(CountingObjective):
         f, b = theta
         channel = self.channel
         shape = _blade(f, b, channel)
-        envelope = None
+        envelope = faces = None
         if self.grid is not None:
-            envelope = _grid_envelope(self.grid, channel)
-        field = solve_stokes(shape, channel, envelope=envelope)
+            envelope, table = _grid_envelope(self.grid, channel)
+            faces = table.get(shape.spec)
+        field = solve_stokes(shape, channel, envelope=envelope, faces=faces)
         if not field.converged:
             raise FlowError(
                 f"solve missed solver_tol {channel.solver_tol:g} after "

@@ -26,11 +26,14 @@ The blade enters the system only as a diagonal term on its solid faces
 (``_solid_faces``, the one rule for which faces are solid), so the direct
 solve splits into a shape-free part, set up once, and a small per-blade
 part.  A solve takes a strip of cells that holds every solid face as
-``envelope``: the ``blade_envelope`` of the blades a run can visit, or by
-default the blade's own solid cells (none for the empty channel).  One
-set-up is kept per grid (nx, nz, dx, dz) and strip, whatever the inflow,
-along with its first solve of b for each inflow.  A size rule
-(``_takes_capacitance``) picks one of two set-ups:
+``envelope``: the cells of the blades a run can visit, or by default the
+blade's own solid cells (none for the empty channel).  ``blade_faces``
+runs the rule on blocks of blades at once; a caller that keeps a blade's
+faces from that pass hands them to the solve along with the envelope the
+pass built, and the solve skips the rule.  One set-up is kept per grid
+(nx, nz, dx, dz) and strip, whatever the inflow, along with its first
+solve of b for each inflow.  A size rule (``_takes_capacitance``) picks
+one of two set-ups:
 
 - ``_Capacitance`` solves on the whole channel.  The empty channel's
   operator A0 is circulant in z, so a DFT along z inverts it (``_Fourier``);
@@ -48,7 +51,8 @@ README's notes on the solver give the sizes and timings.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +68,7 @@ __all__ = [
     "FlowField",
     "EvaluationProfile",
     "solve_stokes",
-    "blade_envelope",
+    "blade_faces",
     "sample_line",
     "solid_mask",
 ]
@@ -188,8 +192,18 @@ def solid_mask(shape: AirfoilShape, config: ChannelConfig, x: np.ndarray, z: np.
 
 
 def _in_band(z, z_lo, z_up, period: float) -> np.ndarray:
-    """Whether z lies between the surfaces z_lo and z_up, modulo the period."""
-    return np.mod(z - z_lo, period) <= (z_up - z_lo)
+    """Whether z lies between the surfaces z_lo and z_up, modulo the period.
+
+    That is np.mod(z - z_lo, period) <= z_up - z_lo.  np.mod is fmod plus
+    the period on a negative remainder, so this takes fmod and adds the
+    period itself, at a third of np.mod's cost and with the same bits; only
+    a remainder of -0.0 stays -0.0 where np.mod gives +0.0, and both compare
+    the same.
+    """
+    r = np.asarray(z - z_lo, dtype=float)
+    np.fmod(r, period, out=r)
+    np.add(r, period, out=r, where=r < 0.0)
+    return r <= (z_up - z_lo)
 
 
 def _face_x(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -211,38 +225,61 @@ def _check_fit(shape: AirfoilShape, config: ChannelConfig) -> None:
         )
 
 
-def _solid_faces(shape: AirfoilShape, config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(chi_u, chi_w), each (nx, nz): the u and w faces ``solid_mask`` selects.
+def _solid_faces(shapes: Sequence[AirfoilShape], config: ChannelConfig) -> np.ndarray:
+    """(k, 2 nx nz) bool: for each of k blades, the u and w faces ``solid_mask`` selects.
 
-    The one rule for which faces a blade makes solid; it first runs the
-    channel fit check.  Only face columns on the chord can be solid, so
-    ``solid_mask`` runs on those alone.
+    The one rule for which faces a blade makes solid, in the order the u
+    and w unknowns run; a lone blade is a batch of one.  Only face columns
+    on the chord can be solid, so the band test runs on those alone, for
+    all k blades at once.  The caller runs the channel fit check.
     """
-    _check_fit(shape, config)
-    faces = []
-    for x, z in zip(_face_x(config), (config.z_centers(), config.z_faces())):
-        on_chord = _chord_coordinate(config, x)[1]
-        chi = np.zeros((config.nx, config.nz), dtype=bool)
-        chi[on_chord] = solid_mask(shape, config, x[on_chord, None], z[None, :])
-        faces.append(chi)
-    return tuple(faces)
+    nx, nz = config.nx, config.nz
+    chi = np.zeros((len(shapes), 2, nx, nz), dtype=bool)
+    for k, (x, z) in enumerate(zip(_face_x(config), (config.z_centers(), config.z_faces()))):
+        xc, on_chord = _chord_coordinate(config, x)
+        xc = xc[on_chord]
+        # (k, columns, 1): each blade's surfaces over the chord's columns.
+        z_lo = np.array([shape.interp_lower(xc) for shape in shapes])[:, :, None]
+        z_up = np.array([shape.interp_upper(xc) for shape in shapes])[:, :, None]
+        chi[:, k, on_chord] = _in_band(z, z_lo, z_up, config.Lz)
+    return chi.reshape(len(shapes), -1)
 
 
-def blade_envelope(shapes: Iterable[AirfoilShape], config: ChannelConfig) -> np.ndarray:
-    """Cells, (nx, nz), with a solid u or w face for at least one of the blades.
+#: Velocity faces per block of blades in ``blade_faces``.  A block's band
+#: test holds a 1 MB mask and a float per face of its chord's columns: at
+#: most 4 MB, and 1 MB on the shipped channels, whose chord spans a quarter
+#: of the columns.
+_FACES_PER_BLOCK = 2**20
 
-    A cell owns its east u face and its w face.  A blade that fails the
-    channel fit check is skipped, since its own solve raises.  ``shapes``
-    may be a generator.
+
+def blade_faces(
+    shapes: Iterable[AirfoilShape], config: ChannelConfig
+) -> Iterator[tuple[AirfoilShape, np.ndarray]]:
+    """Each blade that fits the channel, with its solid faces.
+
+    The faces are positions into the u and w unknowns, in order, as
+    ``solve_stokes`` takes them, in the smallest unsigned integer type
+    that holds them (uint16 up to 32,768 cells).  A blade that fails the
+    channel fit check is skipped, since its own solve raises.  The blades
+    are taken in blocks, each one ``_solid_faces`` call, so ``shapes`` may
+    be a long generator.
     """
-    cells = np.zeros((config.nx, config.nz), dtype=bool)
-    for shape in shapes:
-        try:
-            chi_u, chi_w = _solid_faces(shape, config)
-        except FlowError:
-            continue
-        cells |= chi_u | chi_w
-    return cells
+    n_faces = 2 * config.nx * config.nz
+    per_block = max(1, _FACES_PER_BLOCK // n_faces)
+    position = np.min_scalar_type(n_faces - 1)
+
+    def fitting():
+        for shape in shapes:
+            try:
+                _check_fit(shape, config)
+            except FlowError:
+                continue
+            yield shape
+
+    blades = fitting()
+    while block := list(itertools.islice(blades, per_block)):
+        for shape, chi in zip(block, _solid_faces(block, config)):
+            yield shape, np.flatnonzero(chi).astype(position)
 
 
 def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.ndarray:
@@ -255,14 +292,14 @@ def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.
     d = np.zeros(3 * n)
     if shape is None:
         return d
-    chi_u, chi_w = _solid_faces(shape, config)
-    if not (chi_u.any() or chi_w.any()):
+    _check_fit(shape, config)
+    (chi,) = _solid_faces([shape], config)
+    if not chi.any():
         raise FlowError(
             f"the solid mask selects no face: the blade is invisible to a "
             f"{config.nx}x{config.nz} grid"
         )
-    d[:n] = config.penalization * chi_u.astype(float).ravel()
-    d[n : 2 * n] = config.penalization * chi_w.astype(float).ravel()
+    d[: 2 * n] = config.penalization * chi.astype(float)
     return d
 
 
@@ -633,36 +670,61 @@ def _check_inside(shape: AirfoilShape | None, cells: np.ndarray, envelope: np.nd
 
 
 def solve_stokes(
-    shape: AirfoilShape | None, config: ChannelConfig, envelope: np.ndarray | None = None
+    shape: AirfoilShape | None,
+    config: ChannelConfig,
+    envelope: np.ndarray | None = None,
+    faces: np.ndarray | None = None,
 ) -> FlowField:
     """Steady penalized Stokes solve; pass shape=None for the empty channel.
 
-    ``envelope`` is the strip, an (nx, nz) cell mask such as
-    ``blade_envelope`` returns, and must hold every solid face of the blade
-    (ValueError otherwise); it defaults to the blade's own solid cells, so
-    each blade solved without one pays its own set-up.  The empty channel
-    has no solid face, so its default strip is empty: the whole channel is
-    exterior, and the set-up is one LU of A0.
+    ``envelope`` is the strip, an (nx, nz) cell mask, and must hold every
+    solid face of the blade (ValueError otherwise); it defaults to the
+    blade's own solid cells, so each blade solved without one pays its own
+    set-up.  The empty channel has no solid face, so its default strip is
+    empty: the whole channel is exterior, and the set-up is one LU of A0.
+
+    ``faces`` are the blade's solid faces as ``blade_faces`` gave them for
+    this config, from the pass that built ``envelope``.  The solve then
+    takes them as they are: that pass ran the rule and the fit check, and
+    its faces lie in the envelope it built.  Without them the solve runs
+    the rule and every check.
     """
     nx, nz = config.nx, config.nz
-    d = _brinkman_diagonal(shape, config)
-    cells = _solid_cells(d, config)
-    envelope = cells if envelope is None else np.asarray(envelope, dtype=bool)
+    if faces is None:
+        d = _brinkman_diagonal(shape, config)
+        faces = np.flatnonzero(d)
+        cells = _solid_cells(d, config)
+        envelope = cells if envelope is None else envelope
+    elif envelope is None:
+        raise ValueError("faces come with the envelope their pass built")
+    else:
+        cells = None
+        d = np.zeros(3 * nx * nz)
+        d[faces] = config.penalization
+    envelope = np.asarray(envelope, dtype=bool)
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
-    _check_inside(shape, cells, envelope)
+    if cells is not None:
+        _check_inside(shape, cells, envelope)
     sub = _substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
     solve = sub.factor(d)
     b, y_b = sub.rhs(config)
     x = solve(b, y_b)
 
     scale = max(float(np.abs(b).max()), 1e-300)
-    r = b - sub.A @ x - d * x
+
+    def residual_of(x: np.ndarray) -> np.ndarray:
+        # d is K on the solid faces and zero elsewhere.
+        r = b - sub.A @ x
+        r[faces] -= config.penalization * x[faces]
+        return r
+
+    r = residual_of(x)
     residual = float(np.abs(r).max()) / scale
     refinements = 0
     while not residual <= config.solver_tol and refinements < config.max_iters:
         x = x + solve(r)
-        r = b - sub.A @ x - d * x
+        r = residual_of(x)
         residual = float(np.abs(r).max()) / scale
         refinements += 1
 

@@ -158,7 +158,8 @@ def test_blade_outside_the_envelope_propagates(tmp_path, monkeypatch):
     # the process exits 1.
     from mesopt import objectives
 
-    monkeypatch.setattr(objectives, "_grid_envelope", lambda grid, ch: np.zeros((ch.nx, ch.nz), bool))
+    # An empty envelope and table: every blade runs the rule and leaves it.
+    monkeypatch.setattr(objectives, "_grid_envelope", lambda grid, ch: (np.zeros((ch.nx, ch.nz), bool), {}))
     doc = {
         "backend": "stokes",
         "grid": {"mins": [2.0, 2.0], "maxs": [2.1, 2.1], "steps": [0.1, 0.1]},

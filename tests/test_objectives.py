@@ -1,8 +1,11 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mesopt.grid import ParameterGrid
 from mesopt.stokes import EvaluationProfile
 from mesopt.objectives import (
     BACKENDS,
@@ -135,7 +138,7 @@ def test_unconverged_or_non_finite_solve_raises(monkeypatch):
     with pytest.raises(FlowError, match="solver_tol"):
         strict((2.0, 2.0))
 
-    def nan_solve(shape, channel, envelope=None):
+    def nan_solve(shape, channel, envelope=None, faces=None):
         u1 = np.ones((channel.nx + 1, channel.nz))
         u1[-1, 0] = np.nan
         rest = np.ones((channel.nx, channel.nz))
@@ -159,10 +162,131 @@ def test_capacitance_solve_that_fails_raises(monkeypatch):
     with pytest.raises(FlowError, match="solver_tol"):
         strict((2.1, 2.1))
     misses = stokes._substructure.cache_info().misses
-    sub = stokes._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel).tobytes())
+    sub = stokes._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel)[0].tobytes())
     assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
     assert isinstance(sub, stokes._Capacitance)
 
     monkeypatch.setattr(stokes.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
     with pytest.raises(FlowError, match="residual nan"):
         StokesObjective(channel, grid=grid)((2.1, 2.1))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["stokes_optimize", "stokes_landscape"])
+def test_table_holds_the_rule_faces_of_every_grid_blade(name):
+    # Every node of the shipped channel grids is a valid blade that fits, so
+    # each is in the table, with the faces the lone-blade rule gives, bit
+    # for bit, though the pass evaluated it in a block of blades.  The
+    # envelope is the union of their cells, and the table is read-only.
+    from mesopt import stokes
+    from mesopt.geometry import AirfoilSpec, build_airfoil
+    from mesopt.runconfig import load_config
+
+    cfg = load_config(CONFIGS / f"{name}.json")
+    channel = cfg.channel
+    cells, table = _grid_envelope(cfg.grid, channel)
+    n = channel.nx * channel.nz
+    union = np.zeros(n, dtype=bool)
+    for p in cfg.grid.points():
+        shape = build_airfoil(AirfoilSpec(*cfg.grid.theta(p), e=channel.airfoil_e), channel.n_shape_samples)
+        faces = table[shape.spec]
+        assert faces.dtype == np.uint16 and not faces.flags.writeable
+        np.testing.assert_array_equal(faces, np.flatnonzero(stokes._solid_faces([shape], channel)[0]))
+        union[faces % n] = True
+    assert len(table) == math.prod(cfg.grid.shape)
+    np.testing.assert_array_equal(cells.ravel(), union)
+    with pytest.raises(TypeError):  # the cache hands one table to every caller
+        table[shape.spec] = faces
+    if name == "stokes_optimize":
+        assert sum(faces.nbytes for faces in table.values()) <= 0.8e6
+
+
+@pytest.mark.parametrize(
+    "channel, grid, tabled",
+    [
+        # f = 0.5 is no valid spec; at Lz = 2 the blade b = 4 (2.9 chords
+        # thick) leaves no open passage.
+        (
+            dict(Lx=4.0, Lz=2.0, nx=16, nz=8),
+            ParameterGrid((0.5, 1.5), (2.0, 4.0), (1.5, 2.5)),
+            {(2.0, 1.5)},
+        ),
+        # On 4 x 8 cells of 2 x 1.5 only the blade b = 4 covers a face.
+        (
+            dict(Lx=8.0, Lz=12.0, nx=4, nz=8, leading_edge_x=1.2),
+            ParameterGrid((0.5, 3.0), (2.0, 4.0), (1.5, 1.0)),
+            {(2.0, 4.0)},
+        ),
+    ],
+    ids=["invalid-and-unfit", "invisible"],
+)
+def test_nodes_left_out_of_the_table_raise_as_without_a_grid(channel, grid, tabled):
+    # A node whose spec is invalid, whose blade does not fit, or whose mask
+    # selects no face is not in the table: its solve runs the rule and
+    # raises what a solve without the grid raises.
+    from mesopt.geometry import GeometryError
+    from mesopt.stokes import ChannelConfig, FlowError
+
+    channel = ChannelConfig(**channel)
+    _, table = _grid_envelope(grid, channel)
+    assert {(spec.f, spec.b) for spec in table} == tabled
+    for theta in map(grid.theta, grid.points()):
+        if theta in tabled:
+            continue
+        errors = []
+        for backend in (StokesObjective(channel, grid=grid), StokesObjective(channel)):
+            with pytest.raises((FlowError, GeometryError)) as caught:
+                backend(theta)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert any(word in errors[0][1] for word in ("camber root", "open passage", "selects no face"))
+
+
+def test_blade_off_the_grid_that_leaves_the_envelope_raises():
+    from mesopt.stokes import ChannelConfig
+
+    grid = ParameterGrid((2.0, 2.0), (2.1, 2.1), (0.1, 0.1))
+    backend = StokesObjective(ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36), grid=grid)
+    with pytest.raises(ValueError, match="outside the strip"):
+        backend((4.0, 4.0))
+
+
+@pytest.mark.parametrize("theta", [(1.5, 1.5), (2.7, 2.7), (4.0, 4.0)], ids=["thin", "middle", "thick"])
+def test_table_solve_gives_the_rule_solve_bits(theta):
+    # The same blade on the grid envelope and on its own cells, with its
+    # faces from the table and by the rule: the fields are bitwise equal.
+    # At 48x36 the thick blade (4, 4) takes the complement on the envelope.
+    from mesopt import stokes
+    from mesopt.geometry import AirfoilSpec, build_airfoil
+    from mesopt.stokes import ChannelConfig, solve_stokes
+
+    channel = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    grid = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.1, 0.1))
+    envelope, table = _grid_envelope(grid, channel)
+    shape = build_airfoil(AirfoilSpec(*theta), 257)
+    faces = table[shape.spec]
+    own = np.zeros(channel.nx * channel.nz, dtype=bool)
+    own[faces % own.size] = True
+    own = own.reshape(channel.nx, channel.nz)
+    if theta == (4.0, 4.0):
+        sub = stokes._substructure((channel.nx, channel.nz, channel.dx, channel.dz), envelope.tobytes())
+        assert stokes._takes_complement(faces.size, sub.V.size)
+    for strip in (envelope, own):
+        by_table = solve_stokes(shape, channel, envelope=strip, faces=faces)
+        by_rule = solve_stokes(shape, channel, envelope=strip)
+        for a, b in zip(
+            (by_table.u1, by_table.u2, by_table.p, by_table.residual, by_table.refinements),
+            (by_rule.u1, by_rule.u2, by_rule.p, by_rule.residual, by_rule.refinements),
+        ):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(solve_stokes(shape, channel).u1, by_rule.u1)  # own cells by default
+
+
+def test_faces_need_the_envelope_of_their_pass():
+    from mesopt.geometry import AirfoilSpec, build_airfoil
+    from mesopt.stokes import ChannelConfig, solve_stokes
+
+    with pytest.raises(ValueError, match="envelope"):
+        solve_stokes(build_airfoil(AirfoilSpec(2.0, 2.0), 257), ChannelConfig(nx=48, nz=24), faces=np.arange(3))

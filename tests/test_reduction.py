@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ParameterGrid, make_neighborhood
-from mesopt.objectives import SyntheticValleyObjective, synthetic_valley_2d
+from mesopt.objectives import CountingObjective, SyntheticValleyObjective, synthetic_valley_2d
 from mesopt.reduction import (
     OptimizerConfig,
     OptimizationTrace,
@@ -302,3 +302,46 @@ def test_property_freezing_never_empties_the_action_set(freeze_mode, d, epsilon,
     for cycle in trace.cycles:
         assert cycle.active_dims
         assert sorted(cycle.active_dims + cycle.frozen_dims) == list(range(d))
+
+
+class _Quadratic(CountingObjective):
+    """c + g.theta + theta.H.theta, with every evaluated theta recorded."""
+
+    def __init__(self, c, g, H):
+        super().__init__()
+        self.d = len(g)
+        self.c, self.g, self.H = c, np.array(g), np.array(H)
+        self.evaluated = []
+
+    def _components(self, theta):
+        self.evaluated.append(theta)
+        t = np.array(theta)
+        r = float(self.c + self.g @ t + t @ self.H @ t)
+        return r, 0.0, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["alternating", "off"]), st.data())
+def test_property_run_invariants_on_random_quadratics(d, freeze_mode, data):
+    # Any quadratic, convex or not, on a small grid: the run's books and
+    # its path obey the loop's contract whatever the landscape.
+    coefficient = st.floats(-2.0, 2.0)
+    H = np.array([[data.draw(coefficient) for _ in range(d)] for _ in range(d)])
+    backend = _Quadratic(data.draw(coefficient), [data.draw(coefficient) for _ in range(d)], (H + H.T) / 2)
+    shape = [data.draw(st.integers(2, 8)) for _ in range(d)]
+    grid = ParameterGrid(mins=(0.0,) * d, maxs=tuple(0.25 * (k - 1) for k in shape), steps=(0.25,) * d)
+    start = tuple(data.draw(st.integers(0, k - 1)) for k in shape)
+    radii = tuple(data.draw(st.integers(1, 2)) for _ in range(d))
+    max_cycles = data.draw(st.integers(1, 6))
+    config = OptimizerConfig(initial_radii=radii, freeze_mode=freeze_mode, max_cycles=max_cycles)
+    trace = run_optimization(grid, start, backend, config)
+
+    # One simulation per distinct point, and no point paid twice.
+    assert trace.total_simulations == len(set(backend.evaluated)) == len(backend.evaluated) == backend.calls
+    assert all(grid.contains(c) for c in trace.centers())
+    for cycle in trace.cycles:
+        assert make_neighborhood(grid, cycle.center, cycle.radii).contains(cycle.argmin)
+        assert cycle.argmin in cycle.value_table.members
+    if trace.terminated_reason == "converged":
+        last = trace.cycles[-1]
+        assert last.argmin == last.center and last.frozen_dims == ()

@@ -11,6 +11,7 @@ from oracles import column_strip, dense_g
 from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
 from mesopt.grid import ParameterGrid
+from mesopt.objectives import _grid_envelope
 from mesopt.stokes import (
     ChannelConfig,
     FlowError,
@@ -239,16 +240,18 @@ def _node_cells(shape, cfg):
 
 
 def _check_envelope_against_column_strip(cfg, grid, interior):
-    # (a) The envelope holds every node's solid faces; (b) at the four
-    # corners and one interior node the envelope solve matches the column
-    # strip's, and both meet solver_tol.
+    # (a) The envelope holds every node's solid faces, and its table each
+    # node's faces as the rule gives them; (b) at the four corners and one
+    # interior node the envelope solve matches the column strip's, and both
+    # meet solver_tol.
     shapes = {p: build_airfoil(AirfoilSpec(*grid.theta(p)), 257) for p in grid.points()}
-    envelope = stokes.blade_envelope(shapes.values(), cfg)
+    envelope, table = _grid_envelope(grid, cfg)
     union = np.zeros_like(envelope)
     for shape in shapes.values():
         cells = _node_cells(shape, cfg)
         assert not (cells & ~envelope).any()
         union |= cells
+        np.testing.assert_array_equal(table[shape.spec], np.flatnonzero(stokes._brinkman_diagonal(shape, cfg)))
     np.testing.assert_array_equal(envelope, union)  # and nothing more
 
     (n_f, n_b) = grid.shape
@@ -423,15 +426,40 @@ def test_default_strip_is_the_blades_own_cells(strips):
     ids=["48x36", "48x24-wrap", "48x36-inflow"],
 )
 def test_solid_faces_are_the_all_column_mask(cfg):
-    # _solid_faces evaluates solid_mask on chord columns only; every blade
-    # of the grid, corners included, gets the mask of all columns.
+    # _solid_faces evaluates solid_mask on chord columns only, for a batch
+    # of blades at once; every blade of the grid, corners included, gets
+    # the mask of all columns, in a batch as on its own.
     grid = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.5, 0.5))
     xu, xw = stokes._face_x(cfg)
-    for p in grid.points():
-        shape = build_airfoil(AirfoilSpec(*grid.theta(p)), 257)
-        chi_u, chi_w = stokes._solid_faces(shape, cfg)
+    shapes = [build_airfoil(AirfoilSpec(*grid.theta(p)), 257) for p in grid.points()]
+    batch = stokes._solid_faces(shapes, cfg)
+    for shape, chi in zip(shapes, batch):
+        np.testing.assert_array_equal(chi, stokes._solid_faces([shape], cfg)[0])
+        chi_u, chi_w = chi.reshape(2, cfg.nx, cfg.nz)
         np.testing.assert_array_equal(chi_u, solid_mask(shape, cfg, xu[:, None], cfg.z_centers()[None, :]))
         np.testing.assert_array_equal(chi_w, solid_mask(shape, cfg, xw[:, None], cfg.z_faces()[None, :]))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_finite, min_size=1, max_size=6),
+    st.lists(_finite, min_size=1, max_size=6),
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+    st.floats(1e-3, 1e3),
+)
+@example([0.0, -0.0, 6.0, -6.0, 12.0, -1e-300], [0.0], [0.0], 6.0)
+@example([-3.0, -1.5, 0.0, 1.5], [-3.0, 1.5], [0.5, 0.0], 6.0)
+def test_property_band_test_is_the_np_mod_rule(z, z_lo, thickness, period):
+    # _in_band takes np.mod's remainder from fmod; the band it gives is np.mod's.
+    z = np.array(z)[:, None, None]
+    z_lo = np.array(z_lo)[None, :, None]
+    z_up = z_lo + np.array(thickness)[None, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.mod(z - z_lo, period) <= (z_up - z_lo)
+        np.testing.assert_array_equal(stokes._in_band(z, z_lo, z_up, period), expected)
 
 
 CAPACITANCE_CFG = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
@@ -441,11 +469,9 @@ CAPACITANCE_GRID = ParameterGrid((1.5, 1.5), (4.0, 4.0), (0.1, 0.1))
 @pytest.fixture(scope="module")
 def both_blade_solvers():
     """Set-ups of one 48x36 channel: capacitance on the grid's envelope, strip LU on the column strip."""
-    from mesopt.objectives import _grid_envelope
-
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
-    envelope = stokes._Capacitance(grid, _grid_envelope(CAPACITANCE_GRID, cfg))
+    envelope = stokes._Capacitance(grid, _grid_envelope(CAPACITANCE_GRID, cfg)[0])
     columns = stokes._Substructure(grid, column_strip(cfg))
     return envelope, columns
 
@@ -496,7 +522,6 @@ def test_table_gather_is_the_dense_g_scatter(both_blade_solvers):
 
 
 def _rule_strips():
-    from mesopt.objectives import _grid_envelope
     from mesopt.runconfig import load_config
 
     def own(cfg, f, b):
@@ -505,11 +530,11 @@ def _rule_strips():
     optimize, landscape = load_config("configs/stokes_optimize.json"), load_config("configs/stokes_landscape.json")
     small = ChannelConfig(**SMALL)
     return {
-        "96x72 envelope": (optimize.channel, _grid_envelope(optimize.grid, optimize.channel), 92, True),
+        "96x72 envelope": (optimize.channel, _grid_envelope(optimize.grid, optimize.channel)[0], 92, True),
         "192x96 own (2, 2)": (landscape.channel, own(landscape.channel, 2.0, 2.0), 40, True),
         "48x24 columns": (small, column_strip(small), 150, False),
         "48x36 columns": (CAPACITANCE_CFG, column_strip(CAPACITANCE_CFG), 225, False),
-        "192x96 envelope": (landscape.channel, _grid_envelope(landscape.grid, landscape.channel), 809, False),
+        "192x96 envelope": (landscape.channel, _grid_envelope(landscape.grid, landscape.channel)[0], 809, False),
         "192x96 own (4, 4)": (landscape.channel, own(landscape.channel, 4.0, 4.0), 655, False),
     }
 
@@ -527,11 +552,9 @@ def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip
     # The cached set-up is the one the size rule picks; the capacitance
     # set-up keeps no G, only its table over the strip's face lines, each
     # line's rows doubled along the row shift.
-    from mesopt.objectives import _grid_envelope
-
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
-    envelope = _grid_envelope(CAPACITANCE_GRID, cfg)
+    envelope, _ = _grid_envelope(CAPACITANCE_GRID, cfg)
     for cells, kind in ((envelope, stokes._Capacitance), (column_strip(cfg), stokes._Substructure)):
         assert type(stokes._substructure(grid, cells.tobytes())) is kind
     sub = stokes._substructure(grid, envelope.tobytes())

@@ -45,17 +45,18 @@ def test_stokes_backend_reaches_minimum_region():
 
 def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
     # Every solve of configs/stokes_optimize.json runs in the envelope of
-    # its grid's blades and meets solver_tol with the direct solve alone.
-    # The exit code, center path and solve count are pinned; the bytes are
-    # not, as the BLAS thread count moves a field's last bits.
+    # its grid's blades, with its faces from the envelope's table, and
+    # meets solver_tol with the direct solve alone.  The exit code, center
+    # path and solve count are pinned; the bytes are not, as the BLAS
+    # thread count moves a field's last bits.
     from mesopt import objectives
     from mesopt.cli import main
 
     solve, solves = objectives.solve_stokes, []
 
-    def recording(shape, channel, envelope=None):
-        field = solve(shape, channel, envelope=envelope)
-        solves.append((envelope is not None, field.refinements))
+    def recording(shape, channel, envelope=None, faces=None):
+        field = solve(shape, channel, envelope=envelope, faces=faces)
+        solves.append((envelope is not None, faces is not None, field.refinements))
         return field
 
     monkeypatch.setattr(objectives, "solve_stokes", recording)
@@ -65,7 +66,7 @@ def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
     centers = [c["center"]["index"] for c in trace["cycles"]]
     assert centers == [[24, 11], [21, 8], [18, 5], [15, 2], [12, 0], [0, 0]]
     assert len(solves) == trace["total_simulations"] == 20
-    assert solves == [(True, 0)] * len(solves)
+    assert solves == [(True, True, 0)] * len(solves)
 
 
 def test_reward_sawtooth_along_one_grid_line_is_pinned():
