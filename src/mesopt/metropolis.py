@@ -19,9 +19,9 @@ as one box, reads each node's targets from that box's plan (its
 max(v(target) - v(here), 0).  It runs one phase at a
 time, the steps that share an action set, reading that phase's -beta(t)
 from one cached tuple that every walk shares; a step weighs its row with
-``math.exp`` in move order and picks its target by bisecting the row's
-running sums at its draw times the row's ``sum``, so its steps do not
-depend on numpy's vectorised exp and are those of the row-by-row scan.
+``math.exp`` in move order and bisects the row's running sums at its draw
+times their last, so its steps, those of the row-by-row scan, depend
+neither on numpy's vectorised exp nor on how ``sum`` rounds.
 A box's values are one float array in ``Neighborhood.members`` order.
 ``CoolingSchedule`` is the one cooling rule, shared by the walks and the
 value fixed point.
@@ -277,10 +277,10 @@ def hitting_time_experiment(
             rows = tables[phase % len(tables)]
             for nb in _minus_betas(schedule, switch_every, phase)[: max_steps - t]:
                 targets, rises = rows[i]
-                weights = [exp(nb * r) for r in rises]
+                sums = list(accumulate([exp(nb * r) for r in rises]))
                 # The inverse-CDF draw; one that rounds up to the total takes
                 # the repeated last target.
-                i = targets[bisect_right(list(accumulate(weights)), draw() * sum(weights))]
+                i = targets[bisect_right(sums, draw() * sums[-1])]
                 t += 1
                 if record:
                     path.append(points[i])

@@ -30,6 +30,7 @@ from .stokes import (
     FlowError,
     blade_faces,
     sample_line,
+    solid_cells,
     solve_stokes,
 )
 
@@ -120,11 +121,12 @@ def _grid_envelope(
 
     The table maps each grid blade's spec to its solid faces, as
     ``blade_faces`` gives them, so a solve on the grid need not run the
-    rule again; the cache hands it to every caller, so it is read-only.  A node whose spec or fit is invalid is left out of both,
-    and so is a blade whose mask selects no face: each raises at its own
-    solve.  Built on the first solve and cached on everything it reads, so
-    the backends of one process that share a grid and channel (every
-    ``optimize`` builds a fresh one) pay for it once.
+    rule again; the cache hands it to every caller, so it is read-only.  A
+    node whose spec or fit is invalid is left out of both, and so is a
+    blade whose mask selects no face: each raises at its own solve.  Built
+    on the first solve and cached on everything it reads, so the backends
+    of one process that share a grid and channel (every ``optimize``
+    builds a fresh one) pay for it once.
     """
 
     def blades():
@@ -135,15 +137,13 @@ def _grid_envelope(
             except GeometryError:
                 continue
 
-    n = channel.nx * channel.nz
-    cells = np.zeros(n, dtype=bool)
+    cells = np.zeros((channel.nx, channel.nz), dtype=bool)
     table = {}
     for shape, faces in blade_faces(blades(), channel):
         if faces.size:
-            cells[faces % n] = True
+            cells |= solid_cells(faces, channel)
             faces.flags.writeable = False
             table[shape.spec] = faces
-    cells = cells.reshape(channel.nx, channel.nz)
     cells.flags.writeable = False
     return cells, MappingProxyType(table)
 
@@ -155,8 +155,8 @@ class StokesObjective(CountingObjective):
     raises FlowError instead of yielding a reward.  Given the parameter
     grid, the solves factor only the grid blades' envelope (built on the
     first solve), and a grid blade's solve reads its faces from the
-    envelope's table; a blade off the grid runs the rule, and raises
-    ValueError if it leaves the envelope.
+    envelope's table; a blade off the grid runs the rule.  Every solve
+    raises ValueError if the blade's cells leave the envelope.
     """
 
     d = 2

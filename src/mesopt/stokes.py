@@ -22,18 +22,18 @@ system until the relative residual drops below ``solver_tol``; continuity
 therefore holds to machine precision, far below the 1e-6 * |inflow|
 divergence contract.
 
-The blade enters the system only as a diagonal term on its solid faces
+The blade enters the system only as one penalization K on its solid faces
 (``_solid_faces``, the one rule for which faces are solid), so the direct
 solve splits into a shape-free part, set up once, and a small per-blade
-part.  A solve takes a strip of cells that holds every solid face as
-``envelope``: the cells of the blades a run can visit, or by default the
-blade's own solid cells (none for the empty channel).  ``blade_faces``
-runs the rule on blocks of blades at once; a caller that keeps a blade's
-faces from that pass hands them to the solve along with the envelope the
-pass built, and the solve skips the rule.  One set-up is kept per grid
-(nx, nz, dx, dz) and strip, whatever the inflow, along with its first
-solve of b for each inflow.  A size rule (``_takes_capacitance``) picks
-one of two set-ups:
+part that takes the faces and K.  A solve takes a strip of cells that
+holds every solid face as ``envelope``: the cells of the blades a run can
+visit, or by default the blade's own solid cells (none for the empty
+channel).  ``blade_faces`` runs the rule on blocks of blades at once; a
+caller that keeps a blade's faces from that pass hands them to the solve
+with the envelope the pass built, and the solve skips the rule.  Either
+way their cells (``solid_cells``) must lie in the strip.  One set-up is
+kept per grid (nx, nz, dx, dz) and strip, whatever the inflow, with its
+first solve of b per inflow.  ``_takes_capacitance`` picks one of two:
 
 - ``_Capacitance`` solves on the whole channel.  The empty channel's
   operator A0 is circulant in z, so a DFT along z inverts it (``_Fourier``);
@@ -69,6 +69,7 @@ __all__ = [
     "EvaluationProfile",
     "solve_stokes",
     "blade_faces",
+    "solid_cells",
     "sample_line",
     "solid_mask",
 ]
@@ -282,16 +283,13 @@ def blade_faces(
             yield shape, np.flatnonzero(chi).astype(position)
 
 
-def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.ndarray:
-    """K*chi on the u and w momentum rows of the system, zero elsewhere.
+def _lone_faces(shape: AirfoilShape | None, config: ChannelConfig) -> np.ndarray:
+    """The rule and the fit check for one blade, as a solve given no faces runs them.
 
-    This diagonal is the only part of the system that depends on the shape;
-    it is nonzero only on faces in the chord band.
+    A blade the rule cannot see is an error; the empty channel has no face.
     """
-    n = config.nx * config.nz
-    d = np.zeros(3 * n)
     if shape is None:
-        return d
+        return np.empty(0, dtype=np.intp)
     _check_fit(shape, config)
     (chi,) = _solid_faces([shape], config)
     if not chi.any():
@@ -299,8 +297,15 @@ def _brinkman_diagonal(shape: AirfoilShape | None, config: ChannelConfig) -> np.
             f"the solid mask selects no face: the blade is invisible to a "
             f"{config.nx}x{config.nz} grid"
         )
-    d[: 2 * n] = config.penalization * chi.astype(float)
-    return d
+    return np.flatnonzero(chi)
+
+
+def solid_cells(faces: np.ndarray, config: ChannelConfig) -> np.ndarray:
+    """Cells, (nx, nz), whose u or w face is among ``faces``: face k is cell k mod nx nz's."""
+    n = config.nx * config.nz
+    cells = np.zeros(n, dtype=bool)
+    cells[faces % n] = True
+    return cells.reshape(config.nx, config.nz)
 
 
 def _stencils(nx: int, nz: int, dx: float, dz: float) -> list:
@@ -355,7 +360,7 @@ def _assemble(blocks: list, along_z) -> sp.csc_matrix:
 def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
     """A0, the empty channel's operator, with u, w and p each over (column, row).
 
-    A blade adds ``_brinkman_diagonal`` to A0's diagonal; the inflow enters
+    A blade adds K on its solid faces to A0's diagonal; the inflow enters
     only ``_rhs``.
     """
     return _assemble(_stencils(nx, nz, dx, dz), lambda Z: Z)
@@ -402,10 +407,13 @@ def _rhs(config: ChannelConfig) -> np.ndarray:
     return b
 
 
-#: Columns per block while building the interface correction, the
-#: capacitance table or its inverse T; bounds each dense block to
-#: 3 nx nz x _CHUNK floats.
+#: Columns per block while building the interface correction or the
+#: capacitance inverse T; bounds each dense block to 3 nx nz x _CHUNK floats.
 _CHUNK = 64
+
+#: Face lines per block of Fourier solves building the capacitance table H:
+#: a block holds 3 nx (nz/2 + 1) complex values per line twice, 2.7 MB at 96x72.
+_LINES_PER_BLOCK = 8
 
 #: The capacitance path may build T, |V|^2 floats, when that is at most
 #: this many floats per unknown of the channel.
@@ -452,20 +460,20 @@ class _Capacitance(_SetUp):
     """Solves on the whole channel: A0 by ``_Fourier``, a blade by capacitance.
 
     The strip's cells give V, the u and w faces a blade on this strip can
-    make solid, in the order the unknowns run.  A blade adds diag(d) on its
-    m solid faces F, a subset of V, and needs only the m x m capacitance
-    matrix C = G[F, F] + diag(1/d_F), with G = A0^-1[V, V] (Buzbee, Dorr,
-    George & Golub, 1971).  A solve of r is then w = A0^-1 r, z = C^-1 w[F],
-    x = A0^-1 (r - e_F z) and x[F] = z / d_F; the empty channel takes one
+    make solid, in the order the unknowns run.  A blade adds K on its m
+    solid faces F, a subset of V, and needs only the m x m capacitance
+    matrix C = G[F, F] + I/K, with G = A0^-1[V, V] (Buzbee, Dorr, George &
+    Golub, 1971).  A solve of r is then w = A0^-1 r, z = C^-1 w[F],
+    x = A0^-1 (r - e_F z) and x[F] = z / K; the empty channel takes one
     A0 solve.
 
     G itself is not stored.  A0 commutes with shifts along z, so an entry of
     G depends only on the face lines of its two faces and on their row
     difference: the set-up keeps that table, H, and ``g`` gathers any block
-    of G from it.  A thin blade factors C.  Every solid face carries the
-    same K, so C = P[F, F] for one P = G + I/K shared by all.  A thick
-    blade (``_takes_complement``) factors T[N, N] instead, for T = P^-1 and
-    N the faces of V it leaves open (Hager, 1989).  T is one dense |V| x |V|
+    of G from it.  A thin blade factors C, which is P[F, F] for one
+    P = G + I/K shared by every blade with that K.  A thick blade
+    (``_takes_complement``) factors T[N, N] instead, for T = P^-1 and N
+    the faces of V it leaves open (Hager, 1989).  T is one dense |V| x |V|
     inverse, built on the first thick blade and kept for its K.  A blade
     that fills the strip is solved on its own cells, a strip no other blade
     uses, so T would never pay back there and it factors C.
@@ -486,10 +494,14 @@ class _Capacitance(_SetUp):
         # H[a, s, b]: line a at row s (mod nz) of the solve of line b's unit
         # at row 0, doubled along s so that s = j_a - j_b + nz needs no mod.
         self.H = np.empty((n_lines, 2 * nz, n_lines))
-        for k in range(0, n_lines, _CHUNK):
-            units = np.zeros((3 * nx * nz, min(_CHUNK, n_lines - k)))
-            units[distinct[k : k + _CHUNK] * nz, np.arange(units.shape[1])] = 1.0
-            self.H[:, :nz, k : k + _CHUNK] = self.fourier.solve(units).reshape(3 * nx, nz, -1)[distinct]
+        # The real DFT along z of a unit at row 0 is 1 on every frequency: the
+        # units' Fourier solves start here, and only V's lines go back.
+        for k in range(0, n_lines, _LINES_PER_BLOCK):
+            block = distinct[k : k + _LINES_PER_BLOCK]
+            units_hat = np.zeros((3 * nx, nz // 2 + 1, block.size), dtype=complex)
+            units_hat[block, :, np.arange(block.size)] = 1.0
+            x_hat = self.fourier.lu.solve(units_hat.reshape(-1, block.size)).reshape(units_hat.shape)
+            self.H[:, :nz, k : k + block.size] = np.fft.irfft(x_hat[distinct], n=nz, axis=1)
         self.H[:, nz:] = self.H[:, :nz]
         # G[v, w] is the flat entry at_row[v] + at_col[w] of H.
         self._at_row = (line_of * 2 * nz + j + nz) * n_lines
@@ -538,25 +550,23 @@ class _Capacitance(_SetUp):
 
         return solve_C
 
-    def factor(self, d: np.ndarray):
-        """Solver for A0 + diag(d), given d zero outside V and one K on its nonzeros.
+    def factor(self, faces: np.ndarray, K: float):
+        """Solver for A0 plus K on the sorted solid ``faces``, all of them in V.
 
         It takes r and, if the caller has it, y = A0^-1 r.
         """
         solve_0 = self.fourier.solve
-        d_V = d[self.V]
-        F = np.flatnonzero(d_V)
-        if F.size == 0:
+        if faces.size == 0:
             return lambda r, y=None: solve_0(r) if y is None else y.copy()
-        d_F, faces = d_V[F], self.V[F]
+        F = np.searchsorted(self.V, faces)
         # Faces k and k + cells of V share a cell; a blade that leaves no
         # cell of the strip open is solved on its own cells.
         cells = self.V.size // 2
         if _takes_complement(F.size, self.V.size) and np.unique(F % cells).size < cells:
-            solve_C = self._complement(F, d_F[0])
+            solve_C = self._complement(F, K)
         else:
             C = self.g(F, F)
-            C[np.diag_indices_from(C)] += 1.0 / d_F
+            C[np.diag_indices_from(C)] += 1.0 / K
             # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
             # then solves with C itself.  Unchecked, a non-finite value
             # reaches the residual and the solve reports no convergence.
@@ -572,9 +582,9 @@ class _Capacitance(_SetUp):
             r = r.copy()
             r[faces] -= z
             x = solve_0(r)
-            # x_F = z / d_F exactly; recovering it by subtraction, as the
+            # x_F = z / K exactly; recovering it by subtraction, as the
             # A0 solve gives it, loses about log10(K) digits.
-            x[faces] = z / d_F
+            x[faces] = z / K
             return x
 
         return solve
@@ -585,12 +595,12 @@ class _Substructure(_SetUp):
 
     Unknowns split into the strip S, the u, w and p of the given cells (a
     cell owns its east u face and its w face), and the exterior E, all
-    other cells.  Only S carries Brinkman terms, so the exterior block
-    A0[E, E] and the interface correction A0[S, E] A0[E, E]^-1 A0[E, S]
-    (dense, nonzero only on the strip unknowns that touch E) do not depend
-    on the shape; nor does the strip's Schur complement S0 of the empty
-    channel.  A shape adds diag(d) on its solid faces to S0, and each blade
-    factors S0 + diag(d) with sparse LU.
+    other cells.  Only S holds solid faces, so the exterior block A0[E, E]
+    and the interface correction A0[S, E] A0[E, E]^-1 A0[E, S] (dense,
+    nonzero only on the strip unknowns that touch E) do not depend on the
+    shape; nor does the strip's Schur complement S0 of the empty channel.
+    A blade adds K on its solid faces to S0's diagonal, and each blade
+    factors that with sparse LU.
     """
 
     def __init__(self, grid: tuple[int, int, float, float], cells: np.ndarray):
@@ -625,13 +635,15 @@ class _Substructure(_SetUp):
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
         return self.lu_E.solve(b[self.exterior])
 
-    def factor(self, d: np.ndarray):
-        """Solver for A0 + diag(d), given d zero outside the strip.
+    def factor(self, faces: np.ndarray, K: float):
+        """Solver for A0 plus K on the sorted solid ``faces``, all of them in the strip.
 
         It takes r and, if the caller has it, y = lu_E.solve(r[E]).
         """
         S, E = self.strip, self.exterior
-        solve_S = spla.splu((self.strip_base + sp.diags(d[S])).tocsc()).solve
+        d_S = np.zeros(S.size)
+        d_S[np.searchsorted(S, faces)] = K
+        solve_S = spla.splu((self.strip_base + sp.diags(d_S)).tocsc()).solve
 
         def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
             if y is None:
@@ -650,12 +662,6 @@ def _substructure(grid: tuple[int, int, float, float], cells: bytes) -> _SetUp:
     nx, nz = grid[:2]
     cells = np.frombuffer(cells, dtype=bool).reshape(nx, nz)
     return (_Capacitance if _takes_capacitance(cells) else _Substructure)(grid, cells)
-
-
-def _solid_cells(d: np.ndarray, config: ChannelConfig) -> np.ndarray:
-    """Cells, (nx, nz), whose u or w face the Brinkman diagonal d makes solid."""
-    n = config.nx * config.nz
-    return ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)).reshape(config.nx, config.nz)
 
 
 def _check_inside(shape: AirfoilShape | None, cells: np.ndarray, envelope: np.ndarray) -> None:
@@ -681,40 +687,31 @@ def solve_stokes(
     solid face of the blade (ValueError otherwise); it defaults to the
     blade's own solid cells, so each blade solved without one pays its own
     set-up.  The empty channel has no solid face, so its default strip is
-    empty: the whole channel is exterior, and the set-up is one LU of A0.
+    empty, and the set-up is one Fourier factorization of A0.
 
     ``faces`` are the blade's solid faces as ``blade_faces`` gave them for
-    this config, from the pass that built ``envelope``.  The solve then
-    takes them as they are: that pass ran the rule and the fit check, and
-    its faces lie in the envelope it built.  Without them the solve runs
-    the rule and every check.
+    this config, from the pass that built ``envelope``; the solve then takes
+    them in place of the rule and its fit check, which that pass ran.
+    Either way the faces' cells must lie in the envelope.
     """
     nx, nz = config.nx, config.nz
     if faces is None:
-        d = _brinkman_diagonal(shape, config)
-        faces = np.flatnonzero(d)
-        cells = _solid_cells(d, config)
-        envelope = cells if envelope is None else envelope
+        faces = _lone_faces(shape, config)
     elif envelope is None:
         raise ValueError("faces come with the envelope their pass built")
-    else:
-        cells = None
-        d = np.zeros(3 * nx * nz)
-        d[faces] = config.penalization
-    envelope = np.asarray(envelope, dtype=bool)
+    cells = solid_cells(faces, config)
+    envelope = cells if envelope is None else np.asarray(envelope, dtype=bool)
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
-    if cells is not None:
-        _check_inside(shape, cells, envelope)
+    _check_inside(shape, cells, envelope)
     sub = _substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
-    solve = sub.factor(d)
+    solve = sub.factor(faces, config.penalization)
     b, y_b = sub.rhs(config)
     x = solve(b, y_b)
 
     scale = max(float(np.abs(b).max()), 1e-300)
 
     def residual_of(x: np.ndarray) -> np.ndarray:
-        # d is K on the solid faces and zero elsewhere.
         r = b - sub.A @ x
         r[faces] -= config.penalization * x[faces]
         return r

@@ -6,20 +6,25 @@ power sum, the kernel and the hitting-time walk taken one row at a time,
 the Monte-Carlo sampler driven by the dense kernel, the fixed-point step as
 a dense solve and as the dense-weight band step the move plan replaced, a
 generator stand-in with dyadic draws, and the local argmins of a 1-d table.
-The column strip is a Stokes strip far wider than any blade's own, and the
+The column strip is a Stokes strip far wider than any blade's own, the
+penalized system is the whole channel's matrix for one sparse LU, the
 dense G is the capacitance set-up's A0^-1 on its strip faces, scattered
-whole.  None of them is part of ``mesopt``: the program builds no m x m
-kernel, solves in no column strip and stores no G.
+whole, and the unit table is its H from whole-channel solves of unit
+columns.  None of them is part of ``mesopt``: the program builds no m x m
+kernel, solves in no column strip, factors no penalized whole-channel
+matrix and stores no G.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mesopt.grid import ActionSet
 from mesopt.metropolis import _box_plan, _move_weights
-from mesopt.stokes import _chord_coordinate, _face_x
+from mesopt.stokes import _chord_coordinate, _face_x, _matrix
 from mesopt.value import _band_solve, _box_values
 
 
@@ -75,13 +80,24 @@ def _row_weights(values, state, actions, beta, contains, exp=math.exp):
     return targets, weights
 
 
+def _running_total(weights):
+    """The weights added one by one in order, as the scan's running sum ends.
+
+    ``sum`` compensates its rounding from Python 3.12 on, so it may differ.
+    """
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
+
+
 def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
     """The kernel built one row at a time, as a walk step weighs it."""
     index = {s: k for k, s in enumerate(n.members)}
     matrix = np.zeros((n.size, n.size))
     for k, state in enumerate(n.members):
         targets, weights = _row_weights(values, state, actions, beta, n.contains, exp)
-        total = sum(weights)
+        total = _running_total(weights)
         for target, w in zip(targets, weights):
             matrix[k, index[target]] = w / total
     return matrix
@@ -90,7 +106,7 @@ def _rows_from_row_weights(values, n, actions, beta, exp=math.exp):
 def _lazy_step(values, grid, state, actions, beta, rng):
     """One Metropolis step without materializing the full kernel."""
     targets, weights = _row_weights(values, state, actions, beta, grid.contains)
-    total = sum(weights)
+    total = _running_total(weights)
     u = rng.random() * total
     acc = 0.0
     for target, w in zip(targets, weights):
@@ -278,3 +294,30 @@ def dense_g(setup):
         cols = line_of == k
         G[:, cols] = H[line_of[:, None], (j[:, None] - j[cols][None, :]) % nz, k]
     return G
+
+
+def penalized_system(faces, config):
+    """A0 plus the penalization K on the solid ``faces``: the channel's whole system, sparse."""
+    A0 = _matrix(config.nx, config.nz, config.dx, config.dz)
+    d = np.zeros(A0.shape[0])
+    d[faces] = config.penalization
+    return (A0 + sp.diags(d)).tocsc()
+
+
+def direct_solve(faces, config, r):
+    """The solve of ``penalized_system`` by one sparse LU, set-ups and capacitance aside."""
+    return spla.splu(penalized_system(faces, config)).solve(r)
+
+
+def unit_table(setup):
+    """H[:, :nz] of a ``_Capacitance`` set-up from real unit columns through ``_Fourier.solve``.
+
+    One whole-channel unit at row 0 of each face line of V, all solved at
+    once and read back on V's lines: H by its definition, which the
+    set-up's block-wise build in the Fourier domain must match bit for bit.
+    """
+    nz = setup.H.shape[1] // 2
+    lines = np.unique(setup.V // nz)
+    units = np.zeros((setup.A.shape[0], lines.size))
+    units[lines * nz, np.arange(lines.size)] = 1.0
+    return setup.fourier.solve(units).reshape(-1, nz, lines.size)[lines]

@@ -261,6 +261,24 @@ def test_property_table_walk_matches_row_by_row_walk(
     assert (stats.steps, stats.hits, stats.path) == reference
 
 
+def test_walk_step_totals_its_row_from_the_running_sums(monkeypatch):
+    # A step scales its draw by the last running sum of its row.  ``sum``
+    # compensates its rounding from Python 3.12 on, so a total taken from
+    # it could move a step between Python versions: no walk calls it.
+    from mesopt import metropolis
+
+    def compensated(*args):
+        raise AssertionError("a walk step totals its row with sum")
+
+    monkeypatch.setattr(metropolis, "sum", compensated, raising=False)
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(4.0, 3.0), steps=(1.0, 1.0))
+    values = {p: float((p[0] - 3) ** 2 + 0.5 * (p[1] - 1) ** 2) for p in grid.points()}
+    for mode in ("free", "fixed"):
+        stats = hitting_time_experiment(values, grid, (0, 3), mode, n_walks=3, seed=5, max_steps=400, t0=0.5)
+        reference = _reference_walks(values, grid, (0, 3), mode, 3, 5, 400, 0.5)
+        assert (stats.steps, stats.hits, stats.path) == reference
+
+
 def test_long_walk_budget_holds_no_draws_in_memory():
     # One step from the argmin, the walk hits with probability 1/2 per step;
     # a budget of 10**7 steps must not be drawn up front (80 MB).

@@ -253,6 +253,25 @@ def test_blade_off_the_grid_that_leaves_the_envelope_raises():
         backend((4.0, 4.0))
 
 
+def test_table_faces_that_leave_the_envelope_raise():
+    # Every solve checks that its blade's cells lie in the strip, a blade
+    # whose faces come from the table included: a table entry tampered to
+    # reach a cell outside the envelope raises instead of solving.
+    from mesopt.geometry import AirfoilSpec, build_airfoil
+    from mesopt.stokes import ChannelConfig, solve_stokes
+
+    channel = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    grid = ParameterGrid((2.0, 2.0), (2.1, 2.1), (0.1, 0.1))
+    envelope, table = _grid_envelope(grid, channel)
+    shape = build_airfoil(AirfoilSpec(2.0, 2.0), 257)
+    faces = table[shape.spec]
+    assert solve_stokes(shape, channel, envelope=envelope, faces=faces).converged
+    outside = np.flatnonzero(~envelope.ravel())[0]  # the u face of a cell outside
+    tampered = np.sort(np.append(faces, outside))
+    with pytest.raises(ValueError, match="has 1 solid cells outside the strip"):
+        solve_stokes(shape, channel, envelope=envelope, faces=tampered)
+
+
 @pytest.mark.parametrize("theta", [(1.5, 1.5), (2.7, 2.7), (4.0, 4.0)], ids=["thin", "middle", "thick"])
 def test_table_solve_gives_the_rule_solve_bits(theta):
     # The same blade on the grid envelope and on its own cells, with its

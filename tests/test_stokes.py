@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import column_strip, dense_g
+from oracles import column_strip, dense_g, direct_solve, penalized_system, unit_table
 
 from mesopt import stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
@@ -184,8 +185,7 @@ def test_property_substructured_solve_matches_direct_lu(f, b):
     # The strip/exterior solve against one sparse LU of the whole system.
     cfg = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
     shape = build_airfoil(AirfoilSpec(f=f, b=b), 257)
-    A0, rhs = stokes._matrix(cfg.nx, cfg.nz, cfg.dx, cfg.dz), stokes._rhs(cfg)
-    direct = spla.splu((A0 + sp.diags(stokes._brinkman_diagonal(shape, cfg))).tocsc()).solve(rhs)
+    direct = direct_solve(stokes._lone_faces(shape, cfg), cfg, stokes._rhs(cfg))
     field = solve_stokes(shape, cfg)
     assert field.converged
     assert np.abs(_stacked(field) - direct).max() <= 1e-8 * np.abs(direct).max()
@@ -233,10 +233,11 @@ def test_blade_at_inflow_face_solves(strips):
 
 
 def _node_cells(shape, cfg):
-    """Cells with a nonzero Brinkman term on their u or w face."""
+    """Cells with a solid u or w face."""
     n = cfg.nx * cfg.nz
-    d = stokes._brinkman_diagonal(shape, cfg)
-    return ((d[:n] != 0.0) | (d[n : 2 * n] != 0.0)).reshape(cfg.nx, cfg.nz)
+    cells = np.zeros(n, dtype=bool)
+    cells[stokes._lone_faces(shape, cfg) % n] = True
+    return cells.reshape(cfg.nx, cfg.nz)
 
 
 def _check_envelope_against_column_strip(cfg, grid, interior):
@@ -251,7 +252,7 @@ def _check_envelope_against_column_strip(cfg, grid, interior):
         cells = _node_cells(shape, cfg)
         assert not (cells & ~envelope).any()
         union |= cells
-        np.testing.assert_array_equal(table[shape.spec], np.flatnonzero(stokes._brinkman_diagonal(shape, cfg)))
+        np.testing.assert_array_equal(table[shape.spec], stokes._lone_faces(shape, cfg))
     np.testing.assert_array_equal(envelope, union)  # and nothing more
 
     (n_f, n_b) = grid.shape
@@ -521,11 +522,45 @@ def test_table_gather_is_the_dense_g_scatter(both_blade_solvers):
     np.testing.assert_array_equal(envelope.g(rows, cols), G[np.ix_(rows, cols)])
 
 
+def _optimize_envelope():
+    from mesopt.runconfig import load_config
+
+    optimize = load_config("configs/stokes_optimize.json")
+    channel = optimize.channel
+    return (channel.nx, channel.nz, channel.dx, channel.dz), _grid_envelope(optimize.grid, channel)[0]
+
+
+def test_table_is_the_unit_solves_bitwise(both_blade_solvers):
+    # H is built from the units' Fourier transforms, a few lines at a time;
+    # it holds the bits of whole-channel unit columns through _Fourier.solve
+    # on the 48x36 and the 96x72 envelope.
+    envelope, _ = both_blade_solvers
+    for setup in (envelope, stokes._Capacitance(*_optimize_envelope())):
+        nz = setup.H.shape[1] // 2
+        assert setup.H.shape[0] > stokes._LINES_PER_BLOCK  # more than one block
+        np.testing.assert_array_equal(setup.H[:, :nz], unit_table(setup))
+        np.testing.assert_array_equal(setup.H[:, nz:], setup.H[:, :nz])
+
+
+def test_capacitance_setup_holds_little_beyond_its_table():
+    # At 96x72 the set-up keeps A0 and H (2.65 MB); while it builds H it
+    # holds one block of face lines' Fourier solves, never a whole-channel
+    # unit column per line with its transforms (36.6 MB at this size).
+    grid, cells = _optimize_envelope()
+    tracemalloc.start()
+    try:
+        stokes._Capacitance(grid, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 def _rule_strips():
     from mesopt.runconfig import load_config
 
     def own(cfg, f, b):
-        return stokes._solid_cells(stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(f, b), 257), cfg), cfg)
+        return stokes.solid_cells(stokes._lone_faces(build_airfoil(AirfoilSpec(f, b), 257), cfg), cfg)
 
     optimize, landscape = load_config("configs/stokes_optimize.json"), load_config("configs/stokes_landscape.json")
     small = ChannelConfig(**SMALL)
@@ -572,18 +607,19 @@ def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip
 @example(0, 0, 0)
 @example(CAPACITANCE_GRID.shape[0] - 1, CAPACITANCE_GRID.shape[1] - 1, 1)
 def test_property_capacitance_and_strip_lu_solves_agree(both_blade_solvers, i, j, seed):
-    # The same (d, r) through the capacitance solve on the envelope, the
-    # strip LU on the column strip and one splu of the whole system.
+    # The same (faces, r) through the capacitance solve on the envelope,
+    # the strip LU on the column strip and one splu of the whole system.
     envelope, columns = both_blade_solvers
     cfg = CAPACITANCE_CFG
-    d = stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(*CAPACITANCE_GRID.theta((i, j))), 257), cfg)
-    r = np.random.default_rng(seed).standard_normal(d.size)
-    A = (envelope.A + sp.diags(d)).tocsc()
+    faces = stokes._lone_faces(build_airfoil(AirfoilSpec(*CAPACITANCE_GRID.theta((i, j))), 257), cfg)
+    A = penalized_system(faces, cfg)
+    r = np.random.default_rng(seed).standard_normal(A.shape[0])
     direct = spla.splu(A).solve(r)
     scale = np.abs(direct).max()
-    capacitance, strip_lu = envelope.factor(d)(r), columns.factor(d)(r)
+    K = cfg.penalization
+    capacitance, strip_lu = envelope.factor(faces, K)(r), columns.factor(faces, K)(r)
     # The residual weighs the solid faces by K: recovering x_F by
-    # subtraction instead of as z / d_F leaves about 1e-6 here.
+    # subtraction instead of as z / K leaves about 1e-6 here.
     for x in (capacitance, strip_lu, direct):
         assert np.abs(r - A @ x).max() <= 1e-7 * np.abs(r).max()
     assert np.abs(capacitance - strip_lu).max() <= 1e-8 * scale
@@ -596,26 +632,22 @@ def test_capacitance_solve_without_y_makes_its_own_first_solve(both_blade_solver
     # the caller's y it must give the same bits.
     envelope, _ = both_blade_solvers
     cfg = CAPACITANCE_CFG
-    d = stokes._brinkman_diagonal(build_airfoil(AirfoilSpec(2.0, 2.0), 257), cfg)
-    r = np.random.default_rng(5).standard_normal(d.size)
-    solve = envelope.factor(d)
+    faces = stokes._lone_faces(build_airfoil(AirfoilSpec(2.0, 2.0), 257), cfg)
+    r = np.random.default_rng(5).standard_normal(envelope.A.shape[0])
+    solve = envelope.factor(faces, cfg.penalization)
     refined = solve(r)
     np.testing.assert_array_equal(refined, solve(r, envelope.fourier.solve(r)))
-    direct = spla.splu((envelope.A + sp.diags(d)).tocsc()).solve(r)
+    direct = direct_solve(faces, cfg, r)
     assert np.abs(refined - direct).max() <= 1e-8 * np.abs(direct).max()
 
 
 def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_solvers):
     envelope, columns = both_blade_solvers
     r = np.random.default_rng(3).standard_normal(envelope.A.shape[0])
-    d = np.zeros_like(r)
     direct = spla.splu(envelope.A).solve(r)
     for sub in (envelope, columns):
-        assert np.abs(sub.factor(d)(r) - direct).max() <= 1e-10 * np.abs(direct).max()
-
-
-def _solid_face_count(sub, d):
-    return int(np.count_nonzero(d[sub.V]))
+        solve = sub.factor(np.empty(0, dtype=int), CAPACITANCE_CFG.penalization)
+        assert np.abs(solve(r) - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_thick_blade_on_its_own_cells_builds_no_inverse():
@@ -624,15 +656,14 @@ def test_thick_blade_on_its_own_cells_builds_no_inverse():
     cfg = CAPACITANCE_CFG
     shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
     field = solve_stokes(shape, cfg)
-    d = stokes._brinkman_diagonal(shape, cfg)
+    faces = stokes._lone_faces(shape, cfg)
     misses = stokes._substructure.cache_info().misses
     sub = stokes._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), _node_cells(shape, cfg).tobytes())
     assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
     assert isinstance(sub, stokes._Capacitance)
-    assert stokes._takes_complement(_solid_face_count(sub, d), sub.V.size)
+    assert stokes._takes_complement(faces.size, sub.V.size)
     assert sub.T is None
-    A = (sub.A + sp.diags(d)).tocsc()
-    direct = spla.splu(A).solve(stokes._rhs(cfg))
+    direct = direct_solve(faces, cfg, stokes._rhs(cfg))
     assert field.converged
     assert np.abs(_stacked(field) - direct).max() <= 1e-8 * np.abs(direct).max()
 
@@ -641,13 +672,12 @@ def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
     # One thick blade on the shared envelope at K = 1e6, 1e5 and 1e6 again:
     # T is kept for one K, each solve matches splu of its own system.
     envelope, _ = both_blade_solvers
-    shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
+    faces = stokes._lone_faces(build_airfoil(AirfoilSpec(4.0, 4.0), 257), CAPACITANCE_CFG)
+    assert stokes._takes_complement(faces.size, envelope.V.size)
+    r = np.random.default_rng(7).standard_normal(envelope.A.shape[0])
     for K in (1e6, 1e5, 1e6):
-        d = stokes._brinkman_diagonal(shape, dataclasses.replace(CAPACITANCE_CFG, penalization=K))
-        assert stokes._takes_complement(_solid_face_count(envelope, d), envelope.V.size)
-        r = np.random.default_rng(7).standard_normal(d.size)
-        x = envelope.factor(d)(r)
+        x = envelope.factor(faces, K)(r)
         assert envelope.T_penalization == K
         assert envelope.T.shape == (envelope.V.size,) * 2
-        direct = spla.splu((envelope.A + sp.diags(d)).tocsc()).solve(r)
+        direct = direct_solve(faces, dataclasses.replace(CAPACITANCE_CFG, penalization=K), r)
         assert np.abs(x - direct).max() <= 1e-8 * np.abs(direct).max()
