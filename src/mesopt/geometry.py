@@ -13,6 +13,7 @@ both sides the surfaces would coincide up to scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,14 +104,23 @@ class AirfoilShape:
         return np.interp(x, self.x_samples, self.z_lower)
 
 
+@functools.lru_cache(maxsize=8)
+def _cosine_x(n_samples: int) -> np.ndarray:
+    """n_samples cosine-spaced x in [0, 1]: one read-only array that every blade shares."""
+    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n_samples)))
+    x.flags.writeable = False
+    return x
+
+
 def build_airfoil(spec: AirfoilSpec, n_samples: int) -> AirfoilShape:
     """Sample both surfaces on cosine-spaced x, clustered near 0 where sqrt(x) is steepest.
 
-    Raises GeometryError for invalid specs or fewer than MIN_SAMPLES samples.
+    Blades with the same n_samples share one read-only x.  Raises
+    GeometryError for invalid specs or fewer than MIN_SAMPLES samples.
     """
     if n_samples < MIN_SAMPLES:
         raise GeometryError(f"n_samples must be >= {MIN_SAMPLES} (got {n_samples})")
-    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n_samples)))
+    x = _cosine_x(n_samples)
     cam = camber(spec, x)
     z_up = spec.surface(x, spec.c_up) + cam
     z_lo = spec.surface(x, -spec.c_lo) + cam

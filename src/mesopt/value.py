@@ -14,22 +14,17 @@ each move's entry sits in band storage comes with the box's cached move
 plan, so a step weighs only the moves that stay in the box, scatters them
 and solves.  No horizon is chosen and no tail is closed, and every iterate
 is a convex combination of Rhat scaled by 1 / (1 - gamma), so it lies
-inside [min Rhat, max Rhat] / (1 - gamma).  A Monte-Carlo estimator of the
-horizon-truncated sum is kept for cross-checking; its walks sample the
-rows of the same move plan, so the program builds no m x m kernel.  Rhat,
-the iterates and the estimates are float arrays in
-``Neighborhood.members`` order.  ``CoolingSchedule`` lives in
-``metropolis`` and is re-exported here.
+inside [min Rhat, max Rhat] / (1 - gamma).  Rhat and the iterates are
+float arrays in ``Neighborhood.members`` order.  ``CoolingSchedule`` lives
+in ``metropolis`` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .grid import ActionSet, GridPoint, Neighborhood
 from .metropolis import CoolingSchedule, _box_plan, _move_weights
@@ -39,7 +34,6 @@ __all__ = [
     "ValueTable",
     "value_fixed_point",
     "fixed_point_iterates",
-    "mc_value_estimate",
     "argmin_value",
 ]
 
@@ -63,6 +57,11 @@ def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
     return v
 
 
+#: LAPACK ``dgbsv``, imported by the first band solve, so that importing this
+#: module (and every command that runs no fixed point) loads no scipy.
+_dgbsv = None
+
+
 def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs for A with k sub- and k super-diagonals (LAPACK ``dgbsv``).
 
@@ -71,7 +70,10 @@ def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
     of partial pivoting; it is overwritten.  A singular A raises
     ``np.linalg.LinAlgError``.
     """
-    _, _, x, info = dgbsv(k, k, band, rhs, overwrite_ab=1)
+    global _dgbsv
+    if _dgbsv is None:
+        from scipy.linalg.lapack import dgbsv as _dgbsv
+    _, _, x, info = _dgbsv(k, k, band, rhs, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"band solve failed (LAPACK dgbsv info {info})")
     return x
@@ -156,67 +158,6 @@ def fixed_point_iterates(
     deltas = [delta for _, _, delta in steps]
     betas = [beta for beta, _, _ in steps]
     return iterates, deltas, betas
-
-
-def mc_value_estimate(
-    rhat: np.ndarray,
-    neighborhood: Neighborhood,
-    actions: ActionSet,
-    gamma: float,
-    beta: float,
-    n_walks: int,
-    horizon: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo estimate of sum_{t=0}^{horizon} gamma^t Rhat(X_t) per member.
-
-    Walks follow the fixed kernel built from Rhat at the given inverse
-    temperature (beta >= 0), one inverse-CDF draw per step over a row's
-    positive-weight targets in member order.  Deterministic for a fixed
-    seed.  Returns the estimates and their standard errors.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if n_walks < 1:
-        raise ValueError("n_walks must be >= 1")
-    rhat = _box_values(rhat, neighborhood)
-    m = rhat.size
-    if beta < 0.0:
-        raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
-    if gamma == 0.0:
-        return rhat, np.zeros(m)
-
-    # Per member (a row), its positive-weight moves by target member, then
-    # the zero-weight ones (the moves that leave the box point back at
-    # their member), so that no draw, not even u = 0.0, picks one of those;
-    # from the last positive weight on the cumulative weight is 1.0, so a
-    # draw u < 1 never runs past it.
-    plan = _box_plan(neighborhood, actions)
-    n_moves = len(actions.moves)
-    cols = np.repeat(np.arange(m)[:, None], n_moves, axis=1)
-    np.put(cols, plan.entries, plan.to)
-    weights = np.zeros((m, n_moves))
-    np.put(weights, plan.entries, _move_weights(rhat, plan, beta))
-    order = np.lexsort((cols, weights == 0.0), axis=1)
-    targets = np.take_along_axis(cols, order, axis=1)
-    weights = np.take_along_axis(weights, order, axis=1)
-    cumw = np.cumsum(weights, axis=1)
-    cumw[np.arange(cumw.shape[1]) >= np.count_nonzero(weights, axis=1)[:, None] - 1] = 1.0
-    rng = np.random.default_rng(seed)
-
-    # All walks for all start states advance in lockstep.
-    pos = np.repeat(np.arange(m), n_walks)
-    totals = rhat[pos].copy()
-    g = 1.0
-    for _ in range(horizon):
-        u = rng.random(pos.size)
-        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
-        g *= gamma
-        totals += g * rhat[pos]
-
-    per_state = totals.reshape(m, n_walks)
-    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
-    return per_state.mean(axis=1), se
 
 
 def argmin_value(table: ValueTable) -> GridPoint:

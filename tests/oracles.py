@@ -3,9 +3,11 @@
 Each is a slow or dense form of something the program computes another
 way: the m x m Metropolis kernel of a box and its truncated discounted
 power sum, the kernel and the hitting-time walk taken one row at a time,
-the Monte-Carlo sampler driven by the dense kernel, the fixed-point step as
-a dense solve and as the dense-weight band step the move plan replaced, a
-generator stand-in with dyadic draws, and the local argmins of a 1-d table.
+the fixed-point step as a dense solve and as the dense-weight band step
+the move plan replaced, a generator stand-in with dyadic draws, and the
+local argmins of a 1-d table.  ``mc_value_estimate`` checks the value
+layer by Monte Carlo: its walks sample the rows of the box's move plan,
+and ``oracle_mc_estimate`` drives the same walks from the dense kernel.
 The column strip is a Stokes strip far wider than any blade's own, the
 penalized system is the whole channel's matrix for one sparse LU, the
 dense G is the capacitance set-up's A0^-1 on its strip faces, scattered
@@ -22,9 +24,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mesopt.grid import ActionSet
+from mesopt._solver import _matrix
+from mesopt.grid import ActionSet, Neighborhood
 from mesopt.metropolis import _box_plan, _move_weights
-from mesopt.stokes import _chord_coordinate, _face_x, _matrix
+from mesopt.stokes import _chord_coordinate, _face_x
 from mesopt.value import _band_solve, _box_values
 
 
@@ -191,6 +194,67 @@ def dense_weight_step(v, rhat, n, actions, gamma, beta):
     band[2 * k + here * height] += 1.0
     v_next = _band_solve(band.reshape(m, height).T, k, rhat)
     return v_next, float(np.max(np.abs(v_next - v)))
+
+
+def mc_value_estimate(
+    rhat: np.ndarray,
+    neighborhood: Neighborhood,
+    actions: ActionSet,
+    gamma: float,
+    beta: float,
+    n_walks: int,
+    horizon: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo estimate of sum_{t=0}^{horizon} gamma^t Rhat(X_t) per member.
+
+    Walks follow the fixed kernel built from Rhat at the given inverse
+    temperature (beta >= 0), one inverse-CDF draw per step over a row's
+    positive-weight targets in member order.  Deterministic for a fixed
+    seed.  Returns the estimates and their standard errors.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if n_walks < 1:
+        raise ValueError("n_walks must be >= 1")
+    rhat = _box_values(rhat, neighborhood)
+    m = rhat.size
+    if beta < 0.0:
+        raise ValueError(f"inverse temperature must be >= 0 (got {beta})")
+    if gamma == 0.0:
+        return rhat, np.zeros(m)
+
+    # Per member (a row), its positive-weight moves by target member, then
+    # the zero-weight ones (the moves that leave the box point back at
+    # their member), so that no draw, not even u = 0.0, picks one of those;
+    # from the last positive weight on the cumulative weight is 1.0, so a
+    # draw u < 1 never runs past it.
+    plan = _box_plan(neighborhood, actions)
+    n_moves = len(actions.moves)
+    cols = np.repeat(np.arange(m)[:, None], n_moves, axis=1)
+    np.put(cols, plan.entries, plan.to)
+    weights = np.zeros((m, n_moves))
+    np.put(weights, plan.entries, _move_weights(rhat, plan, beta))
+    order = np.lexsort((cols, weights == 0.0), axis=1)
+    targets = np.take_along_axis(cols, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
+    cumw = np.cumsum(weights, axis=1)
+    cumw[np.arange(cumw.shape[1]) >= np.count_nonzero(weights, axis=1)[:, None] - 1] = 1.0
+    rng = np.random.default_rng(seed)
+
+    # All walks for all start states advance in lockstep.
+    pos = np.repeat(np.arange(m), n_walks)
+    totals = rhat[pos].copy()
+    g = 1.0
+    for _ in range(horizon):
+        u = rng.random(pos.size)
+        pos = targets[pos, (cumw[pos] < u[:, None]).sum(axis=1)]
+        g *= gamma
+        totals += g * rhat[pos]
+
+    per_state = totals.reshape(m, n_walks)
+    se = per_state.std(axis=1, ddof=1) / math.sqrt(n_walks) if n_walks > 1 else np.zeros(m)
+    return per_state.mean(axis=1), se
 
 
 def _compressed_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,10 +42,9 @@ from mesopt.surrogate import fit_surrogate
 from mesopt.value import (
     CoolingSchedule,
     fixed_point_iterates,
-    mc_value_estimate,
     value_fixed_point,
 )
-from oracles import _local_argmins, discounted_power_sum, transition_matrix
+from oracles import _local_argmins, discounted_power_sum, mc_value_estimate, transition_matrix
 
 
 def report(n, name, ok, elapsed, budget, detail=""):

@@ -84,3 +84,14 @@ def test_cosine_spacing_clusters_at_leading_edge():
     assert np.all(np.diff(x) > 0.0)
     # Denser near x=0 than near mid-chord.
     assert x[1] - x[0] < (x[33] - x[32]) / 5.0
+
+
+def test_blades_share_one_read_only_x():
+    # x depends only on n_samples, so every blade holds the same array; a
+    # write to it would move every other blade's surfaces, so it raises.
+    a = build_airfoil(AirfoilSpec(f=2.0, b=2.0), n_samples=65)
+    b = build_airfoil(AirfoilSpec(f=3.1, b=2.7, e=0.2), n_samples=65)
+    assert a.x_samples is b.x_samples
+    np.testing.assert_array_equal(a.x_samples, 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 65))))
+    with pytest.raises(ValueError, match="read-only"):
+        a.x_samples[1] = 0.5

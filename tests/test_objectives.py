@@ -152,7 +152,7 @@ def test_unconverged_or_non_finite_solve_raises(monkeypatch):
 def test_capacitance_solve_that_fails_raises(monkeypatch):
     # The grid envelope at 48x36 takes the capacitance path; a solve that
     # misses solver_tol or whose field turns non-finite is a FlowError.
-    from mesopt import stokes
+    from mesopt import _solver
     from mesopt.grid import ParameterGrid
     from mesopt.stokes import ChannelConfig, FlowError
 
@@ -161,12 +161,12 @@ def test_capacitance_solve_that_fails_raises(monkeypatch):
     strict = StokesObjective(dataclasses.replace(channel, solver_tol=1e-300, max_iters=1), grid=grid)
     with pytest.raises(FlowError, match="solver_tol"):
         strict((2.1, 2.1))
-    misses = stokes._substructure.cache_info().misses
-    sub = stokes._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel)[0].tobytes())
-    assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
-    assert isinstance(sub, stokes._Capacitance)
+    misses = _solver._substructure.cache_info().misses
+    sub = _solver._substructure((48, 36, channel.dx, channel.dz), _grid_envelope(grid, channel)[0].tobytes())
+    assert _solver._substructure.cache_info().misses == misses  # the set-up the solve used
+    assert isinstance(sub, _solver._Capacitance)
 
-    monkeypatch.setattr(stokes.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
+    monkeypatch.setattr(_solver.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
     with pytest.raises(FlowError, match="residual nan"):
         StokesObjective(channel, grid=grid)((2.1, 2.1))
 
@@ -277,7 +277,7 @@ def test_table_solve_gives_the_rule_solve_bits(theta):
     # The same blade on the grid envelope and on its own cells, with its
     # faces from the table and by the rule: the fields are bitwise equal.
     # At 48x36 the thick blade (4, 4) takes the complement on the envelope.
-    from mesopt import stokes
+    from mesopt import _solver
     from mesopt.geometry import AirfoilSpec, build_airfoil
     from mesopt.stokes import ChannelConfig, solve_stokes
 
@@ -290,8 +290,8 @@ def test_table_solve_gives_the_rule_solve_bits(theta):
     own[faces % own.size] = True
     own = own.reshape(channel.nx, channel.nz)
     if theta == (4.0, 4.0):
-        sub = stokes._substructure((channel.nx, channel.nz, channel.dx, channel.dz), envelope.tobytes())
-        assert stokes._takes_complement(faces.size, sub.V.size)
+        sub = _solver._substructure((channel.nx, channel.nz, channel.dx, channel.dz), envelope.tobytes())
+        assert _solver._takes_complement(faces.size, sub.V.size)
     for strip in (envelope, own):
         by_table = solve_stokes(shape, channel, envelope=strip, faces=faces)
         by_rule = solve_stokes(shape, channel, envelope=strip)

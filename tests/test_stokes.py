@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import column_strip, dense_g, direct_solve, penalized_system, unit_table
 
-from mesopt import stokes
+from mesopt import _solver, stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
 from mesopt.grid import ParameterGrid
 from mesopt.objectives import _grid_envelope
@@ -27,13 +27,13 @@ SMALL = dict(nx=48, nz=24)
 @pytest.fixture
 def strips(monkeypatch):
     """The strip cells of each set-up the solves ask for, in call order."""
-    setup, cells_seen = stokes._substructure, []
+    setup, cells_seen = _solver._substructure, []
 
     def recording(grid, cells):
         cells_seen.append(np.frombuffer(cells, dtype=bool).reshape(grid[:2]))
         return setup(grid, cells)
 
-    monkeypatch.setattr(stokes, "_substructure", recording)
+    monkeypatch.setattr(_solver, "_substructure", recording)
     return cells_seen
 
 
@@ -194,7 +194,7 @@ def test_property_substructured_solve_matches_direct_lu(f, b):
 def test_cold_and_warm_solves_are_bitwise_equal():
     cfg = ChannelConfig(**SMALL)
     shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
-    stokes._substructure.cache_clear()
+    _solver._substructure.cache_clear()
     cold = solve_stokes(shape, cfg)
     warm = solve_stokes(shape, cfg)
     solve_stokes(shape, ChannelConfig(nx=40, nz=24))  # evicts cfg
@@ -207,18 +207,18 @@ def test_cold_and_warm_solves_are_bitwise_equal():
 def test_configs_differing_in_inflow_share_one_setup():
     shape = build_airfoil(AirfoilSpec(f=2.0, b=2.0), 257)
     other = ChannelConfig(inflow=(2.0, 1.5), penalization=1e5, **SMALL)
-    stokes._substructure.cache_clear()
+    _solver._substructure.cache_clear()
     fresh = solve_stokes(shape, other)
-    stokes._substructure.cache_clear()
+    _solver._substructure.cache_clear()
     solve_stokes(shape, ChannelConfig(**SMALL))
     shared = solve_stokes(shape, other)
-    assert stokes._substructure.cache_info().misses == 1
+    assert _solver._substructure.cache_info().misses == 1
     np.testing.assert_array_equal(_stacked(shared), _stacked(fresh))
     solve_stokes(shape, ChannelConfig(**SMALL))
     again = solve_stokes(shape, other)  # both inflows' exterior solves of b are kept now
     np.testing.assert_array_equal(_stacked(again), _stacked(fresh))
     solve_stokes(shape, ChannelConfig(leading_edge_x=0.5, **SMALL))  # the strip moves
-    assert stokes._substructure.cache_info().misses == 2
+    assert _solver._substructure.cache_info().misses == 2
 
 
 def test_blade_at_inflow_face_solves(strips):
@@ -394,7 +394,7 @@ def test_property_kron_operator_is_the_loop_operator(nx, nz, Lx, Lz):
     # The block operator from 1-d stencils stores exactly the loop's CSC
     # arrays: same structure, same bits, no explicit zeros.
     dx, dz = Lx / nx, Lz / nz
-    got, want = stokes._matrix(nx, nz, dx, dz), _loop_matrix(nx, nz, dx, dz)
+    got, want = _solver._matrix(nx, nz, dx, dz), _loop_matrix(nx, nz, dx, dz)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
@@ -472,8 +472,8 @@ def both_blade_solvers():
     """Set-ups of one 48x36 channel: capacitance on the grid's envelope, strip LU on the column strip."""
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
-    envelope = stokes._Capacitance(grid, _grid_envelope(CAPACITANCE_GRID, cfg)[0])
-    columns = stokes._Substructure(grid, column_strip(cfg))
+    envelope = _solver._Capacitance(grid, _grid_envelope(CAPACITANCE_GRID, cfg)[0])
+    columns = _solver._Substructure(grid, column_strip(cfg))
     return envelope, columns
 
 
@@ -484,10 +484,10 @@ def both_blade_solvers():
 @example(96, 72, 4.0, 6.0, 2)
 def test_property_fourier_solve_is_the_lu_solve_of_a0(nx, nz, Lx, Lz, seed):
     grid = (nx, nz, Lx / nx, Lz / nz)
-    A0 = stokes._matrix(*grid)
+    A0 = _solver._matrix(*grid)
     r = np.random.default_rng(seed).standard_normal((A0.shape[0], 2))
     direct = spla.splu(A0).solve(r)
-    fourier = stokes._Fourier(grid)
+    fourier = _solver._Fourier(grid)
     got = fourier.solve(r)
     assert got.shape == r.shape and got.dtype == np.float64
     assert np.abs(got - direct).max() <= 1e-10 * np.abs(direct).max()
@@ -535,9 +535,9 @@ def test_table_is_the_unit_solves_bitwise(both_blade_solvers):
     # it holds the bits of whole-channel unit columns through _Fourier.solve
     # on the 48x36 and the 96x72 envelope.
     envelope, _ = both_blade_solvers
-    for setup in (envelope, stokes._Capacitance(*_optimize_envelope())):
+    for setup in (envelope, _solver._Capacitance(*_optimize_envelope())):
         nz = setup.H.shape[1] // 2
-        assert setup.H.shape[0] > stokes._LINES_PER_BLOCK  # more than one block
+        assert setup.H.shape[0] > _solver._LINES_PER_BLOCK  # more than one block
         np.testing.assert_array_equal(setup.H[:, :nz], unit_table(setup))
         np.testing.assert_array_equal(setup.H[:, nz:], setup.H[:, :nz])
 
@@ -549,7 +549,7 @@ def test_capacitance_setup_holds_little_beyond_its_table():
     grid, cells = _optimize_envelope()
     tracemalloc.start()
     try:
-        stokes._Capacitance(grid, cells)
+        _solver._Capacitance(grid, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -580,7 +580,7 @@ def test_path_rule_is_a_size_rule_on_the_shipped_strips():
     for name, (cfg, cells, per_unknown, capacitance) in _rule_strips().items():
         n_v = 2 * int(cells.sum())
         assert round(n_v**2 / (3 * cfg.nx * cfg.nz)) == per_unknown, name
-        assert stokes._takes_capacitance(cells) is capacitance, name
+        assert _solver._takes_capacitance(cells) is capacitance, name
 
 
 def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip():
@@ -590,9 +590,9 @@ def test_rule_picks_capacitance_on_the_envelope_and_strip_lu_on_the_column_strip
     cfg = CAPACITANCE_CFG
     grid = (cfg.nx, cfg.nz, cfg.dx, cfg.dz)
     envelope, _ = _grid_envelope(CAPACITANCE_GRID, cfg)
-    for cells, kind in ((envelope, stokes._Capacitance), (column_strip(cfg), stokes._Substructure)):
-        assert type(stokes._substructure(grid, cells.tobytes())) is kind
-    sub = stokes._substructure(grid, envelope.tobytes())
+    for cells, kind in ((envelope, _solver._Capacitance), (column_strip(cfg), _solver._Substructure)):
+        assert type(_solver._substructure(grid, cells.tobytes())) is kind
+    sub = _solver._substructure(grid, envelope.tobytes())
     assert not hasattr(sub, "G")
     n_lines = np.unique(sub.V // cfg.nz).size
     assert sub.H.shape == (n_lines, 2 * cfg.nz, n_lines)
@@ -657,11 +657,11 @@ def test_thick_blade_on_its_own_cells_builds_no_inverse():
     shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
     field = solve_stokes(shape, cfg)
     faces = stokes._lone_faces(shape, cfg)
-    misses = stokes._substructure.cache_info().misses
-    sub = stokes._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), _node_cells(shape, cfg).tobytes())
-    assert stokes._substructure.cache_info().misses == misses  # the set-up the solve used
-    assert isinstance(sub, stokes._Capacitance)
-    assert stokes._takes_complement(faces.size, sub.V.size)
+    misses = _solver._substructure.cache_info().misses
+    sub = _solver._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), _node_cells(shape, cfg).tobytes())
+    assert _solver._substructure.cache_info().misses == misses  # the set-up the solve used
+    assert isinstance(sub, _solver._Capacitance)
+    assert _solver._takes_complement(faces.size, sub.V.size)
     assert sub.T is None
     direct = direct_solve(faces, cfg, stokes._rhs(cfg))
     assert field.converged
@@ -673,7 +673,7 @@ def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
     # T is kept for one K, each solve matches splu of its own system.
     envelope, _ = both_blade_solvers
     faces = stokes._lone_faces(build_airfoil(AirfoilSpec(4.0, 4.0), 257), CAPACITANCE_CFG)
-    assert stokes._takes_complement(faces.size, envelope.V.size)
+    assert _solver._takes_complement(faces.size, envelope.V.size)
     r = np.random.default_rng(7).standard_normal(envelope.A.shape[0])
     for K in (1e6, 1e5, 1e6):
         x = envelope.factor(faces, K)(r)

@@ -18,7 +18,6 @@ from mesopt.value import (
     _band_solve,
     argmin_value,
     fixed_point_iterates,
-    mc_value_estimate,
     value_fixed_point,
 )
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     dense_step,
     dense_weight_step,
     discounted_power_sum,
+    mc_value_estimate,
     oracle_mc_estimate,
     transition_matrix,
 )
