@@ -33,7 +33,12 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """Regular grid over a box of parameter vectors."""
+    """Regular grid over a box of parameter vectors.
+
+    ``shape``, the node count per dimension, is worked out once at
+    construction; it is an attribute, not a field, so equality, hashing
+    and repr see only mins, maxs and steps.
+    """
 
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
@@ -55,17 +60,12 @@ class ParameterGrid:
                 raise GridError(
                     f"span [{lo}, {hi}] is not a positive integer multiple of step {d}"
                 )
+        shape = tuple(int(round((hi - lo) / d)) + 1 for lo, hi, d in zip(self.mins, self.maxs, self.steps))
+        object.__setattr__(self, "shape", shape)
 
     @property
     def d(self) -> int:
         return len(self.mins)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(
-            int(round((hi - lo) / d)) + 1
-            for lo, hi, d in zip(self.mins, self.maxs, self.steps)
-        )
 
     def contains(self, point: GridPoint) -> bool:
         return len(point) == self.d and all(

@@ -6,25 +6,24 @@ stay, which always carries weight 1) and normalizes over the targets that lie
 inside the neighborhood.  Moves that would exit the neighborhood are simply
 excluded from the normalization.
 
-The value fixed point, its Monte-Carlo walks and the hitting-time walks
-read their targets from one move plan, ``_MovePlan``: the moves that stay
-in a box, member by member and each member's in move order, built once
-per box shape and set of moves and kept in one cache, so boxes of one
-shape share it.  The value fixed point and its Monte-Carlo walks weigh
-the plan's moves directly (``_move_weights``, the one weight rule); no
-m x m kernel is built.  A box's move weights are exponentiated for the
-whole box at once with numpy.  A hitting-time walk runs on the whole grid
-as one box, reads each node's targets from that box's plan (its
-``rows``), and once per call lists each target's rise
-max(v(target) - v(here), 0).  It runs one phase at a
-time, the steps that share an action set, reading that phase's -beta(t)
-from one cached tuple that every walk shares; a step weighs its row with
-``math.exp`` in move order and bisects the row's running sums at its draw
-times their last, so its steps, those of the row-by-row scan, depend
-neither on numpy's vectorised exp nor on how ``sum`` rounds.
-A box's values are one float array in ``Neighborhood.members`` order.
-``CoolingSchedule`` is the one cooling rule, shared by the walks and the
-value fixed point.
+The value fixed point and the hitting-time walks read their targets from
+one move plan, ``_MovePlan``: the moves that stay in a box, member by
+member and each member's in move order, built once per box shape and set
+of moves and kept in one cache, so boxes of one shape share it.  The
+value fixed point weighs the plan's moves directly, for the whole box at
+once with numpy; no m x m kernel is built.  A hitting-time walk runs on
+the whole grid as one box, reads each node's targets from that box's
+plan (its ``rows``), and once per call lists each target's rise
+max(v(target) - v(here), 0).  It runs one phase at a time, the steps
+that share an action set, reading that phase's -beta(t) from one cached
+block, ``_minus_betas``, that every walk and the value fixed point
+share; a step weighs its row with ``math.exp`` in move order, a zero
+rise as exactly 1.0 without the call, and bisects the row's running
+sums at its draw times their last, so its steps, those of the
+row-by-row scan, depend neither on numpy's vectorised exp nor on how
+``sum`` rounds.  A box's values are one float array in
+``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
+rule, shared by the walks and the value fixed point.
 """
 
 from __future__ import annotations
@@ -139,23 +138,6 @@ def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
     return _move_plan(shape, actions.moves)
 
 
-def _move_weights(v: np.ndarray, plan: _MovePlan, beta: float) -> np.ndarray:
-    """Normalized weights of a plan's moves from member values ``v``.
-
-    Entry n is the probability that move n of the plan is taken from its
-    member ``plan.frm[n]``: exp(-beta * max(v[to] - v[frm], 0)) over the
-    member's sum.  Each member's weights are summed in move order from
-    0.0, as a walk step sums a row, so the normalization is bitwise the
-    step's, given the same exp.
-    """
-    w = v[plan.to] - v[plan.frm]
-    np.maximum(w, 0.0, out=w)
-    w *= -beta
-    np.exp(w, out=w)
-    w /= np.bincount(plan.frm, weights=w, minlength=plan.size)[plan.frm]
-    return w
-
-
 #: Uniforms a walk fetches from its generator at a time.  A block holds the
 #: same doubles as that many scalar ``random()`` calls, so the size changes
 #: no walk; it bounds what a long walk holds in memory.
@@ -187,7 +169,9 @@ def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: np.ndarray):
 
 #: -beta blocks kept at once, one per (schedule, phase length, phase); a
 #: block holds one float per step of its phase.  Walks on one grid and
-#: schedule share every block while none runs past this many phases.
+#: schedule share every block while none runs past this many phases, and
+#: every value fixed point of one schedule and step budget reads one block,
+#: its (schedule, max_j, 0).
 _BETA_BLOCKS = 256
 
 
@@ -277,7 +261,8 @@ def hitting_time_experiment(
             rows = tables[phase % len(tables)]
             for nb in _minus_betas(schedule, switch_every, phase)[: max_steps - t]:
                 targets, rises = rows[i]
-                sums = list(accumulate([exp(nb * r) for r in rises]))
+                # exp(+-0.0) is exactly 1.0, so a zero rise skips the call.
+                sums = list(accumulate([exp(nb * r) if r else 1.0 for r in rises]))
                 # The inverse-CDF draw; one that rounds up to the total takes
                 # the repeated last target.
                 i = targets[bisect_right(sums, draw() * sums[-1])]

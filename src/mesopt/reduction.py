@@ -284,8 +284,9 @@ def run_optimization(
             # Earlier ground truths inside the box refine the fit for free;
             # the accumulated set keeps the quadratic from aliasing its
             # curvature between dimensions once the path starts revisiting.
+            sampled = {center, *samples}
             for p, v in cache.known.items():
-                if p != center and p not in samples and neighborhood.contains(p):
+                if p not in sampled and neighborhood.contains(p):
                     sample_pairs.append((grid.theta(p), v))
             surrogate = fit_surrogate(grid.theta(center), center_value, sample_pairs)
 

@@ -21,13 +21,12 @@ in ``metropolis`` and is re-exported here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import ActionSet, GridPoint, Neighborhood
-from .metropolis import CoolingSchedule, _box_plan, _move_weights
+from .metropolis import CoolingSchedule, _box_plan, _minus_betas
 
 __all__ = [
     "CoolingSchedule",
@@ -62,54 +61,85 @@ def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
 _dgbsv = None
 
 
+def _lapack_dgbsv():
+    """LAPACK ``dgbsv``, imported on the first call."""
+    global _dgbsv
+    if _dgbsv is None:
+        from scipy.linalg.lapack import dgbsv as _dgbsv
+    return _dgbsv
+
+
+def _band_failed(info: int) -> np.linalg.LinAlgError:
+    """The error of a ``dgbsv`` call that returned ``info`` != 0."""
+    return np.linalg.LinAlgError(f"band solve failed (LAPACK dgbsv info {info})")
+
+
 def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs for A with k sub- and k super-diagonals (LAPACK ``dgbsv``).
 
     ``band`` is A in LAPACK band storage, shape (3k + 1, n): entry (i, j)
     sits at row 2k + i - j, and the first k rows are room for the fill-in
     of partial pivoting; it is overwritten.  A singular A raises
-    ``np.linalg.LinAlgError``.
+    ``np.linalg.LinAlgError``.  This is one solve of the fixed point's
+    loop on its own, the form the tests' band oracles call.
     """
-    global _dgbsv
-    if _dgbsv is None:
-        from scipy.linalg.lapack import dgbsv as _dgbsv
-    _, _, x, info = _dgbsv(k, k, band, rhs, overwrite_ab=1)
+    _, _, x, info = _lapack_dgbsv()(k, k, band, rhs, overwrite_ab=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"band solve failed (LAPACK dgbsv info {info})")
+        raise _band_failed(info)
     return x
 
 
-def _annealed_map(rhat, neighborhood, actions, gamma, schedule):
+def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v, iterates=None):
     """The fixed-point map shared by both entry points, validated up front.
 
-    Returns (V_0 = Rhat, steps), where steps yields (beta_j, V_{j+1}, sup
-    delta_j) for j = 0, 1, ...: each step weighs the box's moves from V_j
-    at inverse temperature beta_j and solves (I - gamma P_j) V_{j+1} = Rhat.
-    Every move is a fixed offset in member order, so I - gamma P_j is a band
-    matrix whose half-bandwidth k is the largest offset; the box's cached
-    move plan says where each move's entry sits in band storage.
+    Runs V_{j+1} = (I - gamma P_j)^-1 Rhat from V_0 = Rhat for j = 0, 1,
+    ..., n_steps - 1, stopping after the first step whose sup-norm change
+    is below tol_v.  Step j weighs the box's moves from V_j at inverse
+    temperature beta_j, read as -beta_j from the cached block the walks
+    share (``_minus_betas``), and solves one band system: every move is a
+    fixed offset in member order, so I - gamma P_j is a band matrix whose
+    half-bandwidth k is the largest offset, and the box's cached move plan
+    says where each move's entry sits in band storage.  Returns (the last
+    iterate, the per-step sup deltas, whether it stopped below tol_v) and
+    appends V_0, V_1, ... to ``iterates`` when one is given.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
+    if n_steps < 0:
+        raise ValueError(f"the step count must be >= 0 (got {n_steps})")
     rhat = _box_values(rhat, neighborhood)
     plan = _box_plan(neighborhood, actions)
-    m, k = plan.size, plan.k
-
-    def steps():
-        v = rhat
-        for j in itertools.count():
-            beta = schedule.beta(j)
-            w = _move_weights(v, plan, beta)
-            w *= -gamma
-            band = np.zeros(m * (3 * k + 1))
-            band[plan.at] = w
-            band[2 * k :: 3 * k + 1] += 1.0  # row 2k of the band storage, the diagonal
-            v_next = _band_solve(band.reshape(m, -1).T, k, rhat)
-            delta = v_next - v
-            yield beta, v_next, float(np.maximum.reduce(np.abs(delta, out=delta)))
-            v = v_next
-
-    return rhat, steps()
+    m, k, frm, to, at = plan.size, plan.k, plan.frm, plan.to, plan.at
+    minus_betas = _minus_betas(schedule, n_steps, 0)
+    dgbsv = _lapack_dgbsv() if minus_betas else None  # no step, no scipy
+    diagonal = slice(2 * k, None, 3 * k + 1)  # row 2k of the flat band storage
+    v, deltas = rhat, []
+    if iterates is not None:
+        iterates.append(v)
+    for nb in minus_betas:
+        # Each move's weight exp(-beta_j * max(rise, 0)) over its member's
+        # sum, taken in move order as a walk step sums a row.
+        w = v[to] - v[frm]
+        np.maximum(w, 0.0, out=w)
+        w *= nb
+        np.exp(w, out=w)
+        w /= np.bincount(frm, weights=w, minlength=m)[frm]
+        w *= -gamma
+        band = np.zeros(m * (3 * k + 1))
+        band[at] = w
+        band[diagonal] += 1.0
+        _, _, v_next, info = dgbsv(k, k, band.reshape(m, -1).T, rhat, overwrite_ab=1)
+        if info != 0:
+            raise _band_failed(info)
+        delta = v_next - v
+        delta = float(np.maximum.reduce(np.abs(delta, out=delta)))
+        deltas.append(delta)
+        v = v_next
+        if iterates is not None:
+            iterates.append(v)
+        if delta < tol_v:
+            return v, deltas, True
+    return v, deltas, False
 
 
 def value_fixed_point(
@@ -129,13 +159,7 @@ def value_fixed_point(
     """
     if tol_v <= 0.0:
         raise ValueError("tol_v must be positive")
-    v, steps = _annealed_map(rhat, neighborhood, actions, gamma, schedule)
-    history, converged = [], False
-    for _, v, delta in itertools.islice(steps, max_j):
-        history.append(delta)
-        if delta < tol_v:
-            converged = True
-            break
+    v, history, converged = _annealed_map(rhat, neighborhood, actions, gamma, schedule, max_j, tol_v)
     return ValueTable(neighborhood.members, v, len(history), converged, history)
 
 
@@ -152,11 +176,9 @@ def fixed_point_iterates(
     Same map as value_fixed_point but runs a fixed number of iterations and
     keeps every iterate, for the 1-d demonstration exports.
     """
-    rhat, steps = _annealed_map(rhat, neighborhood, actions, gamma, schedule)
-    steps = list(itertools.islice(steps, n_iters))
-    iterates = [rhat] + [v for _, v, _ in steps]
-    deltas = [delta for _, _, delta in steps]
-    betas = [beta for beta, _, _ in steps]
+    iterates = []
+    _, deltas, _ = _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_iters, 0.0, iterates)
+    betas = [-nb for nb in _minus_betas(schedule, n_iters, 0)]
     return iterates, deltas, betas
 
 

@@ -26,17 +26,34 @@ import scipy.sparse.linalg as spla
 
 from mesopt._solver import _matrix
 from mesopt.grid import ActionSet, Neighborhood
-from mesopt.metropolis import _box_plan, _move_weights
+from mesopt.metropolis import _box_plan
 from mesopt.stokes import _chord_coordinate, _face_x
 from mesopt.value import _band_solve, _box_values
+
+
+def _move_weights(v: np.ndarray, plan, beta: float) -> np.ndarray:
+    """Normalized weights of a plan's moves from member values ``v``.
+
+    Entry n is the probability that move n of the plan is taken from its
+    member ``plan.frm[n]``: exp(-beta * max(v[to] - v[frm], 0)) over the
+    member's sum.  Each member's weights are summed in move order from
+    0.0, as a walk step sums a row, so the normalization is bitwise the
+    step's, given the same exp.  It is the weighing of one value
+    fixed-point step, ``value._annealed_map``, taken out of its loop.
+    """
+    w = v[plan.to] - v[plan.frm]
+    np.maximum(w, 0.0, out=w)
+    w *= -beta
+    np.exp(w, out=w)
+    w /= np.bincount(plan.frm, weights=w, minlength=plan.size)[plan.frm]
+    return w
 
 
 def transition_matrix(values, neighborhood, actions, beta):
     """The row-stochastic kernel over a neighborhood's members, in member order.
 
-    A scatter of the program's weight rule (``_move_weights``) on the box's
-    cached move plan, so checks on it check the rule the value layer uses.
-    ``values`` holds one value per member; ``beta`` is the inverse
+    The value step's weighing (``_move_weights``) scattered on the box's
+    cached move plan.  ``values`` holds one value per member; ``beta`` is the inverse
     temperature, and beta = 0 gives the uniform kernel on the allowed
     targets.
     """

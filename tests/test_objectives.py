@@ -171,6 +171,29 @@ def test_capacitance_solve_that_fails_raises(monkeypatch):
         StokesObjective(channel, grid=grid)((2.1, 2.1))
 
 
+def test_backends_of_equal_configs_share_one_setup():
+    # Two backends built from equal configs, one given ints and one floats,
+    # pay for one envelope pass and one solver set-up between them: the
+    # caches key on the grid and channel by value, and a grid's node counts
+    # (``shape``, worked out at construction) are no field of that value.
+    from mesopt import _solver
+    from mesopt.stokes import ChannelConfig
+
+    as_ints = StokesObjective(ChannelConfig(Lx=4, Lz=6, nx=48, nz=36), grid=ParameterGrid((2, 2), (3, 3), (1, 1)))
+    as_floats = StokesObjective(
+        ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36), grid=ParameterGrid((2.0, 2.0), (3.0, 3.0), (1.0, 1.0))
+    )
+    assert [f.name for f in dataclasses.fields(ParameterGrid)] == ["mins", "maxs", "steps"]
+    assert as_ints.grid == as_floats.grid and hash(as_ints.grid) == hash(as_floats.grid)
+    assert repr(as_ints.grid) == repr(as_floats.grid)
+    _grid_envelope.cache_clear()
+    _solver._substructure.cache_clear()
+    rewards = [as_ints((2.0, 3.0)), as_floats((2.0, 3.0)), as_floats((3, 2))]
+    assert _grid_envelope.cache_info().misses == 1
+    assert _solver._substructure.cache_info().misses == 1
+    assert rewards[0] == rewards[1]
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 

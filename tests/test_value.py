@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mesopt import value
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
 from mesopt.metropolis import _box_plan, _grid_rows
 from mesopt.objectives import fictitious_1d
@@ -297,13 +298,18 @@ def test_property_band_iterates_match_dense_solve(box, gamma, betas, data):
         np.testing.assert_allclose(v_next, oracle, rtol=0.0, atol=1e-12 * np.max(np.abs(oracle)))
 
 
-def test_singular_band_system_raises():
+def test_singular_band_system_raises(box3x3, monkeypatch):
     # One sub- and one super-diagonal, all zero, and a zero pivot on the
     # diagonal: LAPACK reports it, and no values come back.
     band = np.zeros((4, 3), order="F")
     band[2] = [1.0, 0.0, 1.0]
     with pytest.raises(np.linalg.LinAlgError):
         _band_solve(band, 1, np.ones(3))
+    # The fixed point's loop checks each of its solves the same way.
+    _, n = box3x3
+    monkeypatch.setattr(value, "_dgbsv", lambda k, _, band, rhs, **kw: (band, None, rhs, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+        value_fixed_point(np.zeros(n.size), n, ActionSet(2), 0.5, CoolingSchedule(), **FP)
 
 
 @settings(max_examples=60, deadline=None)
