@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add, mul
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class ParameterGrid:
 
     def theta(self, point: GridPoint) -> tuple[float, ...]:
         """Physical parameter vector at a grid index."""
-        return tuple(lo + i * d for lo, d, i in zip(self.mins, self.steps, point))
+        return tuple(map(add, self.mins, map(mul, point, self.steps)))
 
     def index_of(self, theta) -> GridPoint:
         """Nearest grid index for a physical vector; must lie on the grid."""

@@ -12,14 +12,17 @@ member and each member's in move order, built once per box shape and set
 of moves and kept in one cache, so boxes of one shape share it.  The
 value fixed point weighs the plan's moves directly, for the whole box at
 once with numpy; no m x m kernel is built.  A hitting-time walk runs on
-the whole grid as one box, reads each node's targets from that box's
-plan (its ``rows``), and once per call lists each target's rise
-max(v(target) - v(here), 0).  It runs one phase at a time, the steps
-that share an action set, reading that phase's -beta(t) from one cached
-block, ``_minus_betas``, that every walk and the value fixed point
-share; a step weighs its row with ``math.exp`` in move order, a zero
-rise as exactly 1.0 without the call, and bisects the row's running
-sums at its draw times their last, so its steps, those of the
+the whole grid as one box and, once per call and action set, builds
+each node's step table, ``_grid_rows``: its targets, the row of that
+box's plan (its ``rows``); its uphill moves, (position, rise) for each
+move whose rise max(v(target) - v(here), 0) is positive; and its
+weights when nothing rises, one 1.0 per move.  It runs one phase at a
+time, the steps that share an action set, reading that phase's
+-beta(t) from one cached block, ``_minus_betas``, that every walk and
+the value fixed point share; a step copies its row's ones, weighs each
+uphill move with ``math.exp`` (exp(+-0.0) is exactly 1.0, so every
+other move keeps its 1.0 without the call), and bisects the row's
+running sums at its draw times their last, so its steps, those of the
 row-by-row scan, depend neither on numpy's vectorised exp nor on how
 ``sum`` rounds.  A box's values are one float array in
 ``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
@@ -32,7 +35,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from statistics import median
 
 import numpy as np
@@ -146,25 +149,31 @@ _DRAW_BLOCK = 256
 
 def _uniforms(rng):
     """The generator's scalar ``random()`` draws, fetched in blocks."""
-    while True:
-        yield from rng.random(_DRAW_BLOCK).tolist()
+    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, repeat(_DRAW_BLOCK))))
 
 
 def _grid_rows(grid: ParameterGrid, actions: ActionSet, v: np.ndarray):
-    """Per grid node in ``grid.points()`` order, (targets, rises) in move order.
+    """Per grid node in ``grid.points()`` order, its step table (targets, uphill, ones).
 
-    The whole grid is one box, so its targets, as positions in that same
-    order with the last one repeated, are the ``rows`` of the grid shape's
-    cached ``_MovePlan``, the plan every box of that shape reads; ``v``
-    holds the nodes' values in that order.  The rise to a target is
-    max(v[target] - v[node], 0.0), the exponent a step scales by -beta;
-    the repeated target has no rise.
+    The whole grid is one box, so ``targets``, the node's targets as
+    positions in that same order with the last one repeated, is the row
+    of the grid shape's cached ``_MovePlan``, the plan every box of that
+    shape reads; ``v`` holds the nodes' values in that order.  ``uphill``
+    lists (position, rise) in move order for each move whose rise
+    max(v[target] - v[node], 0.0) is positive, the exponent a step scales
+    by -beta; ``ones`` is the row's weights when every rise is zero, one
+    1.0 per move, a tuple shared by the rows of one length.
     """
     plan = _move_plan(grid.shape, actions.moves)
     rises = v[plan.to] - v[plan.frm]
-    rises = np.maximum(rises, 0.0, out=rises).tolist()
-    bounds = plan.bounds.tolist()
-    return [(row, rises[a:b]) for row, a, b in zip(plan.rows, bounds, bounds[1:])]
+    up = np.flatnonzero(rises > 0.0)
+    pairs = list(zip((up - plan.bounds[plan.frm[up]]).tolist(), rises[up].tolist()))
+    cuts = np.searchsorted(up, plan.bounds).tolist()
+    ones = [(1.0,) * n for n in range(max(map(len, plan.rows)))]
+    return [
+        (row, tuple(pairs[a:b]), ones[len(row) - 1])
+        for row, a, b in zip(plan.rows, cuts, cuts[1:])
+    ]
 
 
 #: -beta blocks kept at once, one per (schedule, phase length, phase); a
@@ -260,9 +269,12 @@ def hitting_time_experiment(
             phase = t // switch_every
             rows = tables[phase % len(tables)]
             for nb in _minus_betas(schedule, switch_every, phase)[: max_steps - t]:
-                targets, rises = rows[i]
-                # exp(+-0.0) is exactly 1.0, so a zero rise skips the call.
-                sums = list(accumulate([exp(nb * r) if r else 1.0 for r in rises]))
+                targets, uphill, ones = rows[i]
+                # exp(+-0.0) is exactly 1.0, so only an uphill move calls exp.
+                weights = [*ones]
+                for j, r in uphill:
+                    weights[j] = exp(nb * r)
+                sums = list(accumulate(weights))
                 # The inverse-CDF draw; one that rounds up to the total takes
                 # the repeated last target.
                 i = targets[bisect_right(sums, draw() * sums[-1])]

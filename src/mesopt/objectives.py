@@ -99,7 +99,7 @@ class CountingObjective:
     def components(self, theta) -> tuple[float, float, float]:
         """(R1, R2, R) from one counted ground-truth evaluation."""
         self._calls += 1
-        return self._components(tuple(float(v) for v in theta))
+        return self._components(tuple(map(float, theta)))
 
     def __call__(self, theta) -> float:
         return self.components(theta)[2]

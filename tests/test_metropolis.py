@@ -1,7 +1,10 @@
 import contextlib
+import itertools
 import math
 import sys
 import tracemalloc
+import types
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import hitting_time_experiment
+from mesopt.metropolis import _grid_rows, hitting_time_experiment
 from oracles import _DyadicGenerator, _reference_walks, _rows_from_row_weights, transition_matrix
 
 #: The walk command's default budget and temperature (``WalkSettings``).
@@ -187,6 +190,14 @@ def grid_values(draw, max_d=2):
     return values, grid, start
 
 
+def phase_actions(grid, mode):
+    """The action sets a walk cycles through, one per phase."""
+    d = grid.d
+    if mode == "fixed" and d >= 2:
+        return [ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
+    return [ActionSet(d)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid_values(), st.sampled_from(["free", "fixed"]), st.floats(0.1, 10.0), st.integers(0, 40),
        st.integers(0, 2**32 - 1))
@@ -196,9 +207,7 @@ def test_property_walk_visits_only_positive_weight_targets(case, mode, t0, max_s
                                     max_steps=max_steps, t0=t0)
     path = stats.path
     assert len(path) == stats.steps[0] + 1 and path[0] == start
-    d = grid.d
-    phases = ([ActionSet(d, frozenset(range(d)) - {k}) for k in range(d)]
-              if mode == "fixed" and d >= 2 else [ActionSet(d)])
+    phases = phase_actions(grid, mode)
     for t, (here, there) in enumerate(zip(path, path[1:])):
         assert grid.contains(there)
         delta = tuple(b - a for a, b in zip(here, there))
@@ -236,11 +245,34 @@ def test_property_kernel_matches_row_by_row_definition(box, beta):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(grid_values(max_d=3))
+def test_property_step_tables_list_exactly_the_uphill_moves(case):
+    values, grid, _ = case
+    points = list(grid.points())
+    position = {p: k for k, p in enumerate(points)}
+    v = np.array([values[p] for p in points])
+    every = itertools.chain.from_iterable(itertools.combinations(range(grid.d), k) for k in range(grid.d + 1))
+    for actions in (ActionSet(grid.d, dims) for dims in every):
+        table = _grid_rows(grid, actions, v)
+        assert len(table) == len(points)
+        for here, (targets, uphill, ones) in zip(points, table):
+            there = [q for q in (tuple(map(add, here, m)) for m in actions.moves) if grid.contains(q)]
+            assert targets == tuple(position[q] for q in there + there[-1:])
+            rises = [max(values[q] - values[here], 0.0) for q in there]
+            # Bit for bit, in move order, and () when nothing rises; stay
+            # (position 0) never rises.
+            assert uphill == tuple((j, r) for j, r in enumerate(rises) if r > 0.0)
+            assert ones == (1.0,) * len(there)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     grid_values(max_d=3),
     st.sampled_from(["free", "fixed"]),
-    st.floats(0.1, 10.0),
+    # t0 = 1e-3 underflows the weight of every rise above about 1.07 to 0.0
+    # from the first step on, so whole rows weigh their uphill moves as 0.0.
+    st.one_of(st.just(1e-3), st.floats(0.1, 10.0)),
     st.integers(0, 80),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
@@ -277,6 +309,30 @@ def test_walk_step_totals_its_row_from_the_running_sums(monkeypatch):
         stats = hitting_time_experiment(values, grid, (0, 3), mode, n_walks=3, seed=5, max_steps=400, t0=0.5)
         reference = _reference_walks(values, grid, (0, 3), mode, 3, 5, 400, 0.5)
         assert (stats.steps, stats.hits, stats.path) == reference
+
+
+def test_walk_calls_exp_once_per_uphill_move_of_each_visited_row(monkeypatch):
+    # exp(+-0.0) is exactly 1.0, so a step calls math.exp for its row's
+    # uphill moves only: never for stay, a level or a downhill move.
+    from mesopt import metropolis
+
+    exp = mock.Mock(wraps=math.exp)
+    monkeypatch.setattr(metropolis, "math", types.SimpleNamespace(exp=exp, log=math.log))
+    grid = ParameterGrid(mins=(0.0, 0.0), maxs=(4.0, 3.0), steps=(1.0, 1.0))
+    # Level along f for f-index 0-1, the unique minimum at (3, 1).
+    values = {p: float(min(abs(p[0] - 3), 2) + 0.5 * abs(p[1] - 1)) for p in grid.points()}
+    for mode in ("free", "fixed"):
+        exp.reset_mock()
+        stats = hitting_time_experiment(values, grid, (0, 3), mode, n_walks=1, seed=5, max_steps=400, t0=0.5)
+        phases = phase_actions(grid, mode)
+        uphill = 0
+        for t, here in enumerate(stats.path[:-1]):
+            for move in phases[(t // max(grid.shape)) % len(phases)].moves:
+                there = tuple(map(add, here, move))
+                uphill += grid.contains(there) and values[there] > values[here]
+        assert stats.steps[0] > 10 and uphill > 0
+        assert exp.call_count == uphill
+        assert all(call.args[0] < 0.0 for call in exp.call_args_list)
 
 
 def test_long_walk_budget_holds_no_draws_in_memory():

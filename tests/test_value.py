@@ -373,7 +373,7 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
     # The walks read the plan of a box covering the whole grid: one cache entry serves both.
     whole = _box_plan(make_neighborhood(grid, center=(5, 5), radii=(5, 5)), actions)
     walk_rows = _grid_rows(grid, actions, np.zeros(whole.size))
-    assert len(walk_rows) == len(whole.rows) and all(r is q for (r, _), q in zip(walk_rows, whole.rows))
+    assert len(walk_rows) == len(whole.rows) and all(r is q for (r, _, _), q in zip(walk_rows, whole.rows))
     for name in ("frm", "to", "entries", "bounds", "at"):
         array = getattr(plan, name)
         assert not array.flags.writeable
