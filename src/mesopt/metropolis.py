@@ -226,9 +226,10 @@ def hitting_time_experiment(
     dimension every max(grid.shape) steps.  For 1-d grids both modes
     coincide.  Walks that never hit within max_steps are censored at
     max_steps with hit=False.  The path of walk 0 is kept for path exports.
-    ``values`` maps every grid node, and nothing else, to its value; a
-    missing node raises KeyError and a key off the grid ValueError, both
-    before any walk starts.  Step t cools by ``CoolingSchedule``.
+    ``values`` maps every grid node, and nothing else, to a finite value; a
+    missing node raises KeyError, and a key off the grid or a value that is
+    not finite ValueError, all before any walk starts.  Step t cools by
+    ``CoolingSchedule``.
     """
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown walk mode {mode!r}")
@@ -241,6 +242,10 @@ def hitting_time_experiment(
         off = [p for p in values if not grid.contains(p)]
         raise ValueError(f"value table has {len(off)} keys off the grid, e.g. {off[0]}")
     v = np.array([values[p] for p in points], dtype=float)
+    finite = np.isfinite(v)
+    if not finite.all():  # a NaN would be the argmin, and inf - inf a NaN rise
+        bad = np.flatnonzero(~finite)
+        raise ValueError(f"value table has {bad.size} values that are not finite, e.g. at {points[bad[0]]}")
     goal = int(np.argmin(v))
     if np.count_nonzero(v == v[goal]) > 1:
         raise NoUniqueArgmin("objective has no unique global argmin on the grid")

@@ -15,8 +15,12 @@ plan, so a step weighs only the moves that stay in the box, scatters them
 and solves.  No horizon is chosen and no tail is closed, and every iterate
 is a convex combination of Rhat scaled by 1 / (1 - gamma), so it lies
 inside [min Rhat, max Rhat] / (1 - gamma).  Rhat and the iterates are
-float arrays in ``Neighborhood.members`` order.  ``CoolingSchedule`` lives
-in ``metropolis`` and is re-exported here.
+float arrays in ``Neighborhood.members`` order, the iterates the rows of one
+stack per call that each step solves into in place.  The stop rule's
+sup-norm changes are taken once per block of steps, in one array pass, and
+read in step order: a call stops at the step, and with the history, that a
+test after every step gives.  ``CoolingSchedule`` lives in ``metropolis``
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -89,7 +93,13 @@ def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v, iterates=None):
+#: Steps run between two convergence tests.  A test takes the sup-norm
+#: changes of a whole block of iterates in one array pass, and a call that
+#: converges mid-block throws away at most ``_BLOCK - 1`` steps.
+_BLOCK = 8
+
+
+def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v):
     """The fixed-point map shared by both entry points, validated up front.
 
     Runs V_{j+1} = (I - gamma P_j)^-1 Rhat from V_0 = Rhat for j = 0, 1,
@@ -99,9 +109,17 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v, 
     share (``_minus_betas``), and solves one band system: every move is a
     fixed offset in member order, so I - gamma P_j is a band matrix whose
     half-bandwidth k is the largest offset, and the box's cached move plan
-    says where each move's entry sits in band storage.  Returns (the last
-    iterate, the per-step sup deltas, whether it stopped below tol_v) and
-    appends V_0, V_1, ... to ``iterates`` when one is given.
+    says where each move's entry sits in band storage.
+
+    The iterates live in one (n_steps + 1, m) stack, every row filled with
+    Rhat up front: step j solves into row j + 1 in place, Rhat being its
+    right-hand side.  Convergence is tested once per ``_BLOCK`` steps, the
+    block's sup-norm changes taken in one pass and read in step order, so
+    the call stops at the same step, with the same history, as a test after
+    every step; the steps run past it are thrown away.  A failed solve
+    raises only when no step before it converged.  Returns (the stack's
+    rows V_0 .. V_j up to the step j where the call stopped, the j sup
+    deltas, whether it stopped below tol_v).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
@@ -113,33 +131,36 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v, 
     minus_betas = _minus_betas(schedule, n_steps, 0)
     dgbsv = _lapack_dgbsv() if minus_betas else None  # no step, no scipy
     diagonal = slice(2 * k, None, 3 * k + 1)  # row 2k of the flat band storage
-    v, deltas = rhat, []
-    if iterates is not None:
-        iterates.append(v)
-    for nb in minus_betas:
-        # Each move's weight exp(-beta_j * max(rise, 0)) over its member's
-        # sum, taken in move order as a walk step sums a row.
-        w = v[to] - v[frm]
-        np.maximum(w, 0.0, out=w)
-        w *= nb
-        np.exp(w, out=w)
-        w /= np.bincount(frm, weights=w, minlength=m)[frm]
-        w *= -gamma
-        band = np.zeros(m * (3 * k + 1))
-        band[at] = w
-        band[diagonal] += 1.0
-        _, _, v_next, info = dgbsv(k, k, band.reshape(m, -1).T, rhat, overwrite_ab=1)
+    iterates = np.empty((n_steps + 1, m))
+    iterates[:] = rhat
+    deltas = []
+    for start in range(0, n_steps, _BLOCK):
+        stop = min(start + _BLOCK, n_steps)
+        for j in range(start, stop):
+            # Each move's weight exp(-beta_j * max(rise, 0)) over its member's
+            # sum, taken in move order as a walk step sums a row.
+            v = iterates[j]
+            w = v[to] - v[frm]
+            np.maximum(w, 0.0, out=w)
+            w *= minus_betas[j]
+            np.exp(w, out=w)
+            w /= np.bincount(frm, weights=w, minlength=m)[frm]
+            w *= -gamma
+            band = np.zeros(m * (3 * k + 1))
+            band[at] = w
+            band[diagonal] += 1.0
+            info = dgbsv(k, k, band.reshape(m, -1).T, iterates[j + 1], overwrite_ab=1, overwrite_b=1)[3]
+            if info != 0:
+                stop = j  # rows start .. j hold iterates; row j + 1 does not
+                break
+        change = iterates[start + 1 : stop + 1] - iterates[start:stop]
+        for j, delta in enumerate(np.abs(change, out=change).max(axis=1).tolist(), start + 1):
+            deltas.append(delta)
+            if delta < tol_v:
+                return iterates[: j + 1], deltas, True
         if info != 0:
             raise _band_failed(info)
-        delta = v_next - v
-        delta = float(np.maximum.reduce(np.abs(delta, out=delta)))
-        deltas.append(delta)
-        v = v_next
-        if iterates is not None:
-            iterates.append(v)
-        if delta < tol_v:
-            return v, deltas, True
-    return v, deltas, False
+    return iterates, deltas, False
 
 
 def value_fixed_point(
@@ -159,8 +180,9 @@ def value_fixed_point(
     """
     if tol_v <= 0.0:
         raise ValueError("tol_v must be positive")
-    v, history, converged = _annealed_map(rhat, neighborhood, actions, gamma, schedule, max_j, tol_v)
-    return ValueTable(neighborhood.members, v, len(history), converged, history)
+    iterates, history, converged = _annealed_map(rhat, neighborhood, actions, gamma, schedule, max_j, tol_v)
+    # A copy of the last row, so that the table does not hold the stack.
+    return ValueTable(neighborhood.members, iterates[-1].copy(), len(history), converged, history)
 
 
 def fixed_point_iterates(
@@ -171,15 +193,14 @@ def fixed_point_iterates(
     schedule: CoolingSchedule,
     n_iters: int,
 ):
-    """All iterates V_0 .. V_{n_iters} plus per-step sup deltas and betas.
+    """All iterates V_0 .. V_{n_iters} (rows of one array) plus per-step sup deltas and betas.
 
     Same map as value_fixed_point but runs a fixed number of iterations and
     keeps every iterate, for the 1-d demonstration exports.
     """
-    iterates = []
-    _, deltas, _ = _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_iters, 0.0, iterates)
+    iterates, deltas, _ = _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_iters, 0.0)
     betas = [-nb for nb in _minus_betas(schedule, n_iters, 0)]
-    return iterates, deltas, betas
+    return list(iterates), deltas, betas
 
 
 def argmin_value(table: ValueTable) -> GridPoint:

@@ -4,7 +4,8 @@ Each is a slow or dense form of something the program computes another
 way: the m x m Metropolis kernel of a box and its truncated discounted
 power sum, the kernel and the hitting-time walk taken one row at a time,
 the fixed-point step as a dense solve and as the dense-weight band step
-the move plan replaced, a generator stand-in with dyadic draws, and the
+the move plan replaced, the fixed-point loop that tested convergence after
+every step, a generator stand-in with dyadic draws, and the
 local argmins of a 1-d table.  ``mc_value_estimate`` checks the value
 layer by Monte Carlo: its walks sample the rows of the box's move plan,
 and ``oracle_mc_estimate`` drives the same walks from the dense kernel.
@@ -26,9 +27,9 @@ import scipy.sparse.linalg as spla
 
 from mesopt._solver import _matrix
 from mesopt.grid import ActionSet, Neighborhood
-from mesopt.metropolis import _box_plan
+from mesopt.metropolis import _box_plan, _minus_betas
 from mesopt.stokes import _chord_coordinate, _face_x
-from mesopt.value import _band_solve, _box_values
+from mesopt.value import _band_failed, _band_solve, _box_values, _lapack_dgbsv
 
 
 def _move_weights(v: np.ndarray, plan, beta: float) -> np.ndarray:
@@ -211,6 +212,53 @@ def dense_weight_step(v, rhat, n, actions, gamma, beta):
     band[2 * k + here * height] += 1.0
     v_next = _band_solve(band.reshape(m, height).T, k, rhat)
     return v_next, float(np.max(np.abs(v_next - v)))
+
+
+def stepwise_annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v, iterates=None):
+    """The fixed-point loop as it was before the iterate stack: the bitwise oracle.
+
+    One new array per iterate, and the sup-norm change taken and tested
+    after every step, so a failed solve raises at once.  Returns (the last
+    iterate, the per-step sup deltas, whether it stopped below tol_v) and
+    appends V_0, V_1, ... to ``iterates`` when one is given.
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"discount gamma must be in [0, 1) (got {gamma})")
+    if n_steps < 0:
+        raise ValueError(f"the step count must be >= 0 (got {n_steps})")
+    rhat = _box_values(rhat, neighborhood)
+    plan = _box_plan(neighborhood, actions)
+    m, k, frm, to, at = plan.size, plan.k, plan.frm, plan.to, plan.at
+    minus_betas = _minus_betas(schedule, n_steps, 0)
+    dgbsv = _lapack_dgbsv() if minus_betas else None  # no step, no scipy
+    diagonal = slice(2 * k, None, 3 * k + 1)  # row 2k of the flat band storage
+    v, deltas = rhat, []
+    if iterates is not None:
+        iterates.append(v)
+    for nb in minus_betas:
+        # Each move's weight exp(-beta_j * max(rise, 0)) over its member's
+        # sum, taken in move order as a walk step sums a row.
+        w = v[to] - v[frm]
+        np.maximum(w, 0.0, out=w)
+        w *= nb
+        np.exp(w, out=w)
+        w /= np.bincount(frm, weights=w, minlength=m)[frm]
+        w *= -gamma
+        band = np.zeros(m * (3 * k + 1))
+        band[at] = w
+        band[diagonal] += 1.0
+        _, _, v_next, info = dgbsv(k, k, band.reshape(m, -1).T, rhat, overwrite_ab=1)
+        if info != 0:
+            raise _band_failed(info)
+        delta = v_next - v
+        delta = float(np.maximum.reduce(np.abs(delta, out=delta)))
+        deltas.append(delta)
+        v = v_next
+        if iterates is not None:
+            iterates.append(v)
+        if delta < tol_v:
+            return v, deltas, True
+    return v, deltas, False
 
 
 def mc_value_estimate(

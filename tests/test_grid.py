@@ -120,4 +120,8 @@ def test_property_box_thetas_are_the_bytes_of_member_thetas(data):
     center = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
     radii = tuple(data.draw(st.integers(0, 4)) for _ in range(d))
     n = make_neighborhood(grid, center, radii)
-    assert n.thetas().tobytes() == np.array([grid.theta(p) for p in n.members]).tobytes()
+    thetas = n.thetas()
+    assert thetas.tobytes() == np.array([grid.theta(p) for p in n.members]).tobytes()
+    # A transposed array keeps the bytes of tobytes() but moves the last bits
+    # of the surrogate's monomial_row(...) @ coeffs, so the layout is pinned too.
+    assert thetas.flags.c_contiguous

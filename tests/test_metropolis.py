@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import types
@@ -391,3 +392,18 @@ def test_walk_rejects_value_keys_off_the_grid():
     values = {(0,): 0.0, (1,): 5.0, (2,): 1.0, (3,): 5.0, (9,): -1.0}
     with pytest.raises(ValueError, match=r"1 keys off the grid, e\.g\. \(9,\)"):
         hitting_time_experiment(values, grid, (3,), "free", n_walks=3, seed=0, max_steps=1000, t0=1.0)
+
+
+@pytest.mark.parametrize(
+    "line, node",
+    [
+        ([0.0, np.nan, 2.0, 3.0], (1,)),  # the NaN node would be the argmin
+        ([np.inf, np.inf, 1.0, 2.0], (0,)),  # a move between them rises inf - inf
+    ],
+)
+def test_walk_rejects_values_that_are_not_finite(line, node):
+    grid = ParameterGrid(mins=(0.0,), maxs=(3.0,), steps=(1.0,))
+    values = {(i,): v for i, v in enumerate(line)}
+    with mock.patch("mesopt.metropolis._uniforms", side_effect=AssertionError("a walk started")):
+        with pytest.raises(ValueError, match=re.escape(f"not finite, e.g. at {node}")):
+            hitting_time_experiment(values, grid, (3,), "free", n_walks=3, seed=0, max_steps=100, t0=1.0)

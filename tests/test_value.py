@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 from dataclasses import dataclass
 from unittest import mock
 
@@ -14,6 +15,7 @@ from mesopt.objectives import fictitious_1d
 from mesopt.reduction import surrogate_sample_points
 from mesopt.surrogate import fit_surrogate, monomial_row
 from mesopt.value import (
+    _BLOCK,
     CoolingSchedule,
     ValueTable,
     _band_solve,
@@ -29,6 +31,7 @@ from oracles import (
     discounted_power_sum,
     mc_value_estimate,
     oracle_mc_estimate,
+    stepwise_annealed_map,
     transition_matrix,
 )
 
@@ -298,6 +301,19 @@ def test_property_band_iterates_match_dense_solve(box, gamma, betas, data):
         np.testing.assert_allclose(v_next, oracle, rtol=0.0, atol=1e-12 * np.max(np.abs(oracle)))
 
 
+def _dgbsv_failing_at(step):
+    """A stand-in ``dgbsv`` that solves as LAPACK does but reports info 7 on call ``step``."""
+    from scipy.linalg.lapack import dgbsv as real
+
+    calls = itertools.count()
+
+    def dgbsv(*args, **kwargs):
+        *out, info = real(*args, **kwargs)
+        return (*out, 7) if next(calls) == step else (*out, info)
+
+    return dgbsv
+
+
 def test_singular_band_system_raises(box3x3, monkeypatch):
     # One sub- and one super-diagonal, all zero, and a zero pivot on the
     # diagonal: LAPACK reports it, and no values come back.
@@ -305,11 +321,29 @@ def test_singular_band_system_raises(box3x3, monkeypatch):
     band[2] = [1.0, 0.0, 1.0]
     with pytest.raises(np.linalg.LinAlgError):
         _band_solve(band, 1, np.ones(3))
-    # The fixed point's loop checks each of its solves the same way.
     _, n = box3x3
+    args = (np.random.default_rng(8).normal(size=n.size), n, ActionSet(2), 0.9, CoolingSchedule())
+    oracle_iterates = []
+    _, history, _ = stepwise_annealed_map(*args, 20, 0.0, oracle_iterates)
+    # The fixed point's loop checks each of its solves the same way.
     monkeypatch.setattr(value, "_dgbsv", lambda k, _, band, rhs, **kw: (band, None, rhs, 2))
     with pytest.raises(np.linalg.LinAlgError, match="info 2"):
         value_fixed_point(np.zeros(n.size), n, ActionSet(2), 0.5, CoolingSchedule(), **FP)
+    # A solve that fails at step ``fail`` (0-based) raises when no earlier
+    # step converged, in the first block of the convergence test or a later one.
+    for fail in (0, 3, 7, 8, 13):
+        monkeypatch.setattr(value, "_dgbsv", _dgbsv_failing_at(fail))
+        with pytest.raises(np.linalg.LinAlgError, match="info 7"):
+            value_fixed_point(*args, tol_v=1e-300, max_j=20)
+    # When the call converges at step ``stop`` (1-based) of the same block,
+    # the block's test finds that step first and the failure is dropped: the
+    # call returns what a test after every step returns.
+    for stop, fail in ((1, 1), (1, 7), (3, 5), (9, 10), (9, 15)):
+        assert history[stop - 1] < min(history[: stop - 1], default=np.inf)  # strictly the first to get there
+        monkeypatch.setattr(value, "_dgbsv", _dgbsv_failing_at(fail))
+        table = value_fixed_point(*args, tol_v=float(np.nextafter(history[stop - 1], np.inf)), max_j=20)
+        assert table.values.tobytes() == oracle_iterates[stop].tobytes()
+        assert (table.history, table.iterations, table.converged) == (history[:stop], stop, True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,6 +385,40 @@ def test_property_iterates_match_dense_weight_step_bitwise(box, gamma, betas, sc
         oracle, oracle_delta = dense_weight_step(v, iterates[0], n, actions, gamma, beta)
         assert v_next.tobytes() == oracle.tobytes()
         assert delta == oracle_delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    box_in_d_dims(),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_max=True)),
+    st.integers(0, 25),
+    st.sampled_from(["standard-log", "inverse-log"]),
+    st.floats(0.05, 5.0),
+    st.one_of(st.sampled_from([None, 1, _BLOCK // 2, _BLOCK, _BLOCK + 3, 2 * _BLOCK]), st.integers(1, 25)),
+    st.data(),
+)
+def test_property_fixed_point_matches_stepwise_oracle_bitwise(box, gamma, max_j, kind, t0, stop, data):
+    # The iterate stack and the once-per-block convergence test give the
+    # bytes of the loop that tested after every step.  tol_v comes from the
+    # oracle's own history: just above step ``stop``'s delta, so a call stops
+    # there or at an earlier, smaller delta (step 1, mid-block, a block's
+    # last step), or at the smallest delta, which no step beats (never).
+    _, n, actions = box
+    rhat = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n.size, max_size=n.size)))
+    args = (rhat, n, actions, gamma, CoolingSchedule(kind, t0=t0))
+    oracle_iterates = []
+    _, full_history, _ = stepwise_annealed_map(*args, max_j, 0.0, oracle_iterates)
+    iterates, deltas, _ = fixed_point_iterates(*args, max_j)
+    assert [v.tobytes() for v in iterates] == [v.tobytes() for v in oracle_iterates]
+    assert deltas == full_history
+    if stop is not None and stop <= max_j:
+        tol_v = float(np.nextafter(full_history[stop - 1], np.inf))
+    else:
+        tol_v = min(full_history, default=0.0) or 5e-324  # a zero delta stops even the smallest tol_v
+    v, history, converged = stepwise_annealed_map(*args, max_j, tol_v)
+    table = value_fixed_point(*args, tol_v=tol_v, max_j=max_j)
+    assert table.values.tobytes() == v.tobytes()
+    assert (table.history, table.iterations, table.converged) == (history, len(history), converged)
 
 
 def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
