@@ -3,7 +3,9 @@
 ``stokes.solve_stokes`` imports this module on its first solve, so a
 process that never solves a channel never loads scipy.  A set-up is the
 shape-free part of the direct solve; a blade adds one penalization K on its
-solid faces through ``factor(faces, K)``.  One set-up is kept per grid
+solid faces.  ``solve_group(blades, K, b, y)`` gives a group of blades,
+each given as its faces, their solves of b, and ``factor(faces, K)`` one
+blade's solver for its refinement passes.  One set-up is kept per grid
 (nx, nz, dx, dz) and strip, whatever the inflow, with its first solve of b
 per inflow.  ``_takes_capacitance`` picks one of two:
 
@@ -12,10 +14,12 @@ per inflow.  ``_takes_capacitance`` picks one of two:
   the set-up keeps A0^-1 between the strip's velocity faces as a table over
   face lines and row shifts.  Each blade factors a dense capacitance matrix
   on its solid faces alone or, when it fills most of the strip, one on the
-  strip faces it leaves open.
+  strip faces it leaves open.  A group factors its blades one at a time
+  and shares one Fourier solve.
 - ``_Substructure`` factors the exterior, all cells outside the strip,
   with sparse LU, condenses it into a dense correction on the strip
-  unknowns that touch it, and factors each blade's strip with sparse LU.
+  unknowns that touch it, and factors and solves each blade's strip with
+  sparse LU, blade by blade.
 
 README's notes on the solver give the sizes and timings.
 """
@@ -111,12 +115,16 @@ class _Fourier:
         self.lu = spla.splu(_assemble(_stencils(*grid), _dft_diagonal), permc_spec="COLAMD")
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """A0^-1 r for r of shape (3 nx nz,) or (3 nx nz, k)."""
-        cols = r.shape[1:]
-        r_hat = np.fft.rfft(r.reshape(self.shape + cols), axis=1)
-        x_hat = self.lu.solve(r_hat.reshape((-1,) + cols)).reshape(r_hat.shape)
-        return np.fft.irfft(x_hat, n=self.shape[1], axis=1).reshape(r.shape)
+        """A0^-1 r for r of shape (3 nx nz,) or (3 nx nz, k).
 
+        The k columns go through as one (k, 3 nx, nz) stack: one rfft along
+        z, one triangular solve of k columns and one irfft.  Each column
+        gets the bits of its own solve.
+        """
+        stack = r.T.reshape((-1,) + self.shape)
+        r_hat = np.fft.rfft(stack, axis=-1)
+        x_hat = self.lu.solve(r_hat.reshape(len(stack), -1).T).T.reshape(r_hat.shape)
+        return np.fft.irfft(x_hat, n=self.shape[1], axis=-1).reshape(r.T.shape).T
 
 
 #: Columns per block while building the interface correction or the
@@ -262,42 +270,59 @@ class _Capacitance(_SetUp):
 
         return solve_C
 
-    def factor(self, faces: np.ndarray, K: float):
-        """Solver for A0 plus K on the sorted solid ``faces``, all of them in V.
-
-        It takes r and, if the caller has it, y = A0^-1 r.
-        """
-        solve_0 = self.fourier.solve
+    def _solve_C(self, faces: np.ndarray, K: float):
+        """The capacitance solve w -> C^-1 w of A0 plus K on the sorted solid ``faces``."""
         if faces.size == 0:
-            return lambda r, y=None: solve_0(r) if y is None else y.copy()
+            return lambda w: w
         F = np.searchsorted(self.V, faces)
         # Faces k and k + cells of V share a cell; a blade that leaves no
         # cell of the strip open is solved on its own cells.
         cells = self.V.size // 2
         if _takes_complement(F.size, self.V.size) and np.unique(F % cells).size < cells:
-            solve_C = self._complement(F, K)
-        else:
-            C = self.g(F, F)
-            C[np.diag_indices_from(C)] += 1.0 / K
-            # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
-            # then solves with C itself.  Unchecked, a non-finite value
-            # reaches the residual and the solve reports no convergence.
-            lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+            return self._complement(F, K)
+        C = self.g(F, F)
+        C[np.diag_indices_from(C)] += 1.0 / K
+        # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
+        # then solves with C itself.  Unchecked, a non-finite value
+        # reaches the residual and the solve reports no convergence.
+        lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
+        return lambda w: la.lu_solve(lu_C, w, trans=1, check_finite=False)
 
-            def solve_C(w: np.ndarray) -> np.ndarray:
-                return la.lu_solve(lu_C, w, trans=1, check_finite=False)
+    def _correct(self, R: np.ndarray, blades: list, Z: list, K: float) -> np.ndarray:
+        """x = A0^-1 (r - e_F z), with x[F] = z / K, for each row r of R and its blade's F and z.
 
-        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-            if y is None:
-                y = solve_0(r)
-            z = solve_C(y[faces])
-            r = r.copy()
+        The rows, overwritten, take one Fourier solve together.
+        """
+        for r, faces, z in zip(R, blades, Z):
             r[faces] -= z
-            x = solve_0(r)
+        X = self.fourier.solve(R.T).T
+        for x, faces, z in zip(X, blades, Z):
             # x_F = z / K exactly; recovering it by subtraction, as the
             # A0 solve gives it, loses about log10(K) digits.
             x[faces] = z / K
-            return x
+        return X
+
+    def solve_group(self, blades: list, K: float, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(A0 + K on each blade's faces)^-1 b, one row per blade, given y = A0^-1 b.
+
+        Each blade factors its C (or T[N, N]) in turn and keeps only
+        z = C^-1 y[F], so one factor is alive at a time; the rows b - e_F z
+        then take one Fourier solve.
+        """
+        Z = [self._solve_C(faces, K)(y[faces]) for faces in blades]
+        return self._correct(np.tile(b, (len(blades), 1)), blades, Z, K)
+
+    def factor(self, faces: np.ndarray, K: float):
+        """Solver for A0 plus K on the sorted solid ``faces``, all of them in V.
+
+        It takes r and, if the caller has it, y = A0^-1 r.
+        """
+        solve_C = self._solve_C(faces, K)
+
+        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+            if y is None:
+                y = self.fourier.solve(r)
+            return self._correct(r[None].copy(), [faces], [solve_C(y[faces])], K)[0]
 
         return solve
 
@@ -346,6 +371,13 @@ class _Substructure(_SetUp):
 
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
         return self.lu_E.solve(b[self.exterior])
+
+    def solve_group(self, blades: list, K: float, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(A0 + K on each blade's faces)^-1 b, one row per blade, given y = lu_E.solve(b[E]).
+
+        Each blade factors and solves its strip in turn.
+        """
+        return np.array([self.factor(faces, K)(b, y) for faces in blades])
 
     def factor(self, faces: np.ndarray, K: float):
         """Solver for A0 plus K on the sorted solid ``faces``, all of them in the strip.

@@ -16,6 +16,7 @@ metric the optimizer is meant to minimize.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -32,6 +33,7 @@ from .stokes import (
     sample_line,
     solid_cells,
     solve_stokes,
+    solving_together,
 )
 
 __all__ = [
@@ -165,6 +167,32 @@ class StokesObjective(CountingObjective):
         super().__init__()
         self.channel = channel
         self.grid = grid
+
+    @contextlib.contextmanager
+    def group(self, thetas):
+        """Within the block, solve the grid blades at ``thetas`` together.
+
+        Each theta is still evaluated by its own ``components`` call, in
+        the caller's order and with the same result as alone: the first
+        solve of one of them solves them all (``stokes.solving_together``).
+        Blades off the grid's face table, and every blade of a backend
+        without a grid, are solved on their own calls.
+        """
+        if self.grid is None:
+            yield
+            return
+        channel = self.channel
+        envelope, table = _grid_envelope(self.grid, channel)
+        blades = []
+        for f, b in thetas:
+            try:
+                faces = table.get(AirfoilSpec(f=f, b=b, e=channel.airfoil_e))
+            except GeometryError:
+                continue
+            if faces is not None:
+                blades.append(faces)
+        with solving_together(blades, channel, envelope):
+            yield
 
     def _components(self, theta):
         f, b = theta

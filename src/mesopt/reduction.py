@@ -243,6 +243,18 @@ class _EvalCache:
             self.misses_this_cycle += 1
         return self.known[point]
 
+    def values(self, points: tuple[GridPoint, ...]) -> list[float]:
+        """``value`` of each point in order, the new ones offered to the backend as one group first.
+
+        A backend accepts a group through ``group(thetas)``, a context in
+        which it may evaluate them together; each still costs its own call.
+        """
+        group = getattr(self.backend, "group", None)
+        if group is None:
+            return [self.value(p) for p in points]
+        with group([self.grid.theta(p) for p in points if p not in self.known]):
+            return [self.value(p) for p in points]
+
     def start_cycle(self) -> None:
         self.misses_this_cycle = 0
 
@@ -257,6 +269,11 @@ def run_optimization(
 
     ``backend`` maps a physical parameter tuple to the scalar objective; its
     evaluations are cached per run so re-visited points are never re-paid.
+    A plain callable works.  Only a backend that accepts a group, through a
+    ``group(thetas)`` context as ``StokesObjective`` has, is offered one:
+    each cycle's new sample points (cycle 0's center with its corners), so
+    it may solve them together.  Each point is still evaluated by its own
+    call, in the same order either way.
     """
     trace = OptimizationTrace()
     try:
@@ -277,10 +294,10 @@ def run_optimization(
         for n in range(config.max_cycles):
             cache.start_cycle()
             neighborhood = make_neighborhood(grid, center, radii)
-            center_value = cache.value(center)
-
             samples = surrogate_sample_points(neighborhood)
-            sample_pairs = [(grid.theta(p), cache.value(p)) for p in samples]
+            # Cycle 0's center is new too, so it joins its corners' group.
+            center_value, *values = cache.values((center, *samples))
+            sample_pairs = [(grid.theta(p), v) for p, v in zip(samples, values)]
             # Earlier ground truths inside the box refine the fit for free;
             # the accumulated set keeps the quadratic from aliasing its
             # curvature between dimensions once the path starts revisiting.

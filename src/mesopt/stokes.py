@@ -31,8 +31,10 @@ visit, or by default the blade's own solid cells (none for the empty
 channel).  ``blade_faces`` runs the rule on blocks of blades at once; a
 caller that keeps a blade's faces from that pass hands them to the solve
 with the envelope the pass built, and the solve skips the rule.  Either
-way their cells (``solid_cells``) must lie in the strip.  The set-ups
-that factor the system live in ``_solver``, the one module of the solver
+way their cells (``solid_cells``) must lie in the strip.  Blades opened
+together (``solving_together``) share one pass of the set-up, made by the
+first solve of any of them; each is still returned by its own solve.  The
+set-ups that factor the system live in ``_solver``, the one module of the solver
 that runs on scipy; ``solve_stokes`` imports it on the first solve, so a
 process that never solves a channel never loads scipy.
 
@@ -41,6 +43,7 @@ README's notes on the solver give the sizes and timings.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -55,6 +58,7 @@ __all__ = [
     "FlowField",
     "EvaluationProfile",
     "solve_stokes",
+    "solving_together",
     "blade_faces",
     "solid_cells",
     "sample_line",
@@ -319,6 +323,51 @@ def _check_inside(shape: AirfoilShape | None, cells: np.ndarray, envelope: np.nd
         )
 
 
+class _Group:
+    """Blades that ``solving_together`` opened: their faces until the first solve, then their fields.
+
+    The fields are keyed by the faces' bytes, and each is handed out once.
+    """
+
+    def __init__(self, blades: list[np.ndarray], config: ChannelConfig, strip: bytes):
+        self.config, self.strip = config, strip
+        self.blades = {faces.tobytes(): faces for faces in blades}
+        self.fields = None
+
+    def take(self, faces: np.ndarray, config: ChannelConfig, strip: bytes) -> FlowField | None:
+        """The field of a member, the whole group solved on the first call; None for a non-member."""
+        key = faces.tobytes()
+        if key not in self.blades or config != self.config or strip != self.strip:
+            return None
+        if self.fields is None:
+            self.fields = dict(zip(self.blades, _solve(list(self.blades.values()), config, strip)))
+        del self.blades[key]
+        return self.fields.pop(key)
+
+
+_group: _Group | None = None  # open only inside ``solving_together``
+
+
+@contextlib.contextmanager
+def solving_together(blades: Iterable[np.ndarray], config: ChannelConfig, envelope: np.ndarray):
+    """Within the block, the first ``solve_stokes`` of one of these blades solves them all.
+
+    ``blades`` are solid faces as ``blade_faces`` gives them, from the pass
+    that built ``envelope``.  Each blade's field is still returned by its
+    own ``solve_stokes`` call, with these config and envelope and its faces,
+    with the same bits as a solve of that blade alone; a blade whose cells
+    leave the envelope is left to its own call, which raises.  The fields
+    not yet handed out go with the block.
+    """
+    global _group
+    blades = [faces for faces in blades if not (solid_cells(faces, config) & ~envelope).any()]
+    outer, _group = _group, _Group(blades, config, envelope.tobytes())
+    try:
+        yield
+    finally:
+        _group = outer
+
+
 def solve_stokes(
     shape: AirfoilShape | None,
     config: ChannelConfig,
@@ -336,7 +385,8 @@ def solve_stokes(
     ``faces`` are the blade's solid faces as ``blade_faces`` gave them for
     this config, from the pass that built ``envelope``; the solve then takes
     them in place of the rule and its fit check, which that pass ran.
-    Either way the faces' cells must lie in the envelope.
+    Either way the faces' cells must lie in the envelope.  A blade of an
+    open ``solving_together`` block is solved with the rest of its group.
     """
     nx, nz = config.nx, config.nz
     if faces is None:
@@ -348,39 +398,50 @@ def solve_stokes(
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
     _check_inside(shape, cells, envelope)
+    strip = envelope.tobytes()
+    field = _group.take(faces, config, strip) if _group is not None else None
+    return field if field is not None else _solve([faces], config, strip)[0]
+
+
+def _solve(blades: list[np.ndarray], config: ChannelConfig, strip: bytes) -> list[FlowField]:
+    """The fields of blades, given as their solid faces, on the packed strip cells.
+
+    The blades' first solves of b take one pass of the set-up, and one
+    sparse product gives all their residuals.  A blade that misses
+    ``solver_tol`` is factored again for its refinement passes.
+    """
     from . import _solver  # scipy loads on the first solve, not on import
 
-    sub = _solver._substructure((nx, nz, config.dx, config.dz), envelope.tobytes())
-    solve = sub.factor(faces, config.penalization)
+    nx, nz, K = config.nx, config.nz, config.penalization
+    sub = _solver._substructure((nx, nz, config.dx, config.dz), strip)
     b, y_b = sub.rhs(config)
-    x = solve(b, y_b)
-
+    X = sub.solve_group(blades, K, b, y_b)
+    R = b - (sub.A @ X.T).T
     scale = max(float(np.abs(b).max()), 1e-300)
-
-    def residual_of(x: np.ndarray) -> np.ndarray:
-        r = b - sub.A @ x
-        r[faces] -= config.penalization * x[faces]
-        return r
-
-    r = residual_of(x)
-    residual = float(np.abs(r).max()) / scale
-    refinements = 0
-    while not residual <= config.solver_tol and refinements < config.max_iters:
-        x = x + solve(r)
-        r = residual_of(x)
+    fields = []
+    for faces, x, r in zip(blades, X, R):
+        r[faces] -= K * x[faces]
         residual = float(np.abs(r).max()) / scale
-        refinements += 1
+        refinements, solve = 0, None
+        while not residual <= config.solver_tol and refinements < config.max_iters:
+            solve = solve or sub.factor(faces, K)
+            x = x + solve(r)
+            r = b - sub.A @ x
+            r[faces] -= K * x[faces]
+            residual = float(np.abs(r).max()) / scale
+            refinements += 1
 
-    n_u = nx * nz
-    u = np.empty((nx + 1, nz))
-    u[0, :] = config.inflow[0]
-    u[1:, :] = x[:n_u].reshape(nx, nz)
-    w = x[n_u : 2 * n_u].reshape(nx, nz)
-    p = x[2 * n_u :].reshape(nx, nz)
-    return FlowField(
-        u1=u, u2=w, p=p, converged=residual <= config.solver_tol, residual=residual,
-        refinements=refinements,
-    )
+        n_u = nx * nz
+        u = np.empty((nx + 1, nz))
+        u[0, :] = config.inflow[0]
+        u[1:, :] = x[:n_u].reshape(nx, nz)
+        fields.append(
+            FlowField(
+                u1=u, u2=x[n_u : 2 * n_u].reshape(nx, nz), p=x[2 * n_u :].reshape(nx, nz),
+                converged=residual <= config.solver_tol, residual=residual, refinements=refinements,
+            )
+        )
+    return fields
 
 
 def sample_line(field: FlowField, config: ChannelConfig) -> EvaluationProfile:

@@ -450,3 +450,16 @@ def unit_table(setup):
     units = np.zeros((setup.A.shape[0], lines.size))
     units[lines * nz, np.arange(lines.size)] = 1.0
     return setup.fourier.solve(units).reshape(-1, nz, lines.size)[lines]
+
+
+def vector_fourier_solve(fourier, r):
+    """A0^-1 r for one vector r through a ``_Fourier`` set-up's LU, with no stacking.
+
+    The rfft along z of r's (3 nx, nz) view, the LU's solve of that one
+    column and the irfft: the bitwise oracle of ``_Fourier.solve`` on
+    stacked rows or columns.
+    """
+    nz = fourier.shape[1]
+    r_hat = np.fft.rfft(r.reshape(fourier.shape), axis=1)
+    x_hat = fourier.lu.solve(r_hat.ravel()).reshape(r_hat.shape)
+    return np.fft.irfft(x_hat, n=nz, axis=1).ravel()

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import column_strip, dense_g, direct_solve, penalized_system, unit_table
+from oracles import column_strip, dense_g, direct_solve, penalized_system, unit_table, vector_fourier_solve
 
 from mesopt import _solver, stokes
 from mesopt.geometry import AirfoilShape, AirfoilSpec, build_airfoil
@@ -569,6 +569,19 @@ def test_property_fourier_solve_is_the_lu_solve_of_a0(nx, nz, Lx, Lz, seed):
     np.testing.assert_array_equal(fourier.solve(r[:, 1]), got[:, 1])  # one column as a vector
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_fourier_solve_of_a_stack_gives_each_row_its_own_bits(k):
+    # k rows through one (k, 3 nx, nz) stack, as rows and as columns: each
+    # row has the bytes of its own one-vector solve.
+    grid = (48, 35, 4.0 / 48, 6.0 / 35)  # odd nz: no Nyquist frequency
+    fourier = _solver._Fourier(grid)
+    rows = np.random.default_rng(k).standard_normal((k, 3 * 48 * 35))
+    one_by_one = np.array([vector_fourier_solve(fourier, r) for r in rows])
+    assert fourier.solve(rows.T).T.tobytes() == one_by_one.tobytes()
+    assert fourier.solve(np.asfortranarray(rows.T)).T.tobytes() == one_by_one.tobytes()
+    assert fourier.solve(rows[0]).tobytes() == one_by_one[0].tobytes()
+
+
 def test_g_is_a0_inverse_on_the_envelope_faces(both_blade_solvers):
     # G is gathered from one Fourier solve per face line; every 7th of its
     # columns against a column of one splu of A0.
@@ -756,3 +769,81 @@ def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
         assert envelope.T.shape == (envelope.V.size,) * 2
         direct = direct_solve(faces, dataclasses.replace(CAPACITANCE_CFG, penalization=K), r)
         assert np.abs(x - direct).max() <= 1e-8 * np.abs(direct).max()
+
+
+#: Blades of CAPACITANCE_GRID for a group: thin ones and the three thickest,
+#: which take the complement (m = 277-280 of |V| = 354).
+GROUP_BLADES = ((2.0, 2.0), (4.0, 4.0), (1.5, 1.5), (3.5, 4.0), (2.5, 3.0), (1.5, 4.0))
+
+
+@pytest.mark.parametrize("solver_tol", [1e-8, 1e-13])
+def test_group_gives_each_blade_the_bits_of_its_lone_solve(monkeypatch, solver_tol):
+    # Six grid blades of the 48x36 envelope solved as one group: each call
+    # returns the field bytes, residual, convergence and refinements of
+    # that blade solved alone.  At solver_tol 1e-13 the thick blades miss
+    # the tolerance (residuals near 1e-11) and are refined; the thin ones
+    # are not.  The first call solves the whole group in one set-up pass.
+    cfg = dataclasses.replace(CAPACITANCE_CFG, solver_tol=solver_tol)
+    envelope, table = _grid_envelope(CAPACITANCE_GRID, cfg)
+    blades = [table[AirfoilSpec(*fb)] for fb in GROUP_BLADES]
+    sub = _solver._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), envelope.tobytes())
+    assert isinstance(sub, _solver._Capacitance)
+    assert sum(_solver._takes_complement(faces.size, sub.V.size) for faces in blades) == 3
+    alone = [solve_stokes(None, cfg, envelope, faces) for faces in blades]
+
+    passes = []
+    solve_group = type(sub).solve_group
+
+    def counting(self, group, *args):
+        passes.append(len(group))
+        return solve_group(self, group, *args)
+
+    monkeypatch.setattr(type(sub), "solve_group", counting)
+    with stokes.solving_together(blades, cfg, envelope):
+        together = [solve_stokes(None, cfg, envelope, faces) for faces in blades]
+        assert stokes._group.fields == {}  # every field handed out
+    assert stokes._group is None
+    assert passes == [len(blades)]
+    for lone, field in zip(alone, together):
+        assert (field.converged, field.residual, field.refinements) == (
+            lone.converged,
+            lone.residual,
+            lone.refinements,
+        )
+        for name in ("u1", "u2", "p"):
+            assert getattr(field, name).tobytes() == getattr(lone, name).tobytes()
+    refined = [field.refinements > 0 for field in together]
+    assert refined == ([False, True, False, True, False, True] if solver_tol < 1e-8 else [False] * 6)
+    assert all(field.converged for field in together)
+
+
+def test_group_leaves_non_members_and_a_blade_outside_the_envelope_to_their_own_calls(monkeypatch):
+    # A blade outside the group, on another config or on another strip is
+    # solved alone; a member whose cells leave the envelope is left out of
+    # the pass and raises at its own call, as it does without a group.
+    cfg = CAPACITANCE_CFG
+    envelope, table = _grid_envelope(CAPACITANCE_GRID, cfg)
+    member, other = table[AirfoilSpec(2.0, 2.0)], table[AirfoilSpec(3.0, 2.0)]
+    shape = build_airfoil(AirfoilSpec(4.0, 4.0), 257)
+    outside = stokes._lone_faces(shape, cfg)
+    kept = stokes.solid_cells(member, cfg) | stokes.solid_cells(other, cfg)
+    narrow = envelope & ~(stokes.solid_cells(outside, cfg) & ~kept)
+    passes = []
+    solve_group = _solver._Capacitance.solve_group
+
+    def counting(self, group, *args):
+        passes.append(len(group))
+        return solve_group(self, group, *args)
+
+    monkeypatch.setattr(_solver._Capacitance, "solve_group", counting)
+    with stokes.solving_together([member, outside], cfg, narrow):
+        assert list(stokes._group.blades) == [member.tobytes()]
+        with pytest.raises(ValueError, match="outside the strip"):
+            solve_stokes(shape, cfg, narrow, outside)
+        solve_stokes(None, cfg, envelope, member)  # another strip
+        solve_stokes(None, dataclasses.replace(cfg, solver_tol=1e-9), narrow, member)  # another config
+        solve_stokes(None, cfg, narrow, other)  # not a member
+        assert passes == [1, 1, 1]
+        solve_stokes(None, cfg, narrow, member)
+        solve_stokes(None, cfg, narrow, member)  # handed out once: then solved alone
+    assert passes == [1, 1, 1, 1, 1]

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mesopt.grid import ParameterGrid
-from mesopt.objectives import StokesObjective
-from mesopt.reduction import OptimizerConfig, run_optimization
+from mesopt import _solver, objectives, reduction
+from mesopt.geometry import AirfoilSpec
+from mesopt.grid import ParameterGrid, make_neighborhood
+from mesopt.objectives import CountingObjective, StokesObjective
+from mesopt.reduction import OptimizerConfig, run_optimization, surrogate_sample_points
 from mesopt.stokes import ChannelConfig
 
 pytestmark = pytest.mark.slow
@@ -88,3 +90,111 @@ def test_reward_sawtooth_along_one_grid_line_is_pinned():
     steps = np.diff(rewards)
     assert rewards.size == 26
     assert int(np.sum(np.sign(steps[1:]) != np.sign(steps[:-1]))) == 14
+
+
+#: A 48x36 channel on the 26x26 grid: its envelope takes the capacitance path.
+GROUP_CHANNEL = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36, max_iters=3)
+GROUP_GRID = ParameterGrid(mins=(1.5, 1.5), maxs=(4.0, 4.0), steps=(0.1, 0.1))
+GROUP_START = (3.4, 2.5)
+
+
+def _recorded_run(monkeypatch, grouped: bool):
+    """A Stokes run with its solves, its evaluations, its cache and its group passes recorded.
+
+    Without ``grouped`` the backend is handed over as a plain callable,
+    which is offered no group.
+    """
+    calls = {"solves": [], "components": [], "passes": [], "caches": []}
+    solve, components = objectives.solve_stokes, CountingObjective.components
+    solve_group, cache_type = _solver._Capacitance.solve_group, reduction._EvalCache
+
+    def recording_solve(shape, channel, envelope=None, faces=None):
+        calls["solves"].append((shape.spec.f, shape.spec.b))
+        return solve(shape, channel, envelope=envelope, faces=faces)
+
+    def recording_components(self, theta):
+        calls["components"].append(tuple(theta))
+        return components(self, theta)
+
+    def recording_pass(self, blades, *args):
+        calls["passes"].append(len(blades))
+        return solve_group(self, blades, *args)
+
+    class RecordingCache(cache_type):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls["caches"].append(self)
+
+    monkeypatch.setattr(objectives, "solve_stokes", recording_solve)
+    monkeypatch.setattr(CountingObjective, "components", recording_components)
+    monkeypatch.setattr(_solver._Capacitance, "solve_group", recording_pass)
+    monkeypatch.setattr(reduction, "_EvalCache", RecordingCache)
+    backend = StokesObjective(GROUP_CHANNEL, grid=GROUP_GRID)
+    trace = run_optimization(
+        GROUP_GRID, GROUP_GRID.index_of(GROUP_START), backend if grouped else backend.__call__, OptimizerConfig()
+    )
+    return trace, backend, calls
+
+
+def test_grouped_run_evaluates_each_simulation_by_its_own_solve_and_components_call(monkeypatch):
+    # Cycle 0's center joins its corners' group, and each later cycle's new
+    # corners share one pass; every simulation is still one solve_stokes and
+    # one components call, in the order the cache learns its points.
+    trace, backend, calls = _recorded_run(monkeypatch, grouped=True)
+    (cache,) = calls["caches"]
+    known = [GROUP_GRID.theta(p) for p in cache.known]
+    assert trace.terminated_reason == "converged"
+    assert calls["solves"] == calls["components"] == known
+    assert len(known) == trace.total_simulations == backend.calls == sum(calls["passes"])
+    assert calls["passes"][0] == 1 + len(trace.cycles[0].sample_points)
+    assert max(calls["passes"]) > 1 and len(calls["passes"]) < len(known)
+
+    plain_trace, plain_backend, plain_calls = _recorded_run(monkeypatch, grouped=False)
+    assert plain_calls["passes"] == [1] * len(known)
+    assert plain_calls["solves"] == plain_calls["components"] == known
+    assert plain_trace.centers() == trace.centers()
+    assert [c.center_value for c in plain_trace.cycles] == [c.center_value for c in trace.cycles]
+    assert plain_backend.calls == backend.calls
+
+
+@pytest.mark.parametrize("damage", ["recoverable", "nan"])
+def test_a_group_member_that_misses_solver_tol_ends_the_run_as_it_does_alone(monkeypatch, damage):
+    # A stand-in spoils the set-up pass's field of one blade: cycle 0's first
+    # corner, the 2nd blade of its group.  A small error is refined away; a
+    # NaN fails the blade after max_iters refinements.  Either way the run
+    # must end as the same run whose backend is offered no group.
+    envelope, table = objectives._grid_envelope(GROUP_GRID, GROUP_CHANNEL)
+    start = GROUP_GRID.index_of(GROUP_START)
+    corner = surrogate_sample_points(make_neighborhood(GROUP_GRID, start, OptimizerConfig().initial_radii))[0]
+    target = table[AirfoilSpec(*GROUP_GRID.theta(corner), e=GROUP_CHANNEL.airfoil_e)]
+    solve_group, refinements = _solver._Capacitance.solve_group, []
+
+    def spoiling(self, blades, *args):
+        X = solve_group(self, blades, *args)
+        for x, faces in zip(X, blades):
+            if faces is target:
+                x[faces] = x[faces] * (1.0 + 1e-6) if damage == "recoverable" else np.nan
+        return X
+
+    solve = objectives.solve_stokes
+
+    def recording(shape, channel, envelope=None, faces=None):
+        field = solve(shape, channel, envelope=envelope, faces=faces)
+        refinements.append(field.refinements)
+        return field
+
+    monkeypatch.setattr(_solver._Capacitance, "solve_group", spoiling)
+    monkeypatch.setattr(objectives, "solve_stokes", recording)
+    runs = {}
+    for grouped in (True, False):
+        backend = StokesObjective(GROUP_CHANNEL, grid=GROUP_GRID)
+        refinements.clear()
+        trace = run_optimization(GROUP_GRID, start, backend if grouped else backend.__call__, OptimizerConfig())
+        runs[grouped] = (trace.terminated_reason, trace.error, trace.total_simulations, backend.calls)
+        assert refinements[0] == 0 and refinements[1] > 0
+    assert runs[True] == runs[False]
+    if damage == "nan":
+        message = f"FlowError: solve missed solver_tol 1e-08 after {GROUP_CHANNEL.max_iters} refinements (residual nan)"
+        assert runs[True] == ("error", message, 1, 2)
+    else:
+        assert runs[True][:2] == ("converged", None)
