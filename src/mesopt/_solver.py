@@ -3,19 +3,20 @@
 ``stokes.solve_stokes`` imports this module on its first solve, so a
 process that never solves a channel never loads scipy.  A set-up is the
 shape-free part of the direct solve; a blade adds one penalization K on its
-solid faces.  ``solve_group(blades, K, b, y)`` gives a group of blades,
-each given as its faces, their solves of b, and ``factor(faces, K)`` one
-blade's solver for its refinement passes.  One set-up is kept per grid
-(nx, nz, dx, dz) and strip, whatever the inflow, with its first solve of b
-per inflow.  ``_takes_capacitance`` picks one of two:
+solid faces.  Its one entry, ``solve(blades, K, r, y=None)``, solves r
+for blades given as their faces, one row per blade, factoring each blade
+on every call; y is the first solve of r when the caller already has it.
+One set-up is kept per grid (nx, nz, dx, dz) and strip, whatever the
+inflow, with its first solve of b per inflow.  ``_takes_capacitance``
+picks one of two:
 
 - ``_Capacitance`` solves on the whole channel.  The empty channel's
   operator A0 is circulant in z, so a DFT along z inverts it (``_Fourier``);
   the set-up keeps A0^-1 between the strip's velocity faces as a table over
   face lines and row shifts.  Each blade factors a dense capacitance matrix
   on its solid faces alone or, when it fills most of the strip, one on the
-  strip faces it leaves open.  A group factors its blades one at a time
-  and shares one Fourier solve.
+  strip faces it leaves open.  The blades of a solve are factored one at
+  a time and share one Fourier solve.
 - ``_Substructure`` factors the exterior, all cells outside the strip,
   with sparse LU, condenses it into a dense correction on the strip
   unknowns that touch it, and factors and solves each blade's strip with
@@ -288,43 +289,25 @@ class _Capacitance(_SetUp):
         lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
         return lambda w: la.lu_solve(lu_C, w, trans=1, check_finite=False)
 
-    def _correct(self, R: np.ndarray, blades: list, Z: list, K: float) -> np.ndarray:
-        """x = A0^-1 (r - e_F z), with x[F] = z / K, for each row r of R and its blade's F and z.
+    def solve(self, blades: list, K: float, r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """(A0 + K on each blade's faces)^-1 r, one row per blade; y = A0^-1 r if the caller has it.
 
-        The rows, overwritten, take one Fourier solve together.
+        Each blade factors its C (or T[N, N]) in turn and keeps only
+        z = C^-1 y[F], so one factor is alive at a time; the rows r - e_F z
+        then take one Fourier solve.
         """
-        for r, faces, z in zip(R, blades, Z):
-            r[faces] -= z
+        if y is None:
+            y = self.fourier.solve(r)
+        Z = [self._solve_C(faces, K)(y[faces]) for faces in blades]
+        R = np.tile(r, (len(blades), 1))
+        for row, faces, z in zip(R, blades, Z):
+            row[faces] -= z
         X = self.fourier.solve(R.T).T
         for x, faces, z in zip(X, blades, Z):
             # x_F = z / K exactly; recovering it by subtraction, as the
             # A0 solve gives it, loses about log10(K) digits.
             x[faces] = z / K
         return X
-
-    def solve_group(self, blades: list, K: float, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(A0 + K on each blade's faces)^-1 b, one row per blade, given y = A0^-1 b.
-
-        Each blade factors its C (or T[N, N]) in turn and keeps only
-        z = C^-1 y[F], so one factor is alive at a time; the rows b - e_F z
-        then take one Fourier solve.
-        """
-        Z = [self._solve_C(faces, K)(y[faces]) for faces in blades]
-        return self._correct(np.tile(b, (len(blades), 1)), blades, Z, K)
-
-    def factor(self, faces: np.ndarray, K: float):
-        """Solver for A0 plus K on the sorted solid ``faces``, all of them in V.
-
-        It takes r and, if the caller has it, y = A0^-1 r.
-        """
-        solve_C = self._solve_C(faces, K)
-
-        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-            if y is None:
-                y = self.fourier.solve(r)
-            return self._correct(r[None].copy(), [faces], [solve_C(y[faces])], K)[0]
-
-        return solve
 
 
 class _Substructure(_SetUp):
@@ -372,32 +355,23 @@ class _Substructure(_SetUp):
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
         return self.lu_E.solve(b[self.exterior])
 
-    def solve_group(self, blades: list, K: float, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(A0 + K on each blade's faces)^-1 b, one row per blade, given y = lu_E.solve(b[E]).
+    def solve(self, blades: list, K: float, r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """(A0 + K on each blade's faces)^-1 r, one row per blade; y = lu_E.solve(r[E]) if the caller has it.
 
-        Each blade factors and solves its strip in turn.
-        """
-        return np.array([self.factor(faces, K)(b, y) for faces in blades])
-
-    def factor(self, faces: np.ndarray, K: float):
-        """Solver for A0 plus K on the sorted solid ``faces``, all of them in the strip.
-
-        It takes r and, if the caller has it, y = lu_E.solve(r[E]).
+        Each blade factors and solves its strip in turn, so one factor is
+        alive at a time.
         """
         S, E = self.strip, self.exterior
-        d_S = np.zeros(S.size)
-        d_S[np.searchsorted(S, faces)] = K
-        solve_S = spla.splu((self.strip_base + sp.diags(d_S)).tocsc()).solve
-
-        def solve(r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-            if y is None:
-                y = self.lu_E.solve(r[E])
-            x = np.empty_like(r)
-            x[S] = solve_S(r[S] - self.A_SE @ y)
+        if y is None:
+            y = self.lu_E.solve(r[E])
+        r_S = r[S] - self.A_SE @ y
+        X = np.empty((len(blades), r.size))
+        for x, faces in zip(X, blades):
+            d_S = np.zeros(S.size)
+            d_S[np.searchsorted(S, faces)] = K
+            x[S] = spla.splu((self.strip_base + sp.diags(d_S)).tocsc()).solve(r_S)
             x[E] = y - self.lu_E.solve(self.A_ES @ x[S])
-            return x
-
-        return solve
+        return X
 
 
 @functools.lru_cache(maxsize=1)

@@ -33,7 +33,6 @@ from .stokes import (
     sample_line,
     solid_cells,
     solve_stokes,
-    solving_together,
 )
 
 __all__ = [
@@ -167,6 +166,7 @@ class StokesObjective(CountingObjective):
         super().__init__()
         self.channel = channel
         self.grid = grid
+        self._together = None  # the open group's faces, then fields, by the faces' bytes
 
     @contextlib.contextmanager
     def group(self, thetas):
@@ -174,7 +174,9 @@ class StokesObjective(CountingObjective):
 
         Each theta is still evaluated by its own ``components`` call, in
         the caller's order and with the same result as alone: the first
-        solve of one of them solves them all (``stokes.solving_together``).
+        solve of one of them solves them all, as the group ``solve_stokes``
+        takes as ``together``.  Every solve of the block is given the one
+        channel and grid envelope of this backend, as that group requires.
         Blades off the grid's face table, and every blade of a backend
         without a grid, are solved on their own calls.
         """
@@ -182,17 +184,20 @@ class StokesObjective(CountingObjective):
             yield
             return
         channel = self.channel
-        envelope, table = _grid_envelope(self.grid, channel)
-        blades = []
+        _, table = _grid_envelope(self.grid, channel)
+        together = {}
         for f, b in thetas:
             try:
                 faces = table.get(AirfoilSpec(f=f, b=b, e=channel.airfoil_e))
             except GeometryError:
                 continue
             if faces is not None:
-                blades.append(faces)
-        with solving_together(blades, channel, envelope):
+                together[faces.tobytes()] = faces
+        self._together = together
+        try:
             yield
+        finally:
+            self._together = None
 
     def _components(self, theta):
         f, b = theta
@@ -202,7 +207,7 @@ class StokesObjective(CountingObjective):
         if self.grid is not None:
             envelope, table = _grid_envelope(self.grid, channel)
             faces = table.get(shape.spec)
-        field = solve_stokes(shape, channel, envelope=envelope, faces=faces)
+        field = solve_stokes(shape, channel, envelope=envelope, faces=faces, together=self._together)
         if not field.converged:
             raise FlowError(
                 f"solve missed solver_tol {channel.solver_tol:g} after "

@@ -272,8 +272,9 @@ def run_optimization(
     A plain callable works.  Only a backend that accepts a group, through a
     ``group(thetas)`` context as ``StokesObjective`` has, is offered one:
     each cycle's new sample points (cycle 0's center with its corners), so
-    it may solve them together.  Each point is still evaluated by its own
-    call, in the same order either way.
+    it may solve them together; the backend holds that group for the block
+    alone.  Each point is still evaluated by its own call, in the same
+    order either way.
     """
     trace = OptimizationTrace()
     try:

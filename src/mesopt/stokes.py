@@ -31,19 +31,21 @@ visit, or by default the blade's own solid cells (none for the empty
 channel).  ``blade_faces`` runs the rule on blocks of blades at once; a
 caller that keeps a blade's faces from that pass hands them to the solve
 with the envelope the pass built, and the solve skips the rule.  Either
-way their cells (``solid_cells``) must lie in the strip.  Blades opened
-together (``solving_together``) share one pass of the set-up, made by the
-first solve of any of them; each is still returned by its own solve.  The
-set-ups that factor the system live in ``_solver``, the one module of the solver
-that runs on scipy; ``solve_stokes`` imports it on the first solve, so a
-process that never solves a channel never loads scipy.
+way their cells (``solid_cells``) must lie in the strip.  A caller that
+hands the solves one group of blades (``together``, a dict it owns) has
+them share one pass of the set-up, made by the first solve of any of
+them; each is still returned by its own solve.  A blade that misses
+``solver_tol`` is factored again on each refinement pass, which none of
+the shipped grids' blades needed.  The set-ups that factor the system live
+in ``_solver``, the one module of the solver that runs on scipy;
+``solve_stokes`` imports it on the first solve, so a process that never
+solves a channel never loads scipy.
 
 README's notes on the solver give the sizes and timings.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -58,7 +60,6 @@ __all__ = [
     "FlowField",
     "EvaluationProfile",
     "solve_stokes",
-    "solving_together",
     "blade_faces",
     "solid_cells",
     "sample_line",
@@ -316,56 +317,14 @@ def _check_inside(shape: AirfoilShape | None, cells: np.ndarray, envelope: np.nd
     """Raise ValueError when one of the blade's solid cells lies outside the strip."""
     outside = cells & ~envelope
     if outside.any():
-        blade = shape.spec if shape.spec is not None else f"with z extent {shape.z_extent()}"
+        if shape is None:
+            blade = "given by its faces"
+        else:
+            blade = shape.spec if shape.spec is not None else f"with z extent {shape.z_extent()}"
         raise ValueError(
             f"blade {blade} has {int(outside.sum())} solid cells outside the strip "
             "envelope it was solved with"
         )
-
-
-class _Group:
-    """Blades that ``solving_together`` opened: their faces until the first solve, then their fields.
-
-    The fields are keyed by the faces' bytes, and each is handed out once.
-    """
-
-    def __init__(self, blades: list[np.ndarray], config: ChannelConfig, strip: bytes):
-        self.config, self.strip = config, strip
-        self.blades = {faces.tobytes(): faces for faces in blades}
-        self.fields = None
-
-    def take(self, faces: np.ndarray, config: ChannelConfig, strip: bytes) -> FlowField | None:
-        """The field of a member, the whole group solved on the first call; None for a non-member."""
-        key = faces.tobytes()
-        if key not in self.blades or config != self.config or strip != self.strip:
-            return None
-        if self.fields is None:
-            self.fields = dict(zip(self.blades, _solve(list(self.blades.values()), config, strip)))
-        del self.blades[key]
-        return self.fields.pop(key)
-
-
-_group: _Group | None = None  # open only inside ``solving_together``
-
-
-@contextlib.contextmanager
-def solving_together(blades: Iterable[np.ndarray], config: ChannelConfig, envelope: np.ndarray):
-    """Within the block, the first ``solve_stokes`` of one of these blades solves them all.
-
-    ``blades`` are solid faces as ``blade_faces`` gives them, from the pass
-    that built ``envelope``.  Each blade's field is still returned by its
-    own ``solve_stokes`` call, with these config and envelope and its faces,
-    with the same bits as a solve of that blade alone; a blade whose cells
-    leave the envelope is left to its own call, which raises.  The fields
-    not yet handed out go with the block.
-    """
-    global _group
-    blades = [faces for faces in blades if not (solid_cells(faces, config) & ~envelope).any()]
-    outer, _group = _group, _Group(blades, config, envelope.tobytes())
-    try:
-        yield
-    finally:
-        _group = outer
 
 
 def solve_stokes(
@@ -373,6 +332,7 @@ def solve_stokes(
     config: ChannelConfig,
     envelope: np.ndarray | None = None,
     faces: np.ndarray | None = None,
+    together: dict[bytes, np.ndarray | FlowField] | None = None,
 ) -> FlowField:
     """Steady penalized Stokes solve; pass shape=None for the empty channel.
 
@@ -385,8 +345,14 @@ def solve_stokes(
     ``faces`` are the blade's solid faces as ``blade_faces`` gave them for
     this config, from the pass that built ``envelope``; the solve then takes
     them in place of the rule and its fit check, which that pass ran.
-    Either way the faces' cells must lie in the envelope.  A blade of an
-    open ``solving_together`` block is solved with the rest of its group.
+    Either way the faces' cells must lie in the envelope.
+
+    ``together`` is a group the caller owns: the faces of blades solved
+    with this config and envelope, keyed by their bytes.  A blade not in it
+    is solved alone.  The first call for a member solves every member still
+    pending whose cells lie in the envelope in one pass, and stores their
+    fields in place of their faces; each call then pops its own field,
+    which has the bits of a solve of that blade alone.
     """
     nx, nz = config.nx, config.nz
     if faces is None:
@@ -398,9 +364,18 @@ def solve_stokes(
     if envelope.shape != (nx, nz):
         raise ValueError(f"envelope of shape {envelope.shape} on a {nx}x{nz} grid")
     _check_inside(shape, cells, envelope)
-    strip = envelope.tobytes()
-    field = _group.take(faces, config, strip) if _group is not None else None
-    return field if field is not None else _solve([faces], config, strip)[0]
+    strip, key = envelope.tobytes(), faces.tobytes()
+    if together is None or key not in together:
+        return _solve([faces], config, strip)[0]
+    if isinstance(together[key], np.ndarray):
+        # The group's first call: every member still pending that fits the strip.
+        pending = {
+            k: v
+            for k, v in together.items()
+            if isinstance(v, np.ndarray) and not (solid_cells(v, config) & ~envelope).any()
+        }
+        together.update(zip(pending, _solve(list(pending.values()), config, strip)))
+    return together.pop(key)
 
 
 def _solve(blades: list[np.ndarray], config: ChannelConfig, strip: bytes) -> list[FlowField]:
@@ -408,24 +383,23 @@ def _solve(blades: list[np.ndarray], config: ChannelConfig, strip: bytes) -> lis
 
     The blades' first solves of b take one pass of the set-up, and one
     sparse product gives all their residuals.  A blade that misses
-    ``solver_tol`` is factored again for its refinement passes.
+    ``solver_tol`` is factored again on each refinement pass.
     """
     from . import _solver  # scipy loads on the first solve, not on import
 
     nx, nz, K = config.nx, config.nz, config.penalization
     sub = _solver._substructure((nx, nz, config.dx, config.dz), strip)
     b, y_b = sub.rhs(config)
-    X = sub.solve_group(blades, K, b, y_b)
+    X = sub.solve(blades, K, b, y_b)
     R = b - (sub.A @ X.T).T
     scale = max(float(np.abs(b).max()), 1e-300)
     fields = []
     for faces, x, r in zip(blades, X, R):
         r[faces] -= K * x[faces]
         residual = float(np.abs(r).max()) / scale
-        refinements, solve = 0, None
+        refinements = 0
         while not residual <= config.solver_tol and refinements < config.max_iters:
-            solve = solve or sub.factor(faces, K)
-            x = x + solve(r)
+            x = x + sub.solve([faces], K, r)[0]
             r = b - sub.A @ x
             r[faces] -= K * x[faces]
             residual = float(np.abs(r).max()) / scale

@@ -78,21 +78,6 @@ def _band_failed(info: int) -> np.linalg.LinAlgError:
     return np.linalg.LinAlgError(f"band solve failed (LAPACK dgbsv info {info})")
 
 
-def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for A with k sub- and k super-diagonals (LAPACK ``dgbsv``).
-
-    ``band`` is A in LAPACK band storage, shape (3k + 1, n): entry (i, j)
-    sits at row 2k + i - j, and the first k rows are room for the fill-in
-    of partial pivoting; it is overwritten.  A singular A raises
-    ``np.linalg.LinAlgError``.  This is one solve of the fixed point's
-    loop on its own, the form the tests' band oracles call.
-    """
-    _, _, x, info = _lapack_dgbsv()(k, k, band, rhs, overwrite_ab=1)
-    if info != 0:
-        raise _band_failed(info)
-    return x
-
-
 #: Steps run between two convergence tests.  A test takes the sup-norm
 #: changes of a whole block of iterates in one array pass, and a call that
 #: converges mid-block throws away at most ``_BLOCK - 1`` steps.

@@ -4,11 +4,12 @@ Each is a slow or dense form of something the program computes another
 way: the m x m Metropolis kernel of a box and its truncated discounted
 power sum, the kernel and the hitting-time walk taken one row at a time,
 the fixed-point step as a dense solve and as the dense-weight band step
-the move plan replaced, the fixed-point loop that tested convergence after
-every step, a generator stand-in with dyadic draws, and the
-local argmins of a 1-d table.  ``mc_value_estimate`` checks the value
-layer by Monte Carlo: its walks sample the rows of the box's move plan,
-and ``oracle_mc_estimate`` drives the same walks from the dense kernel.
+the move plan replaced, one band solve of that step on its own, the
+fixed-point loop that tested convergence after every step, a generator
+stand-in with dyadic draws, and the local argmins of a 1-d table.
+``mc_value_estimate`` checks the value layer by Monte Carlo: its walks
+sample the rows of the box's move plan, and ``oracle_mc_estimate`` drives
+the same walks from the dense kernel.
 The column strip is a Stokes strip far wider than any blade's own, the
 penalized system is the whole channel's matrix for one sparse LU, the
 dense G is the capacitance set-up's A0^-1 on its strip faces, scattered
@@ -29,7 +30,22 @@ from mesopt._solver import _matrix
 from mesopt.grid import ActionSet, Neighborhood
 from mesopt.metropolis import _box_plan, _minus_betas
 from mesopt.stokes import _chord_coordinate, _face_x
-from mesopt.value import _band_failed, _band_solve, _box_values, _lapack_dgbsv
+from mesopt.value import _band_failed, _box_values, _lapack_dgbsv
+
+
+def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for A with k sub- and k super-diagonals (LAPACK ``dgbsv``).
+
+    ``band`` is A in LAPACK band storage, shape (3k + 1, n): entry (i, j)
+    sits at row 2k + i - j, and the first k rows are room for the fill-in
+    of partial pivoting; it is overwritten.  A singular A raises
+    ``np.linalg.LinAlgError``, as the fixed point's loop does.  This is one
+    solve of that loop on its own, the form the band oracles call.
+    """
+    _, _, x, info = _lapack_dgbsv()(k, k, band, rhs, overwrite_ab=1)
+    if info != 0:
+        raise _band_failed(info)
+    return x
 
 
 def _move_weights(v: np.ndarray, plan, beta: float) -> np.ndarray:

@@ -138,7 +138,7 @@ def test_unconverged_or_non_finite_solve_raises(monkeypatch):
     with pytest.raises(FlowError, match="solver_tol"):
         strict((2.0, 2.0))
 
-    def nan_solve(shape, channel, envelope=None, faces=None):
+    def nan_solve(shape, channel, envelope=None, faces=None, together=None):
         u1 = np.ones((channel.nx + 1, channel.nz))
         u1[-1, 0] = np.nan
         rest = np.ones((channel.nx, channel.nz))
@@ -169,6 +169,32 @@ def test_capacitance_solve_that_fails_raises(monkeypatch):
     monkeypatch.setattr(_solver.la, "lu_solve", lambda lu, b, **kw: np.full_like(b, np.nan))
     with pytest.raises(FlowError, match="residual nan"):
         StokesObjective(channel, grid=grid)((2.1, 2.1))
+
+
+def test_backend_lets_its_group_go_after_the_block_also_when_a_solve_fails():
+    # The backend holds a group only inside ``group``: after a block that
+    # ends as usual, and after one that a member's FlowError ends while
+    # the other member's field still waits in the group.
+    from mesopt.stokes import ChannelConfig, FlowError
+
+    grid = ParameterGrid((2.0, 2.0), (2.2, 2.2), (0.1, 0.1))
+    channel = ChannelConfig(Lx=4.0, Lz=6.0, nx=48, nz=36)
+    thetas = [(2.0, 2.0), (2.1, 2.1)]
+    backend = StokesObjective(channel, grid=grid)
+    assert backend._together is None
+    with backend.group(thetas):
+        assert len(backend._together) == 2
+        backend(thetas[0])
+        assert len(backend._together) == 1
+    assert backend._together is None
+
+    strict = StokesObjective(dataclasses.replace(channel, solver_tol=1e-300, max_iters=1), grid=grid)
+    with pytest.raises(FlowError, match="solver_tol"), strict.group(thetas):
+        try:
+            strict(thetas[0])
+        finally:
+            assert len(strict._together) == 1
+    assert strict._together is None
 
 
 def test_backends_of_equal_configs_share_one_setup():

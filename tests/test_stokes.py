@@ -705,7 +705,7 @@ def test_property_capacitance_and_strip_lu_solves_agree(both_blade_solvers, i, j
     direct = spla.splu(A).solve(r)
     scale = np.abs(direct).max()
     K = cfg.penalization
-    capacitance, strip_lu = envelope.factor(faces, K)(r), columns.factor(faces, K)(r)
+    capacitance, strip_lu = envelope.solve([faces], K, r)[0], columns.solve([faces], K, r)[0]
     # The residual weighs the solid faces by K: recovering x_F by
     # subtraction instead of as z / K leaves about 1e-6 here.
     for x in (capacitance, strip_lu, direct):
@@ -722,9 +722,9 @@ def test_capacitance_solve_without_y_makes_its_own_first_solve(both_blade_solver
     cfg = CAPACITANCE_CFG
     faces = stokes._lone_faces(build_airfoil(AirfoilSpec(2.0, 2.0), 257), cfg)
     r = np.random.default_rng(5).standard_normal(envelope.A.shape[0])
-    solve = envelope.factor(faces, cfg.penalization)
-    refined = solve(r)
-    np.testing.assert_array_equal(refined, solve(r, envelope.fourier.solve(r)))
+    K = cfg.penalization
+    refined = envelope.solve([faces], K, r)[0]
+    np.testing.assert_array_equal(refined, envelope.solve([faces], K, r, envelope.fourier.solve(r))[0])
     direct = direct_solve(faces, cfg, r)
     assert np.abs(refined - direct).max() <= 1e-8 * np.abs(direct).max()
 
@@ -734,8 +734,8 @@ def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_so
     r = np.random.default_rng(3).standard_normal(envelope.A.shape[0])
     direct = spla.splu(envelope.A).solve(r)
     for sub in (envelope, columns):
-        solve = sub.factor(np.empty(0, dtype=int), CAPACITANCE_CFG.penalization)
-        assert np.abs(solve(r) - direct).max() <= 1e-10 * np.abs(direct).max()
+        x = sub.solve([np.empty(0, dtype=int)], CAPACITANCE_CFG.penalization, r)[0]
+        assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_thick_blade_on_its_own_cells_builds_no_inverse():
@@ -764,7 +764,7 @@ def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
     assert _solver._takes_complement(faces.size, envelope.V.size)
     r = np.random.default_rng(7).standard_normal(envelope.A.shape[0])
     for K in (1e6, 1e5, 1e6):
-        x = envelope.factor(faces, K)(r)
+        x = envelope.solve([faces], K, r)[0]
         assert envelope.T_penalization == K
         assert envelope.T.shape == (envelope.V.size,) * 2
         direct = direct_solve(faces, dataclasses.replace(CAPACITANCE_CFG, penalization=K), r)
@@ -774,6 +774,31 @@ def test_inverse_is_rebuilt_for_each_penalization(both_blade_solvers):
 #: Blades of CAPACITANCE_GRID for a group: thin ones and the three thickest,
 #: which take the complement (m = 277-280 of |V| = 354).
 GROUP_BLADES = ((2.0, 2.0), (4.0, 4.0), (1.5, 1.5), (3.5, 4.0), (2.5, 3.0), (1.5, 4.0))
+
+
+def _counting_passes(monkeypatch, sub) -> list[int]:
+    """The blade count of each set-up pass of ``sub``'s type from here on.
+
+    A set-up pass is a solve given y; refinement passes make their own.
+    """
+    passes, solve = [], type(sub).solve
+
+    def counting(self, blades, K, r, y=None):
+        if y is not None:
+            passes.append(len(blades))
+        return solve(self, blades, K, r, y)
+
+    monkeypatch.setattr(type(sub), "solve", counting)
+    return passes
+
+
+def _same_field(field, lone) -> bool:
+    """Whether two fields have the same bytes, residual, convergence and refinements."""
+    return (field.converged, field.residual, field.refinements) == (
+        lone.converged,
+        lone.residual,
+        lone.refinements,
+    ) and all(getattr(field, name).tobytes() == getattr(lone, name).tobytes() for name in ("u1", "u2", "p"))
 
 
 @pytest.mark.parametrize("solver_tol", [1e-8, 1e-13])
@@ -791,36 +816,23 @@ def test_group_gives_each_blade_the_bits_of_its_lone_solve(monkeypatch, solver_t
     assert sum(_solver._takes_complement(faces.size, sub.V.size) for faces in blades) == 3
     alone = [solve_stokes(None, cfg, envelope, faces) for faces in blades]
 
-    passes = []
-    solve_group = type(sub).solve_group
-
-    def counting(self, group, *args):
-        passes.append(len(group))
-        return solve_group(self, group, *args)
-
-    monkeypatch.setattr(type(sub), "solve_group", counting)
-    with stokes.solving_together(blades, cfg, envelope):
-        together = [solve_stokes(None, cfg, envelope, faces) for faces in blades]
-        assert stokes._group.fields == {}  # every field handed out
-    assert stokes._group is None
+    passes = _counting_passes(monkeypatch, sub)
+    together = {faces.tobytes(): faces for faces in blades}
+    grouped = [solve_stokes(None, cfg, envelope, faces, together) for faces in blades]
+    assert together == {}  # every field handed out
     assert passes == [len(blades)]
-    for lone, field in zip(alone, together):
-        assert (field.converged, field.residual, field.refinements) == (
-            lone.converged,
-            lone.residual,
-            lone.refinements,
-        )
-        for name in ("u1", "u2", "p"):
-            assert getattr(field, name).tobytes() == getattr(lone, name).tobytes()
-    refined = [field.refinements > 0 for field in together]
+    assert all(_same_field(field, lone) for field, lone in zip(grouped, alone))
+    refined = [field.refinements > 0 for field in grouped]
     assert refined == ([False, True, False, True, False, True] if solver_tol < 1e-8 else [False] * 6)
-    assert all(field.converged for field in together)
+    assert all(field.converged for field in grouped)
 
 
-def test_group_leaves_non_members_and_a_blade_outside_the_envelope_to_their_own_calls(monkeypatch):
-    # A blade outside the group, on another config or on another strip is
-    # solved alone; a member whose cells leave the envelope is left out of
-    # the pass and raises at its own call, as it does without a group.
+def _group_blades():
+    """The 48x36 envelope's set-up, two of its blades and the (4, 4) blade with a strip it leaves.
+
+    The narrow strip is the envelope without the (4, 4) blade's cells that
+    neither of the two holds.
+    """
     cfg = CAPACITANCE_CFG
     envelope, table = _grid_envelope(CAPACITANCE_GRID, cfg)
     member, other = table[AirfoilSpec(2.0, 2.0)], table[AirfoilSpec(3.0, 2.0)]
@@ -828,22 +840,56 @@ def test_group_leaves_non_members_and_a_blade_outside_the_envelope_to_their_own_
     outside = stokes._lone_faces(shape, cfg)
     kept = stokes.solid_cells(member, cfg) | stokes.solid_cells(other, cfg)
     narrow = envelope & ~(stokes.solid_cells(outside, cfg) & ~kept)
-    passes = []
-    solve_group = _solver._Capacitance.solve_group
+    sub = _solver._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), envelope.tobytes())
+    return sub, envelope, member, other, shape, outside, narrow
 
-    def counting(self, group, *args):
-        passes.append(len(group))
-        return solve_group(self, group, *args)
 
-    monkeypatch.setattr(_solver._Capacitance, "solve_group", counting)
-    with stokes.solving_together([member, outside], cfg, narrow):
-        assert list(stokes._group.blades) == [member.tobytes()]
-        with pytest.raises(ValueError, match="outside the strip"):
-            solve_stokes(shape, cfg, narrow, outside)
-        solve_stokes(None, cfg, envelope, member)  # another strip
-        solve_stokes(None, dataclasses.replace(cfg, solver_tol=1e-9), narrow, member)  # another config
-        solve_stokes(None, cfg, narrow, other)  # not a member
-        assert passes == [1, 1, 1]
-        solve_stokes(None, cfg, narrow, member)
-        solve_stokes(None, cfg, narrow, member)  # handed out once: then solved alone
-    assert passes == [1, 1, 1, 1, 1]
+def test_a_blade_not_in_the_group_is_solved_alone_and_leaves_the_group_as_it_is(monkeypatch):
+    cfg = CAPACITANCE_CFG
+    sub, envelope, member, other, *_ = _group_blades()
+    alone = solve_stokes(None, cfg, envelope, other)
+    passes = _counting_passes(monkeypatch, sub)
+    together = {member.tobytes(): member}
+    assert _same_field(solve_stokes(None, cfg, envelope, other, together), alone)
+    assert passes == [1]
+    assert list(together) == [member.tobytes()] and together[member.tobytes()] is member
+
+
+def test_each_member_is_handed_out_once_and_then_solved_alone(monkeypatch):
+    cfg = CAPACITANCE_CFG
+    sub, envelope, member, other, *_ = _group_blades()
+    passes = _counting_passes(monkeypatch, sub)
+    together = {member.tobytes(): member, other.tobytes(): other}
+    solve_stokes(None, cfg, envelope, other, together)
+    assert passes == [2]
+    assert list(together) == [member.tobytes()]  # its field, waiting for its call
+    assert isinstance(together[member.tobytes()], stokes.FlowField)
+    handed = solve_stokes(None, cfg, envelope, member, together)
+    assert together == {} and passes == [2]
+    again = solve_stokes(None, cfg, envelope, member, together)
+    assert together == {} and passes == [2, 1]
+    assert _same_field(again, handed)
+
+
+def test_a_member_outside_the_envelope_is_left_out_of_the_pass_and_raises_at_its_own_call(monkeypatch):
+    cfg = CAPACITANCE_CFG
+    _, _, member, _, shape, outside, narrow = _group_blades()
+    together = {outside.tobytes(): outside, member.tobytes(): member}
+    with pytest.raises(ValueError, match="outside the strip"):
+        solve_stokes(shape, cfg, narrow, outside, together)
+    sub = _solver._substructure((cfg.nx, cfg.nz, cfg.dx, cfg.dz), narrow.tobytes())
+    passes = _counting_passes(monkeypatch, sub)
+    solve_stokes(None, cfg, narrow, member, together)
+    assert passes == [1]
+    assert list(together) == [outside.tobytes()] and together[outside.tobytes()] is outside
+    with pytest.raises(ValueError, match="outside the strip"):
+        solve_stokes(None, cfg, narrow, outside, together)
+    assert passes == [1]
+
+
+def test_faces_outside_the_envelope_raise_value_error_without_a_shape():
+    # The message names a blade given without its shape by its faces.
+    cfg = CAPACITANCE_CFG
+    *_, outside, narrow = _group_blades()
+    with pytest.raises(ValueError, match="blade given by its faces has [0-9]+ solid cells outside the strip"):
+        solve_stokes(None, cfg, narrow, outside)

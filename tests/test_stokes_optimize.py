@@ -56,8 +56,8 @@ def test_shipped_config_path_solves_need_no_refinement(tmp_path, monkeypatch):
 
     solve, solves = objectives.solve_stokes, []
 
-    def recording(shape, channel, envelope=None, faces=None):
-        field = solve(shape, channel, envelope=envelope, faces=faces)
+    def recording(shape, channel, envelope=None, faces=None, together=None):
+        field = solve(shape, channel, envelope=envelope, faces=faces, together=together)
         solves.append((envelope is not None, faces is not None, field.refinements))
         return field
 
@@ -106,19 +106,20 @@ def _recorded_run(monkeypatch, grouped: bool):
     """
     calls = {"solves": [], "components": [], "passes": [], "caches": []}
     solve, components = objectives.solve_stokes, CountingObjective.components
-    solve_group, cache_type = _solver._Capacitance.solve_group, reduction._EvalCache
+    solve_blades, cache_type = _solver._Capacitance.solve, reduction._EvalCache
 
-    def recording_solve(shape, channel, envelope=None, faces=None):
+    def recording_solve(shape, channel, envelope=None, faces=None, together=None):
         calls["solves"].append((shape.spec.f, shape.spec.b))
-        return solve(shape, channel, envelope=envelope, faces=faces)
+        return solve(shape, channel, envelope=envelope, faces=faces, together=together)
 
     def recording_components(self, theta):
         calls["components"].append(tuple(theta))
         return components(self, theta)
 
-    def recording_pass(self, blades, *args):
-        calls["passes"].append(len(blades))
-        return solve_group(self, blades, *args)
+    def recording_pass(self, blades, K, r, y=None):
+        if y is not None:  # a set-up pass; refinement passes make their own y
+            calls["passes"].append(len(blades))
+        return solve_blades(self, blades, K, r, y)
 
     class RecordingCache(cache_type):
         def __init__(self, *args):
@@ -127,7 +128,7 @@ def _recorded_run(monkeypatch, grouped: bool):
 
     monkeypatch.setattr(objectives, "solve_stokes", recording_solve)
     monkeypatch.setattr(CountingObjective, "components", recording_components)
-    monkeypatch.setattr(_solver._Capacitance, "solve_group", recording_pass)
+    monkeypatch.setattr(_solver._Capacitance, "solve", recording_pass)
     monkeypatch.setattr(reduction, "_EvalCache", RecordingCache)
     backend = StokesObjective(GROUP_CHANNEL, grid=GROUP_GRID)
     trace = run_optimization(
@@ -167,10 +168,12 @@ def test_a_group_member_that_misses_solver_tol_ends_the_run_as_it_does_alone(mon
     start = GROUP_GRID.index_of(GROUP_START)
     corner = surrogate_sample_points(make_neighborhood(GROUP_GRID, start, OptimizerConfig().initial_radii))[0]
     target = table[AirfoilSpec(*GROUP_GRID.theta(corner), e=GROUP_CHANNEL.airfoil_e)]
-    solve_group, refinements = _solver._Capacitance.solve_group, []
+    solve_blades, refinements = _solver._Capacitance.solve, []
 
-    def spoiling(self, blades, *args):
-        X = solve_group(self, blades, *args)
+    def spoiling(self, blades, K, r, y=None):
+        X = solve_blades(self, blades, K, r, y)
+        if y is None:  # a refinement pass
+            return X
         for x, faces in zip(X, blades):
             if faces is target:
                 x[faces] = x[faces] * (1.0 + 1e-6) if damage == "recoverable" else np.nan
@@ -178,12 +181,12 @@ def test_a_group_member_that_misses_solver_tol_ends_the_run_as_it_does_alone(mon
 
     solve = objectives.solve_stokes
 
-    def recording(shape, channel, envelope=None, faces=None):
-        field = solve(shape, channel, envelope=envelope, faces=faces)
+    def recording(shape, channel, envelope=None, faces=None, together=None):
+        field = solve(shape, channel, envelope=envelope, faces=faces, together=together)
         refinements.append(field.refinements)
         return field
 
-    monkeypatch.setattr(_solver._Capacitance, "solve_group", spoiling)
+    monkeypatch.setattr(_solver._Capacitance, "solve", spoiling)
     monkeypatch.setattr(objectives, "solve_stokes", recording)
     runs = {}
     for grouped in (True, False):

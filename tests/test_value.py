@@ -18,12 +18,12 @@ from mesopt.value import (
     _BLOCK,
     CoolingSchedule,
     ValueTable,
-    _band_solve,
     argmin_value,
     fixed_point_iterates,
     value_fixed_point,
 )
 from oracles import (
+    _band_solve,
     _DyadicGenerator,
     _local_argmins,
     dense_step,
