@@ -252,8 +252,8 @@ class _Capacitance(_SetUp):
             self.T_penalization = K
         return self.T
 
-    def _complement(self, F: np.ndarray, K: float):
-        """Solve with C through T and N, the faces of V the blade leaves open.
+    def _complement(self, F: np.ndarray, K: float, w: np.ndarray) -> np.ndarray:
+        """C^-1 w through T and N, the faces of V the blade leaves open.
 
         With u = T[:, F] w and s = T[N, N]^-1 u[N], C^-1 w = u[F] - T[F, N] s.
         """
@@ -261,33 +261,29 @@ class _Capacitance(_SetUp):
         N = np.setdiff1d(np.arange(self.V.size), F, assume_unique=True)
         T_N = T[:, N]  # whole columns of the Fortran-ordered T
         lu_N = la.lu_factor(T_N[N].T, overwrite_a=True, check_finite=False)
+        v = np.zeros(self.V.size)
+        v[F] = w
+        u = T @ v
+        s = la.lu_solve(lu_N, u[N], trans=1, check_finite=False)
+        return (u - T_N @ s)[F]
 
-        def solve_C(w: np.ndarray) -> np.ndarray:
-            v = np.zeros(self.V.size)
-            v[F] = w
-            u = T @ v
-            s = la.lu_solve(lu_N, u[N], trans=1, check_finite=False)
-            return (u - T_N @ s)[F]
-
-        return solve_C
-
-    def _solve_C(self, faces: np.ndarray, K: float):
-        """The capacitance solve w -> C^-1 w of A0 plus K on the sorted solid ``faces``."""
+    def _solve_C(self, faces: np.ndarray, K: float, w: np.ndarray) -> np.ndarray:
+        """C^-1 w, for C the capacitance matrix of A0 plus K on the sorted solid ``faces``."""
         if faces.size == 0:
-            return lambda w: w
+            return w
         F = np.searchsorted(self.V, faces)
         # Faces k and k + cells of V share a cell; a blade that leaves no
         # cell of the strip open is solved on its own cells.
         cells = self.V.size // 2
         if _takes_complement(F.size, self.V.size) and np.unique(F % cells).size < cells:
-            return self._complement(F, K)
+            return self._complement(F, K, w)
         C = self.g(F, F)
         C[np.diag_indices_from(C)] += 1.0 / K
         # C.T is Fortran-ordered, so LAPACK factors it in place; trans=1
         # then solves with C itself.  Unchecked, a non-finite value
         # reaches the residual and the solve reports no convergence.
         lu_C = la.lu_factor(C.T, overwrite_a=True, check_finite=False)
-        return lambda w: la.lu_solve(lu_C, w, trans=1, check_finite=False)
+        return la.lu_solve(lu_C, w, trans=1, check_finite=False)
 
     def solve(self, blades: list, K: float, r: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         """(A0 + K on each blade's faces)^-1 r, one row per blade; y = A0^-1 r if the caller has it.
@@ -298,7 +294,7 @@ class _Capacitance(_SetUp):
         """
         if y is None:
             y = self.fourier.solve(r)
-        Z = [self._solve_C(faces, K)(y[faces]) for faces in blades]
+        Z = [self._solve_C(faces, K, y[faces]) for faces in blades]
         R = np.tile(r, (len(blades), 1))
         for row, faces, z in zip(R, blades, Z):
             row[faces] -= z

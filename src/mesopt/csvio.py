@@ -25,12 +25,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
+def write_csv(path: Path, header: list[str], rows, comment: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as fh:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        fh.write(f"# {comment or 'mesopt'} generated={stamp}\n")
+        fh.write(f"# {comment} generated={stamp}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell(v) for v in row) + "\n")

@@ -163,11 +163,6 @@ class Neighborhood:
     def size(self) -> int:
         return math.prod(b - a + 1 for a, b in zip(self.lo, self.hi))
 
-    @property
-    def nominal_size(self) -> int:
-        """Member count the radii would give without boundary clipping."""
-        return math.prod(2 * r + 1 for r in self.radii)
-
     def contains(self, point: GridPoint) -> bool:
         return all(a <= i <= b for i, a, b in zip(point, self.lo, self.hi))
 

@@ -18,6 +18,8 @@ axis line says nothing about the remaining directions).
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -118,15 +120,12 @@ def surrogate_sample_points(neighborhood: Neighborhood) -> tuple[GridPoint, ...]
     coincides with the center drops that corner.
     """
     lo, hi, center = neighborhood.lo, neighborhood.hi, neighborhood.center
-    extents = [(a, b) for a, b in zip(lo, hi)]
-    wide_dims = [i for i, (a, b) in enumerate(extents) if a != b]
+    wide_dims = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
     if not wide_dims:
         raise GridError("neighborhood has a single member; nothing to sample")
 
-    corners = []
-    for choice in _corner_choices(extents):
-        if choice != center:
-            corners.append(choice)
+    ends = [(a,) if a == b else (a, b) for a, b in zip(lo, hi)]
+    corners = [p for p in itertools.product(*ends) if p != center]
 
     if len(wide_dims) == 1:
         dim = wide_dims[0]
@@ -138,16 +137,10 @@ def surrogate_sample_points(neighborhood: Neighborhood) -> tuple[GridPoint, ...]
     return tuple(sorted(corners))
 
 
-def _corner_choices(extents):
-    out = [()]
-    for a, b in extents:
-        vals = (a,) if a == b else (a, b)
-        out = [c + (v,) for c in out for v in vals]
-    return out
-
-
 def _interior_midpoint(lo: int, hi: int, center: int) -> int | None:
-    # Midpoint of the longer half-line, nudged off the center/endpoints.
+    # The lower half's midpoint unless it is an endpoint or the center, else
+    # the upper half's (rounded up) by the same test; which half is longer
+    # plays no part.
     for candidate in ((lo + center) // 2, (center + hi + 1) // 2):
         if candidate not in (lo, hi, center):
             return candidate
@@ -184,23 +177,20 @@ def stability_check(
     return tuple(flags)
 
 
-def resize_neighborhood(
-    old: Neighborhood, stable: tuple[bool, ...], nominal_size: int | None = None
-) -> tuple[int, ...]:
+def resize_neighborhood(old: Neighborhood, stable: tuple[bool, ...], nominal_size: int) -> tuple[int, ...]:
     """New radii: zero along stable dimensions, expanded along the rest.
 
     Active dimensions share the largest equal radius whose box does not
-    exceed ``nominal_size`` members (the previous box's nominal count by
-    default); each radius is additionally capped at the largest useful
-    distance to a grid bound, so fully clipped boxes report tight radii.
+    exceed ``nominal_size`` members; each radius is additionally capped at
+    the largest useful distance to a grid bound, so fully clipped boxes
+    report tight radii.
     """
     if all(stable):
         raise ValueError("cannot resize with every dimension stable")
-    target = nominal_size if nominal_size is not None else old.nominal_size
     n_active = sum(1 for s in stable if not s)
-    per_dim = int(target ** (1.0 / n_active))
+    per_dim = int(nominal_size ** (1.0 / n_active))
     radius = max(0, (per_dim - 1) // 2)
-    while (2 * (radius + 1) + 1) ** n_active <= target:
+    while (2 * (radius + 1) + 1) ** n_active <= nominal_size:
         radius += 1
 
     shape = old.grid.shape
@@ -228,37 +218,6 @@ def terminate_check(trace: "OptimizationTrace") -> bool:
     return last.argmin == last.center and not last.frozen_dims
 
 
-class _EvalCache:
-    """Ground-truth memoization; simulations = backend misses."""
-
-    def __init__(self, grid: ParameterGrid, backend):
-        self.grid = grid
-        self.backend = backend
-        self.known: dict[GridPoint, float] = {}
-        self.misses_this_cycle = 0
-
-    def value(self, point: GridPoint) -> float:
-        if point not in self.known:
-            self.known[point] = float(self.backend(self.grid.theta(point)))
-            self.misses_this_cycle += 1
-        return self.known[point]
-
-    def values(self, points: tuple[GridPoint, ...]) -> list[float]:
-        """``value`` of each point in order, the new ones offered to the backend as one group first.
-
-        A backend accepts a group through ``group(thetas)``, a context in
-        which it may evaluate them together; each still costs its own call.
-        """
-        group = getattr(self.backend, "group", None)
-        if group is None:
-            return [self.value(p) for p in points]
-        with group([self.grid.theta(p) for p in points if p not in self.known]):
-            return [self.value(p) for p in points]
-
-    def start_cycle(self) -> None:
-        self.misses_this_cycle = 0
-
-
 def run_optimization(
     grid: ParameterGrid,
     theta0: GridPoint,
@@ -267,43 +226,45 @@ def run_optimization(
 ) -> OptimizationTrace:
     """Run the full mesoscopic loop from a starting grid point.
 
-    ``backend`` maps a physical parameter tuple to the scalar objective; its
-    evaluations are cached per run so re-visited points are never re-paid.
-    A plain callable works.  Only a backend that accepts a group, through a
-    ``group(thetas)`` context as ``StokesObjective`` has, is offered one:
-    each cycle's new sample points (cycle 0's center with its corners), so
+    ``backend`` maps a physical parameter tuple to the scalar objective.
+    The run keeps its ground truth in one dict, ``known``, in the order it
+    learns the points: a re-visited point is never re-paid, and the run's
+    simulations are the dict's size.  A plain callable works.  A backend
+    with a ``group(thetas)`` context, as ``StokesObjective`` has, is offered
+    each cycle's new sample points (cycle 0's center with its corners) so
     it may solve them together; the backend holds that group for the block
     alone.  Each point is still evaluated by its own call, in the same
-    order either way.
+    order either way.  An off-grid start or radii of the wrong length end
+    the run as a ``GridError`` before any evaluation.
     """
     trace = OptimizationTrace()
-    try:
-        center = grid.require(theta0)
-    except GridError as exc:
-        trace.error = str(exc)
-        return trace
-    if len(config.initial_radii) != grid.d:
-        trace.error = f"initial_radii {config.initial_radii} do not match grid dimension {grid.d}"
-        return trace
+    known: dict[GridPoint, float] = {}
 
-    cache = _EvalCache(grid, backend)
+    def value(point: GridPoint) -> float:
+        if point not in known:
+            known[point] = float(backend(grid.theta(point)))
+        return known[point]
+
+    group = getattr(backend, "group", contextlib.nullcontext)
     nominal_size = math.prod(2 * r + 1 for r in config.initial_radii)
     radii = tuple(config.initial_radii)
     actions = ActionSet(grid.d)  # cycle 0 allows every coordinate to change
 
     try:
+        center = grid.require(theta0)
         for n in range(config.max_cycles):
-            cache.start_cycle()
+            known_before = len(known)
             neighborhood = make_neighborhood(grid, center, radii)
             samples = surrogate_sample_points(neighborhood)
             # Cycle 0's center is new too, so it joins its corners' group.
-            center_value, *values = cache.values((center, *samples))
+            with group([grid.theta(p) for p in (center, *samples) if p not in known]):
+                center_value, *values = [value(p) for p in (center, *samples)]
             sample_pairs = [(grid.theta(p), v) for p, v in zip(samples, values)]
             # Earlier ground truths inside the box refine the fit for free;
             # the accumulated set keeps the quadratic from aliasing its
             # curvature between dimensions once the path starts revisiting.
             sampled = {center, *samples}
-            for p, v in cache.known.items():
+            for p, v in known.items():
                 if p not in sampled and neighborhood.contains(p):
                     sample_pairs.append((grid.theta(p), v))
             surrogate = fit_surrogate(grid.theta(center), center_value, sample_pairs)
@@ -313,7 +274,7 @@ def run_optimization(
                 rhat, neighborhood, actions, config.gamma, config.cooling, config.tol_v, config.max_j
             )
             new_center = argmin_value(table)
-            true_at_argmin = cache.value(new_center)
+            true_at_argmin = value(new_center)
 
             record = CycleRecord(
                 n=n,
@@ -327,7 +288,7 @@ def run_optimization(
                 value_table=table,
                 argmin=new_center,
                 true_objective_at_argmin=true_at_argmin,
-                simulations_this_cycle=cache.misses_this_cycle,
+                simulations_this_cycle=len(known) - known_before,
             )
             trace.cycles.append(record)
 
@@ -358,5 +319,5 @@ def run_optimization(
         trace.terminated_reason = "error"
         trace.error = f"{type(exc).__name__}: {exc}"
 
-    trace.total_simulations = len(cache.known)
+    trace.total_simulations = len(known)
     return trace

@@ -27,7 +27,7 @@ def test_csv_cell_formatting(tmp_path):
     assert format_cell(None) == ""
     assert format_cell(np.int64(5)) == "5"
     p = tmp_path / "t.csv"
-    write_csv(p, ["a", "b"], [[1.5, None], [2.5, "x"]])
+    write_csv(p, ["a", "b"], [[1.5, None], [2.5, "x"]], comment="mesopt test")
     assert csv_body(p) == "a,b\n1.5,\n2.5,x\n"
     assert p.read_text().startswith("#")
 

@@ -54,7 +54,6 @@ def test_interior_neighborhood_counts(grid2d):
     # 7x7 box
     n = make_neighborhood(grid2d, center=(10, 10), radii=(3, 3))
     assert n.size == 49
-    assert n.nominal_size == 49
     assert (10, 10) in n.members
     assert n.members == tuple(sorted(n.members))
 

@@ -110,12 +110,12 @@ def test_resize_member_count_matching():
     # Freeze b on a 7x7 box: the 49 members fit in a 49x1 line, radius 24.
     grid = ParameterGrid(mins=(0.0, 0.0), maxs=(6.0, 6.0), steps=(0.1, 0.1))
     n = make_neighborhood(grid, (30, 30), (3, 3))
-    assert resize_neighborhood(n, (False, True)) == (24, 0)
+    assert resize_neighborhood(n, (False, True), 49) == (24, 0)
     # Nothing stable: unchanged square (member-count match reproduces it).
-    assert resize_neighborhood(n, (False, False)) == (3, 3)
+    assert resize_neighborhood(n, (False, False), 49) == (3, 3)
     # 3x3 box, nothing stable: unchanged.
     small = make_neighborhood(grid, (30, 30), (1, 1))
-    assert resize_neighborhood(small, (False, False)) == (1, 1)
+    assert resize_neighborhood(small, (False, False), 9) == (1, 1)
 
 
 def test_resize_respects_grid_extent():
@@ -123,9 +123,9 @@ def test_resize_respects_grid_extent():
     # radius at the largest useful distance to a bound.
     grid = ParameterGrid(mins=(1.5, 2.0), maxs=(4.0, 3.0), steps=(0.1, 0.1))
     n = make_neighborhood(grid, (12, 5), (3, 3))
-    assert resize_neighborhood(n, (True, False)) == (0, 5)
+    assert resize_neighborhood(n, (True, False), 49) == (0, 5)
     with pytest.raises(ValueError):
-        resize_neighborhood(n, (True, True))
+        resize_neighborhood(n, (True, True), 49)
 
 
 def test_terminate_check_rules(valley_grid):
@@ -213,11 +213,26 @@ def test_run_determinism(valley_grid):
     assert a.total_simulations == b.total_simulations
 
 
+def _ended_before_any_evaluation(trace, backend):
+    return (
+        trace.terminated_reason == "error"
+        and trace.error.startswith("GridError: ")
+        and trace.cycles == []
+        and trace.total_simulations == 0
+        and backend.calls == 0
+    )
+
+
 def test_off_grid_start_reports_error(valley_grid):
     backend = SyntheticValleyObjective()
     trace = run_optimization(valley_grid, (99, 0), backend, OptimizerConfig())
-    assert trace.terminated_reason == "error"
-    assert trace.error
+    assert _ended_before_any_evaluation(trace, backend), trace
+
+
+def test_initial_radii_of_the_wrong_length_report_error(valley_grid):
+    backend = SyntheticValleyObjective()
+    trace = run_optimization(valley_grid, (10, 10), backend, OptimizerConfig(initial_radii=(3, 3, 3)))
+    assert _ended_before_any_evaluation(trace, backend), trace
 
 
 def test_backend_failure_mid_run(valley_grid):
@@ -269,10 +284,9 @@ def test_property_resize_never_exceeds_nominal_size(data):
     center = tuple(data.draw(st.integers(0, k - 1)) for k in shape)
     old = make_neighborhood(grid, center, [data.draw(st.integers(0, 5)) for _ in range(d)])
     stable = tuple(data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(lambda s: not all(s))))
-    nominal = data.draw(st.none() | st.integers(1, 2000))
+    nominal = data.draw(st.integers(1, 2000))
     radii = resize_neighborhood(old, stable, nominal_size=nominal)
-    target = old.nominal_size if nominal is None else nominal
-    assert math.prod(2 * r + 1 for r in radii) <= target
+    assert math.prod(2 * r + 1 for r in radii) <= nominal
     assert all(r == 0 for r, s in zip(radii, stable) if s)
 
 
@@ -338,6 +352,15 @@ def test_property_run_invariants_on_random_quadratics(d, freeze_mode, data):
 
     # One simulation per distinct point, and no point paid twice.
     assert trace.total_simulations == len(set(backend.evaluated)) == len(backend.evaluated) == backend.calls
+    # A cycle pays for the points among its center, samples and argmin that
+    # no earlier evaluation learned; an error's unfinished cycle is unrecorded.
+    learned = set()
+    for cycle in trace.cycles:
+        points = {cycle.center, *cycle.sample_points, cycle.argmin}
+        assert cycle.simulations_this_cycle == len(points - learned)
+        learned |= points
+    if trace.terminated_reason != "error":
+        assert sum(c.simulations_this_cycle for c in trace.cycles) == trace.total_simulations
     assert all(grid.contains(c) for c in trace.centers())
     for cycle in trace.cycles:
         assert make_neighborhood(grid, cycle.center, cycle.radii).contains(cycle.argmin)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mesopt import _solver, objectives, reduction
+from mesopt import _solver, objectives
 from mesopt.geometry import AirfoilSpec
 from mesopt.grid import ParameterGrid, make_neighborhood
 from mesopt.objectives import CountingObjective, StokesObjective
@@ -99,14 +99,14 @@ GROUP_START = (3.4, 2.5)
 
 
 def _recorded_run(monkeypatch, grouped: bool):
-    """A Stokes run with its solves, its evaluations, its cache and its group passes recorded.
+    """A Stokes run with its solves, its evaluations and its group passes recorded.
 
     Without ``grouped`` the backend is handed over as a plain callable,
     which is offered no group.
     """
-    calls = {"solves": [], "components": [], "passes": [], "caches": []}
+    calls = {"solves": [], "components": [], "passes": []}
     solve, components = objectives.solve_stokes, CountingObjective.components
-    solve_blades, cache_type = _solver._Capacitance.solve, reduction._EvalCache
+    solve_blades = _solver._Capacitance.solve
 
     def recording_solve(shape, channel, envelope=None, faces=None, together=None):
         calls["solves"].append((shape.spec.f, shape.spec.b))
@@ -121,15 +121,9 @@ def _recorded_run(monkeypatch, grouped: bool):
             calls["passes"].append(len(blades))
         return solve_blades(self, blades, K, r, y)
 
-    class RecordingCache(cache_type):
-        def __init__(self, *args):
-            super().__init__(*args)
-            calls["caches"].append(self)
-
     monkeypatch.setattr(objectives, "solve_stokes", recording_solve)
     monkeypatch.setattr(CountingObjective, "components", recording_components)
     monkeypatch.setattr(_solver._Capacitance, "solve", recording_pass)
-    monkeypatch.setattr(reduction, "_EvalCache", RecordingCache)
     backend = StokesObjective(GROUP_CHANNEL, grid=GROUP_GRID)
     trace = run_optimization(
         GROUP_GRID, GROUP_GRID.index_of(GROUP_START), backend if grouped else backend.__call__, OptimizerConfig()
@@ -140,10 +134,11 @@ def _recorded_run(monkeypatch, grouped: bool):
 def test_grouped_run_evaluates_each_simulation_by_its_own_solve_and_components_call(monkeypatch):
     # Cycle 0's center joins its corners' group, and each later cycle's new
     # corners share one pass; every simulation is still one solve_stokes and
-    # one components call, in the order the cache learns its points.
+    # one components call, in the order the run learns its points: per
+    # cycle its center, its sample points, then its argmin.
     trace, backend, calls = _recorded_run(monkeypatch, grouped=True)
-    (cache,) = calls["caches"]
-    known = [GROUP_GRID.theta(p) for p in cache.known]
+    learned = dict.fromkeys(p for c in trace.cycles for p in (c.center, *c.sample_points, c.argmin))
+    known = [GROUP_GRID.theta(p) for p in learned]
     assert trace.terminated_reason == "converged"
     assert calls["solves"] == calls["components"] == known
     assert len(known) == trace.total_simulations == backend.calls == sum(calls["passes"])
