@@ -86,13 +86,15 @@ def _assemble(blocks: list, along_z) -> sp.csc_matrix:
     return sp.bmat([[block(terms) for terms in row] for row in blocks], format="csc")
 
 
-def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csc_matrix:
+def _matrix(nx: int, nz: int, dx: float, dz: float) -> sp.csr_matrix:
     """A0, the empty channel's operator, with u, w and p each over (column, row).
 
     A blade adds K on its solid faces to A0's diagonal; the inflow enters
-    only ``_rhs``.
+    only ``_rhs``.  It is stored as CSR, the one form every reader takes:
+    the strip LU's row blocks and the residual and refinement products of
+    ``stokes._solve``.
     """
-    return _assemble(_stencils(nx, nz, dx, dz), lambda Z: Z)
+    return _assemble(_stencils(nx, nz, dx, dz), lambda Z: Z).tocsr()
 
 
 def _dft_diagonal(Z: sp.spmatrix) -> sp.dia_matrix:
@@ -326,8 +328,7 @@ class _Substructure(_SetUp):
         self.strip = np.flatnonzero(in_strip)
         self.exterior = np.flatnonzero(~in_strip)
 
-        A_rows = self.A.tocsr()
-        rows_S, rows_E = A_rows[self.strip], A_rows[self.exterior]
+        rows_S, rows_E = self.A[self.strip], self.A[self.exterior]
         self.A_SE = rows_S[:, self.exterior]
         self.A_ES = rows_E[:, self.strip].tocsc()
         self.lu_E = spla.splu(rows_E[:, self.exterior].tocsc(), permc_spec="COLAMD")

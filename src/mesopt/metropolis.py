@@ -25,8 +25,8 @@ other move keeps its 1.0 without the call), and bisects the row's
 running sums at its draw times their last, so its steps, those of the
 row-by-row scan, depend neither on numpy's vectorised exp nor on how
 ``sum`` rounds.  A box's values are one float array in
-``Neighborhood.members`` order.  ``CoolingSchedule`` is the one cooling
-rule, shared by the walks and the value fixed point.
+``Neighborhood.members`` order.  ``CoolingSchedule``, the one cooling
+rule of the walks and the value fixed point, has its one import path here.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from statistics import median
 
 import numpy as np
 
@@ -79,7 +78,7 @@ class CoolingSchedule:
 
 
 #: Move plans kept at once, one per (box shape, moves); a plan holds about
-#: 300 bytes per member (32 KB for an 11 x 11 box).
+#: 210 bytes per member (26 KB for an 11 x 11 box).
 _PLANS = 128
 
 
@@ -91,22 +90,20 @@ class _MovePlan:
     target is a fixed offset in that order, and the plan depends on the box
     shape and the moves but never on the values or the box's centre.  Only
     the moves that stay in the box are listed, member by member and each
-    member's in move order: ``frm`` is the member a move starts from, ``to``
-    the member it leads to, and ``entries`` its position in a flat
-    (size, moves) array.  Member i's moves are ``bounds[i]:bounds[i + 1]``;
-    stay is move 0 and never leaves the box, so entry ``bounds[i]`` is its
-    stay.  ``rows[i]`` is the tuple of its targets with the last one
-    repeated, where a walk's draw that runs off the row's running sums
-    lands.  ``k`` is the largest offset, the half-bandwidth of
-    I - gamma P; ``at`` is where each move's entry sits in the flat
-    column-major LAPACK band storage of shape (3k + 1, size).  Every array
-    is read-only.
+    member's in move order: ``frm`` is the member a move starts from and
+    ``to`` the member it leads to.  Member i's moves are
+    ``bounds[i]:bounds[i + 1]``; stay is move 0 and never leaves the box,
+    so move ``bounds[i]`` is its stay.  ``rows[i]`` is the tuple of its
+    targets with the last one repeated, where a walk's draw that runs off
+    the row's running sums lands.  ``k`` is the largest offset, the
+    half-bandwidth of I - gamma P; ``at`` is where each move's entry sits
+    in the flat column-major LAPACK band storage of shape (3k + 1, size).
+    Every array is read-only.
     """
 
     size: int
     frm: np.ndarray
     to: np.ndarray
-    entries: np.ndarray
     bounds: np.ndarray
     rows: tuple[tuple[int, ...], ...]
     k: int
@@ -120,9 +117,9 @@ def _move_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]) -> _MovePla
     size = coords.shape[1]
     # Column n of ``moved`` is move n % len(moves) taken from member n // len(moves).
     moved = (coords + np.array(moves).T[:, None, :]).reshape(len(shape), -1)
-    entries = np.flatnonzero(np.all((moved >= 0) & (moved < np.array(shape)[:, None]), axis=0))
-    frm = entries // len(moves)
-    to = np.ravel_multi_index(tuple(moved[:, entries]), shape)
+    kept = np.flatnonzero(np.all((moved >= 0) & (moved < np.array(shape)[:, None]), axis=0))
+    frm = kept // len(moves)
+    to = np.ravel_multi_index(tuple(moved[:, kept]), shape)
     bounds = np.searchsorted(frm, np.arange(size + 1))
     flat, ends = to.tolist(), bounds.tolist()
     rows = tuple(tuple(flat[a:b] + flat[b - 1 : b]) for a, b in zip(ends, ends[1:]))
@@ -130,9 +127,9 @@ def _move_plan(shape: tuple[int, ...], moves: tuple[GridPoint, ...]) -> _MovePla
     height = 3 * k + 1
     # Entry (i, j) of the matrix sits at row 2k + i - j of column j.
     at = 2 * k + frm - to + to * height
-    for a in (frm, to, entries, bounds, at):
+    for a in (frm, to, bounds, at):
         a.flags.writeable = False
-    return _MovePlan(size, frm, to, entries, bounds, rows, k, at)
+    return _MovePlan(size, frm, to, bounds, rows, k, at)
 
 
 def _box_plan(neighborhood: Neighborhood, actions: ActionSet) -> _MovePlan:
@@ -206,7 +203,7 @@ class WalkStatistics:
 
     @property
     def median_steps(self) -> float:
-        return float(median(self.steps))
+        return float(np.median(self.steps))
 
 
 def hitting_time_experiment(

@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 from .grid import ActionSet, GridError, GridPoint, Neighborhood, ParameterGrid, make_neighborhood
+from .metropolis import CoolingSchedule
 from .objectives import BACKEND_FAILURES
 from .surrogate import SurrogateError, SurrogateModel, fit_surrogate
-from .value import CoolingSchedule, ValueTable, argmin_value, value_fixed_point
+from .value import ValueTable, argmin_value, value_fixed_point
 
 __all__ = [
     "OptimizerConfig",

@@ -26,10 +26,10 @@ from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .grid import ParameterGrid
+from .metropolis import CoolingSchedule
 from .objectives import BACKENDS
 from .reduction import OptimizerConfig
 from .stokes import ChannelConfig
-from .value import CoolingSchedule
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 

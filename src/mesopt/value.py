@@ -19,8 +19,8 @@ float arrays in ``Neighborhood.members`` order, the iterates the rows of one
 stack per call that each step solves into in place.  The stop rule's
 sup-norm changes are taken once per block of steps, in one array pass, and
 read in step order: a call stops at the step, and with the history, that a
-test after every step gives.  ``CoolingSchedule`` lives in ``metropolis``
-and is re-exported here.
+test after every step gives.  The band solve is LAPACK ``dgbsv``, imported
+by the call that runs a step, so that importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .grid import ActionSet, GridPoint, Neighborhood
 from .metropolis import CoolingSchedule, _box_plan, _minus_betas
 
 __all__ = [
-    "CoolingSchedule",
     "ValueTable",
     "value_fixed_point",
     "fixed_point_iterates",
@@ -58,19 +57,6 @@ def _box_values(values, neighborhood: Neighborhood) -> np.ndarray:
     if v.shape != (neighborhood.size,):
         raise ValueError(f"{v.size} values for a box of {neighborhood.size} members")
     return v
-
-
-#: LAPACK ``dgbsv``, imported by the first band solve, so that importing this
-#: module (and every command that runs no fixed point) loads no scipy.
-_dgbsv = None
-
-
-def _lapack_dgbsv():
-    """LAPACK ``dgbsv``, imported on the first call."""
-    global _dgbsv
-    if _dgbsv is None:
-        from scipy.linalg.lapack import dgbsv as _dgbsv
-    return _dgbsv
 
 
 def _band_failed(info: int) -> np.linalg.LinAlgError:
@@ -114,7 +100,8 @@ def _annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps, tol_v):
     plan = _box_plan(neighborhood, actions)
     m, k, frm, to, at = plan.size, plan.k, plan.frm, plan.to, plan.at
     minus_betas = _minus_betas(schedule, n_steps, 0)
-    dgbsv = _lapack_dgbsv() if minus_betas else None  # no step, no scipy
+    if minus_betas:  # no step, no scipy
+        from scipy.linalg.lapack import dgbsv
     diagonal = slice(2 * k, None, 3 * k + 1)  # row 2k of the flat band storage
     iterates = np.empty((n_steps + 1, m))
     iterates[:] = rhat

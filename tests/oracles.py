@@ -8,8 +8,8 @@ the move plan replaced, one band solve of that step on its own, the
 fixed-point loop that tested convergence after every step, a generator
 stand-in with dyadic draws, and the local argmins of a 1-d table.
 ``mc_value_estimate`` checks the value layer by Monte Carlo: its walks
-sample the rows of the box's move plan, and ``oracle_mc_estimate`` drives
-the same walks from the dense kernel.
+take the moves of the dense stencil, weighed as a fixed-point step weighs
+them, and ``oracle_mc_estimate`` drives the same walks from the dense kernel.
 The column strip is a Stokes strip far wider than any blade's own, the
 penalized system is the whole channel's matrix for one sparse LU, the
 dense G is the capacitance set-up's A0^-1 on its strip faces, scattered
@@ -25,12 +25,13 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 from mesopt._solver import _matrix
 from mesopt.grid import ActionSet, Neighborhood
 from mesopt.metropolis import _box_plan, _minus_betas
 from mesopt.stokes import _chord_coordinate, _face_x
-from mesopt.value import _band_failed, _box_values, _lapack_dgbsv
+from mesopt.value import _band_failed, _box_values
 
 
 def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def _band_solve(band: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
     ``np.linalg.LinAlgError``, as the fixed point's loop does.  This is one
     solve of that loop on its own, the form the band oracles call.
     """
-    _, _, x, info = _lapack_dgbsv()(k, k, band, rhs, overwrite_ab=1)
+    _, _, x, info = dgbsv(k, k, band, rhs, overwrite_ab=1)
     if info != 0:
         raise _band_failed(info)
     return x
@@ -246,7 +247,6 @@ def stepwise_annealed_map(rhat, neighborhood, actions, gamma, schedule, n_steps,
     plan = _box_plan(neighborhood, actions)
     m, k, frm, to, at = plan.size, plan.k, plan.frm, plan.to, plan.at
     minus_betas = _minus_betas(schedule, n_steps, 0)
-    dgbsv = _lapack_dgbsv() if minus_betas else None  # no step, no scipy
     diagonal = slice(2 * k, None, 3 * k + 1)  # row 2k of the flat band storage
     v, deltas = rhat, []
     if iterates is not None:
@@ -310,12 +310,12 @@ def mc_value_estimate(
     # their member), so that no draw, not even u = 0.0, picks one of those;
     # from the last positive weight on the cumulative weight is 1.0, so a
     # draw u < 1 never runs past it.
-    plan = _box_plan(neighborhood, actions)
-    n_moves = len(actions.moves)
-    cols = np.repeat(np.arange(m)[:, None], n_moves, axis=1)
-    np.put(cols, plan.entries, plan.to)
-    weights = np.zeros((m, n_moves))
-    np.put(weights, plan.entries, _move_weights(rhat, plan, beta))
+    cols, valid = _dense_stencil(neighborhood, actions)
+    # As (size, moves), the valid moves run in the plan's order: member by
+    # member, each member's in move order.
+    cols, valid = cols.T, valid.T
+    weights = np.zeros(cols.shape)
+    weights[valid] = _move_weights(rhat, _box_plan(neighborhood, actions), beta)
     order = np.lexsort((cols, weights == 0.0), axis=1)
     targets = np.take_along_axis(cols, order, axis=1)
     weights = np.take_along_axis(weights, order, axis=1)

@@ -28,7 +28,7 @@ from mesopt.cli import main
 from mesopt.csvio import csv_body
 from mesopt.geometry import AirfoilSpec
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import hitting_time_experiment
+from mesopt.metropolis import CoolingSchedule, hitting_time_experiment
 from mesopt.objectives import (
     StokesObjective,
     SyntheticValleyObjective,
@@ -39,11 +39,7 @@ from mesopt.objectives import (
 from mesopt.reduction import OptimizerConfig, run_optimization
 from mesopt.stokes import ChannelConfig, sample_line, solve_stokes
 from mesopt.surrogate import fit_surrogate
-from mesopt.value import (
-    CoolingSchedule,
-    fixed_point_iterates,
-    value_fixed_point,
-)
+from mesopt.value import fixed_point_iterates, value_fixed_point
 from oracles import _local_argmins, discounted_power_sum, mc_value_estimate, transition_matrix
 
 

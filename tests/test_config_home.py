@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mesopt import cli
+from mesopt.metropolis import CoolingSchedule
 from mesopt.reduction import OptimizerConfig
 from mesopt.runconfig import (
     Exp1Settings,
@@ -24,7 +25,6 @@ from mesopt.runconfig import (
     parse_config,
 )
 from mesopt.stokes import ChannelConfig
-from mesopt.value import CoolingSchedule
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

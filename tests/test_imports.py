@@ -3,7 +3,8 @@
 Each check runs in a fresh interpreter, since this one has long loaded
 scipy.  The walk and the analytic backends never touch it, so importing the
 package and running ``walk`` or ``landscape`` on the valley must leave no
-``scipy`` module in ``sys.modules``.
+``scipy`` module in ``sys.modules``.  Importing the CLI loads no
+``statistics`` either.
 """
 
 import json
@@ -43,6 +44,12 @@ def test_importing_loads_no_scipy(module):
     assert _run(f"import {module}\nprint(json.dumps(scipy_modules()))") == []
 
 
+def test_importing_the_cli_loads_no_statistics():
+    # The walk summary's median is numpy's, so no command pays for
+    # ``statistics`` and the ``fractions`` and ``decimal`` it imports.
+    assert _run("import mesopt.cli\nprint(json.dumps('statistics' in sys.modules))") is False
+
+
 @pytest.mark.parametrize("command", ["walk", "landscape"])
 def test_valley_command_loads_no_scipy(command, tmp_path):
     got = _run(f"""
@@ -69,11 +76,12 @@ def test_fixed_point_loads_only_the_band_solver():
         import numpy as np
         from mesopt import value
         from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
+        from mesopt.metropolis import CoolingSchedule
 
         before = scipy_modules()
         n = make_neighborhood(ParameterGrid((0.0,), (4.0,), (1.0,)), (2,), (2,))
-        value.value_fixed_point(np.arange(5.0), n, ActionSet(1), 0.5, value.CoolingSchedule(), 1e-3, 5)
-        loaded = [value._dgbsv is not None, "scipy.linalg.lapack" in sys.modules, "mesopt._solver" in sys.modules]
+        value.value_fixed_point(np.arange(5.0), n, ActionSet(1), 0.5, CoolingSchedule(), 1e-3, 5)
+        loaded = ["scipy.linalg.lapack" in sys.modules, "mesopt._solver" in sys.modules]
         print(json.dumps([before, *loaded]))
     """)
-    assert got == [[], True, True, False]
+    assert got == [[], True, False]

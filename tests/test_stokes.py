@@ -383,7 +383,7 @@ def _loop_matrix(nx, nz, dx, dz):
     n = n_u + n_w + n_p
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
+    ).tocsr()
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,7 +391,7 @@ def _loop_matrix(nx, nz, dx, dz):
 @example(96, 72, 4.0, 6.0)
 @example(192, 96, 4.0, 3.0)
 def test_property_kron_operator_is_the_loop_operator(nx, nz, Lx, Lz):
-    # The block operator from 1-d stencils stores exactly the loop's CSC
+    # The block operator from 1-d stencils stores exactly the loop's CSR
     # arrays: same structure, same bits, no explicit zeros.
     dx, dz = Lx / nx, Lz / nz
     got, want = _solver._matrix(nx, nz, dx, dz), _loop_matrix(nx, nz, dx, dz)
@@ -561,7 +561,7 @@ def test_property_fourier_solve_is_the_lu_solve_of_a0(nx, nz, Lx, Lz, seed):
     grid = (nx, nz, Lx / nx, Lz / nz)
     A0 = _solver._matrix(*grid)
     r = np.random.default_rng(seed).standard_normal((A0.shape[0], 2))
-    direct = spla.splu(A0).solve(r)
+    direct = spla.splu(A0.tocsc()).solve(r)
     fourier = _solver._Fourier(grid)
     got = fourier.solve(r)
     assert got.shape == r.shape and got.dtype == np.float64
@@ -586,7 +586,7 @@ def test_g_is_a0_inverse_on_the_envelope_faces(both_blade_solvers):
     # G is gathered from one Fourier solve per face line; every 7th of its
     # columns against a column of one splu of A0.
     envelope, _ = both_blade_solvers
-    lu = spla.splu(envelope.A)
+    lu = spla.splu(envelope.A.tocsc())
     every = np.arange(envelope.V.size)
     for b in range(0, envelope.V.size, 7):
         unit = np.zeros(envelope.A.shape[0])
@@ -732,7 +732,7 @@ def test_capacitance_solve_without_y_makes_its_own_first_solve(both_blade_solver
 def test_capacitance_solve_of_the_empty_channel_is_the_strip_solve(both_blade_solvers):
     envelope, columns = both_blade_solvers
     r = np.random.default_rng(3).standard_normal(envelope.A.shape[0])
-    direct = spla.splu(envelope.A).solve(r)
+    direct = spla.splu(envelope.A.tocsc()).solve(r)
     for sub in (envelope, columns):
         x = sub.solve([np.empty(0, dtype=int)], CAPACITANCE_CFG.penalization, r)[0]
         assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()

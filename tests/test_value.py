@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
+from scipy.linalg.lapack import dgbsv as lapack_dgbsv
 
-from mesopt import value
 from mesopt.grid import ActionSet, ParameterGrid, make_neighborhood
-from mesopt.metropolis import _box_plan, _grid_rows
+from mesopt.metropolis import CoolingSchedule, _box_plan, _grid_rows
 from mesopt.objectives import fictitious_1d
 from mesopt.reduction import surrogate_sample_points
 from mesopt.surrogate import fit_surrogate, monomial_row
 from mesopt.value import (
     _BLOCK,
-    CoolingSchedule,
     ValueTable,
     argmin_value,
     fixed_point_iterates,
@@ -303,12 +303,10 @@ def test_property_band_iterates_match_dense_solve(box, gamma, betas, data):
 
 def _dgbsv_failing_at(step):
     """A stand-in ``dgbsv`` that solves as LAPACK does but reports info 7 on call ``step``."""
-    from scipy.linalg.lapack import dgbsv as real
-
     calls = itertools.count()
 
     def dgbsv(*args, **kwargs):
-        *out, info = real(*args, **kwargs)
+        *out, info = lapack_dgbsv(*args, **kwargs)
         return (*out, 7) if next(calls) == step else (*out, info)
 
     return dgbsv
@@ -326,13 +324,13 @@ def test_singular_band_system_raises(box3x3, monkeypatch):
     oracle_iterates = []
     _, history, _ = stepwise_annealed_map(*args, 20, 0.0, oracle_iterates)
     # The fixed point's loop checks each of its solves the same way.
-    monkeypatch.setattr(value, "_dgbsv", lambda k, _, band, rhs, **kw: (band, None, rhs, 2))
+    monkeypatch.setattr(lapack, "dgbsv", lambda k, _, band, rhs, **kw: (band, None, rhs, 2))
     with pytest.raises(np.linalg.LinAlgError, match="info 2"):
         value_fixed_point(np.zeros(n.size), n, ActionSet(2), 0.5, CoolingSchedule(), **FP)
     # A solve that fails at step ``fail`` (0-based) raises when no earlier
     # step converged, in the first block of the convergence test or a later one.
     for fail in (0, 3, 7, 8, 13):
-        monkeypatch.setattr(value, "_dgbsv", _dgbsv_failing_at(fail))
+        monkeypatch.setattr(lapack, "dgbsv", _dgbsv_failing_at(fail))
         with pytest.raises(np.linalg.LinAlgError, match="info 7"):
             value_fixed_point(*args, tol_v=1e-300, max_j=20)
     # When the call converges at step ``stop`` (1-based) of the same block,
@@ -340,7 +338,7 @@ def test_singular_band_system_raises(box3x3, monkeypatch):
     # call returns what a test after every step returns.
     for stop, fail in ((1, 1), (1, 7), (3, 5), (9, 10), (9, 15)):
         assert history[stop - 1] < min(history[: stop - 1], default=np.inf)  # strictly the first to get there
-        monkeypatch.setattr(value, "_dgbsv", _dgbsv_failing_at(fail))
+        monkeypatch.setattr(lapack, "dgbsv", _dgbsv_failing_at(fail))
         table = value_fixed_point(*args, tol_v=float(np.nextafter(history[stop - 1], np.inf)), max_j=20)
         assert table.values.tobytes() == oracle_iterates[stop].tobytes()
         assert (table.history, table.iterations, table.converged) == (history[:stop], stop, True)
@@ -428,12 +426,11 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
     assert _box_plan(make_neighborhood(grid, center=(7, 6), radii=(1, 2)), ActionSet(2, {1})) is plan
     assert _box_plan(make_neighborhood(grid, center=(0, 6), radii=(1, 2)), actions) is not plan  # clipped
     assert _box_plan(make_neighborhood(grid, center=(2, 3), radii=(1, 2)), ActionSet(2)) is not plan
-    # Member by member: entry bounds[i] is member i's stay (move 0), and its
+    # Member by member: move bounds[i] is member i's stay (move 0), and its
     # row is its targets in move order with the last one repeated.
     stays = np.arange(plan.size)
     np.testing.assert_array_equal(plan.frm[plan.bounds[:-1]], stays)
     np.testing.assert_array_equal(plan.to[plan.bounds[:-1]], stays)
-    np.testing.assert_array_equal(plan.entries[plan.bounds[:-1]], stays * len(actions.moves))
     assert np.all(np.diff(plan.frm) >= 0)
     for i, row in enumerate(plan.rows):
         targets = plan.to[plan.bounds[i] : plan.bounds[i + 1]].tolist()
@@ -442,7 +439,7 @@ def test_move_plan_is_read_only_and_shared_by_same_shape_boxes():
     whole = _box_plan(make_neighborhood(grid, center=(5, 5), radii=(5, 5)), actions)
     walk_rows = _grid_rows(grid, actions, np.zeros(whole.size))
     assert len(walk_rows) == len(whole.rows) and all(r is q for (r, _, _), q in zip(walk_rows, whole.rows))
-    for name in ("frm", "to", "entries", "bounds", "at"):
+    for name in ("frm", "to", "bounds", "at"):
         array = getattr(plan, name)
         assert not array.flags.writeable
         with pytest.raises(ValueError):
